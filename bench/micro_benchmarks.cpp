@@ -1,16 +1,22 @@
 // Engineering microbenchmarks (google-benchmark): the hot paths of the
-// arbitrator and the Calypso runtime.  Not part of the paper's evaluation;
+// arbitrator, the tprmd wire codec and the Calypso runtime.  Not part of the paper's evaluation;
 // used to keep the 10,000-job figure sweeps fast and to quantify runtime
 // overheads.
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "calypso/runtime.h"
 #include "common/rng.h"
 #include "resource/availability_profile.h"
 #include "resource/reference_profile.h"
 #include "sched/greedy_arbitrator.h"
+#include "service/protocol.h"
 #include "sim/engine.h"
 #include "workload/fig4.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -191,6 +197,90 @@ void BM_AdmitTunableJob(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdmitTunableJob);
+
+// --- Wire codec: one flash-crowd stream (seed 1), each job as the NEGOTIATE
+// request a client sends and as the admitted response tprmd sends back.
+// Each iteration codes one frame; the stream cycles.
+
+struct CodecStream {
+  std::vector<service::Request> requests;
+  std::vector<service::Response> responses;
+  std::vector<std::string> requestFrames;
+  std::vector<std::string> responseFrames;
+};
+
+const CodecStream& flashCrowdStream() {
+  static const CodecStream stream = [] {
+    CodecStream s;
+    const auto params = workload::scenarioByName("flash-crowd", 1, 2000);
+    for (const auto& job : workload::ScenarioGenerator(*params).generate().jobs) {
+      service::Request request;
+      request.id = job.id;
+      request.command = service::Command::Negotiate;
+      request.payload = service::NegotiateRequest{job.spec, job.release};
+      s.requestFrames.push_back(service::encodeRequest(request));
+      s.requests.push_back(std::move(request));
+
+      const auto& chain = job.spec.chains.front();
+      service::NegotiateResult result;
+      result.admitted = true;
+      result.jobId = job.id;
+      result.arrivalSeq = job.id;
+      result.release = job.release;
+      result.quality = chain.quality(job.spec.qualityComposition);
+      result.bindings = chain.bindings;
+      result.chainsConsidered = static_cast<int>(job.spec.chains.size());
+      result.chainsSchedulable = result.chainsConsidered;
+      Time at = job.release;
+      for (const auto& t : chain.tasks) {
+        result.placements.push_back(
+            {TimeInterval{at, at + t.request.duration}, t.request.processors,
+             t.relativeDeadline < kTimeInfinity ? job.release + t.relativeDeadline
+                                                : kTimeInfinity});
+        at += t.request.duration;
+      }
+      service::Response response;
+      response.id = job.id;
+      response.ok = true;
+      response.result = std::move(result);
+      s.responseFrames.push_back(service::encodeResponse(response));
+      s.responses.push_back(std::move(response));
+    }
+    return s;
+  }();
+  return stream;
+}
+
+template <typename Item, typename Code>
+void runCodec(benchmark::State& state, const std::vector<Item>& items,
+              Code code) {
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(code(items[i]));
+    if (++i == items.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_EncodeRequest(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().requests, service::encodeRequest);
+}
+BENCHMARK(BM_EncodeRequest);
+
+void BM_DecodeRequest(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().requestFrames, service::decodeRequest);
+}
+BENCHMARK(BM_DecodeRequest);
+
+void BM_EncodeResponse(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().responses, service::encodeResponse);
+}
+BENCHMARK(BM_EncodeResponse);
+
+void BM_DecodeResponse(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().responseFrames, service::decodeResponse);
+}
+BENCHMARK(BM_DecodeResponse);
 
 void BM_SimulationThroughput(benchmark::State& state) {
   const auto jobs = workload::makeFig4PoissonStream(

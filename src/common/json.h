@@ -6,17 +6,32 @@
 // garbage, unterminated constructs, and invalid escapes are errors.
 // Errors are reported with a byte offset rather than by aborting, so
 // callers can reject malformed user files gracefully.
+//
+// Two layers share one grammar and one output form:
+//
+//  * JsonWriter / JsonReader stream a document straight to and from the
+//    caller's own structs.  The wire codecs (service/protocol.cpp) and the
+//    spec files (taskmodel/spec_io.cpp) use them, so no tree is built on
+//    the hot path.
+//  * JsonValue is a tree for documents whose shape is open-ended (metrics
+//    snapshots, bench artifacts).  parseJson() builds it with JsonReader and
+//    dump() / dumpCompact() print it with JsonWriter.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 namespace tprm {
+
+class JsonWriter;
 
 /// A parsed JSON value.  Objects preserve no duplicate keys (last wins) and
 /// iterate in key order.
@@ -76,8 +91,7 @@ class JsonValue {
   bool operator==(const JsonValue& other) const = default;
 
  private:
-  void dumpTo(std::string& out, int indent) const;
-  void dumpCompactTo(std::string& out) const;
+  void writeTo(JsonWriter& writer) const;
 
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
       value_;
@@ -103,5 +117,179 @@ struct JsonParseOptions {
 /// Parses a complete JSON document (rejects trailing garbage).
 [[nodiscard]] JsonParseResult parseJson(const std::string& text,
                                         const JsonParseOptions& options = {});
+
+/// Streaming writer of the canonical form: with Style::Pretty exactly the
+/// bytes of JsonValue::dump() (2-space indent, ": " after keys, one member
+/// or element per line, "{}" / "[]" when empty), with Style::Compact those
+/// of dumpCompact().  Numbers print like dump(): integral values below 1e15
+/// in magnitude without a fraction, everything else as "%.17g" would.
+///
+/// The caller writes an object's keys in ascending byte order, as the tree
+/// (a std::map) iterates them; debug builds check it.
+class JsonWriter {
+ public:
+  enum class Style { Pretty, Compact };
+
+  /// Appends to `out`, which must outlive the writer.
+  explicit JsonWriter(std::string& out, Style style = Style::Pretty)
+      : out_(out), style_(style) {
+    levels_.reserve(16);
+  }
+
+  void beginObject();
+  void endObject();
+  void beginArray();
+  void endArray();
+  /// Member name; the next call writes the member's value, so the two
+  /// chain: w.key("id").integer(7).
+  JsonWriter& key(std::string_view name);
+
+  void null();
+  void boolean(bool b);
+  void number(double d);
+  /// Same bytes as number(static_cast<double>(i)).
+  void integer(std::int64_t i);
+  void string(std::string_view s);
+
+ private:
+  struct Level {
+    bool array = false;
+    bool empty = true;
+    std::string lastKey;  // debug builds only: the key-order check
+  };
+
+  void beginValue();
+  void separate(Level& level);
+  void close(char bracket);
+
+  std::string& out_;
+  Style style_;
+  std::vector<Level> levels_;
+};
+
+/// Pull reader over one JSON document, for decoders that read straight
+/// into their own structs.  It accepts exactly parseJson's grammar, honours
+/// the same depth limit, and fails with the same error texts at the same
+/// byte offsets (parseJson is built on it).
+///
+/// Values are consumed in document order.  The first error is sticky: every
+/// later call returns false, so decoders can unwind without checking each
+/// step, and a syntax error anywhere in the document is still reported when
+/// the caller asks (failed(), after finish()).
+class JsonReader {
+ public:
+  enum class Kind { Null, Bool, Number, String, Array, Object };
+
+  /// Reads `text`, which must outlive the reader.
+  explicit JsonReader(std::string_view text,
+                      const JsonParseOptions& options = {})
+      : text_(text), maxDepth_(options.maxDepth) {}
+
+  /// Kind of the next value, judged by its first byte as parseJson does:
+  /// anything but { [ " t f n reads as a number.  False at end of input.
+  bool peek(Kind* kind);
+  /// True iff the next value is of `kind`.
+  bool nextIs(Kind kind) {
+    Kind next = Kind::Null;
+    return peek(&next) && next == kind;
+  }
+
+  /// Typed reads of the next value; call the one peek() named.
+  bool readNull();
+  bool readBool(bool* out);
+  bool readNumber(double* out);
+  bool readString(std::string* out);
+  /// Checks the next value, whatever its kind, without keeping it.
+  bool skipValue();
+
+  /// Enters an object; then nextMember() until it returns false (object
+  /// closed, or failed()).  After each true return read or skip the value.
+  bool beginObject();
+  /// Reads the next member's key.  The view stays valid until the next key.
+  bool nextMember(std::string_view* key);
+  /// Enters an array; then nextElement() until it returns false.
+  bool beginArray();
+  bool nextElement();
+
+  /// Requires nothing but whitespace after the document.
+  bool finish();
+
+  [[nodiscard]] bool failed() const { return error_ != nullptr; }
+  /// Error text, or "" while none.
+  [[nodiscard]] const char* error() const {
+    return error_ != nullptr ? error_ : "";
+  }
+  [[nodiscard]] std::size_t errorOffset() const { return errorOffset_; }
+
+ private:
+  bool fail(const char* what);
+  void skipWhitespace();
+  bool atValue();
+  bool literal(std::string_view word);
+  bool scanString(std::string* out);
+  bool scanKey(std::string_view* key);
+
+  std::string_view text_;
+  int maxDepth_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;
+  /// True right after beginObject()/beginArray(): the next nextMember() /
+  /// nextElement() reads the first entry (no separator before it).
+  bool first_ = false;
+  const char* error_ = nullptr;
+  std::size_t errorOffset_ = 0;
+  std::string keyBuffer_;  // keys that contain escapes
+};
+
+/// One object member as a struct decoder keeps it while reading: whether it
+/// was present, its kind and, for scalars, its value.  Decoders capture each
+/// member they know into a field (a repeated key overwrites it, so the last
+/// one wins, as in JsonValue) and run their checks once the object is
+/// complete, in their own order.
+struct JsonField {
+  bool present = false;
+  JsonReader::Kind kind = JsonReader::Kind::Null;
+  double number = 0.0;
+  bool boolean = false;
+  std::string text;
+
+  /// Reads the next value: scalars are kept, containers checked and
+  /// skipped.
+  bool read(JsonReader& reader);
+
+  [[nodiscard]] bool isNumber() const {
+    return present && kind == JsonReader::Kind::Number;
+  }
+  [[nodiscard]] bool isString() const {
+    return present && kind == JsonReader::Kind::String;
+  }
+  [[nodiscard]] bool isBool() const {
+    return present && kind == JsonReader::Kind::Bool;
+  }
+};
+
+/// Reads the next value into the field whose name in `names` (parallel to
+/// `fields`) is `key`; skips the value of an unknown member.
+template <std::size_t N>
+bool readMember(JsonReader& reader, std::string_view key,
+                const std::array<std::string_view, N>& names,
+                std::array<JsonField, N>& fields) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (key == names[i]) return fields[i].read(reader);
+  }
+  return reader.skipValue();
+}
+
+/// True iff static_cast<T>(d) is defined, i.e. d truncates to a value in
+/// T's range.  Decoders check JSON numbers with it before narrowing them:
+/// an out-of-range cast is undefined behaviour, not a wrap.
+template <typename T>
+[[nodiscard]] constexpr bool castFits(double d) {
+  // min() is 0 or -2^k and max() + 1 is 2^k: both exact as doubles.
+  constexpr double kLow = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double kHigh =
+      static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  return d > kLow - 1.0 && d < kHigh;
+}
 
 }  // namespace tprm

@@ -6,12 +6,17 @@
 
 namespace tprm {
 
+bool unitsFitTicks(double units) {
+  return std::isfinite(units) &&
+         std::abs(units * static_cast<double>(kTicksPerUnit)) <
+             static_cast<double>(kTimeInfinity);
+}
+
 Time ticksFromUnits(double units) {
   TPRM_CHECK(std::isfinite(units), "time must be finite");
-  const double scaled = units * static_cast<double>(kTicksPerUnit);
-  TPRM_CHECK(std::abs(scaled) < static_cast<double>(kTimeInfinity),
-             "time overflows tick range");
-  return static_cast<Time>(std::llround(scaled));
+  TPRM_CHECK(unitsFitTicks(units), "time overflows tick range");
+  return static_cast<Time>(
+      std::llround(units * static_cast<double>(kTicksPerUnit)));
 }
 
 double unitsFromTicks(Time ticks) {

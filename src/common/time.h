@@ -31,6 +31,12 @@ inline constexpr Time kTimeInfinity = std::numeric_limits<Time>::max() / 4;
 /// nearest.  This is the *only* sanctioned double->Time conversion.
 [[nodiscard]] Time ticksFromUnits(double units);
 
+/// True iff ticksFromUnits(units) is defined: `units` is finite and its
+/// tick count lies strictly inside (-kTimeInfinity, kTimeInfinity).
+/// Decoders of untrusted input check this instead of letting the
+/// conversion abort.
+[[nodiscard]] bool unitsFitTicks(double units);
+
 /// Converts ticks back to paper units (for reporting only).
 [[nodiscard]] double unitsFromTicks(Time ticks);
 

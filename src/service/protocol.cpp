@@ -1,6 +1,9 @@
 #include "service/protocol.h"
 
 #include <cmath>
+#include <limits>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -12,77 +15,124 @@ namespace tprm::service {
 namespace {
 
 // --- Encode helpers -------------------------------------------------------
+//
+// Frames are written straight from the structs in the canonical form of
+// JsonValue::dump(): every object's keys in ascending order.
 
-JsonValue placementsToJson(const std::vector<sched::TaskPlacement>& ps) {
-  JsonValue::Array array;
+void writePlacements(JsonWriter& w,
+                     const std::vector<sched::TaskPlacement>& ps) {
+  w.beginArray();
   for (const auto& p : ps) {
-    JsonValue::Object o;
-    o["begin"] = unitsFromTicks(p.interval.begin);
-    o["end"] = unitsFromTicks(p.interval.end);
-    o["processors"] = p.processors;
-    if (p.deadline < kTimeInfinity) o["deadline"] = unitsFromTicks(p.deadline);
-    array.emplace_back(std::move(o));
+    w.beginObject();
+    w.key("begin").number(unitsFromTicks(p.interval.begin));
+    if (p.deadline < kTimeInfinity) {
+      w.key("deadline").number(unitsFromTicks(p.deadline));
+    }
+    w.key("end").number(unitsFromTicks(p.interval.end));
+    w.key("processors").integer(p.processors);
+    w.endObject();
   }
-  return JsonValue(std::move(array));
+  w.endArray();
 }
 
-JsonValue idsToJson(const std::vector<std::uint64_t>& ids) {
-  JsonValue::Array array;
-  for (const auto id : ids) {
-    array.emplace_back(static_cast<std::int64_t>(id));
-  }
-  return JsonValue(std::move(array));
+void writeIds(JsonWriter& w, const char* key,
+              const std::vector<std::uint64_t>& ids) {
+  w.key(key).beginArray();
+  for (const auto id : ids) w.integer(static_cast<std::int64_t>(id));
+  w.endArray();
 }
 
 // --- Decode helpers -------------------------------------------------------
+//
+// Decoders read a frame in one pass, capturing the members they know
+// (JsonField for scalars, the *Field structs below for containers; unknown
+// members are skipped, a repeated member overwrites).  Once the whole frame
+// has parsed, the checks run over the captures in a fixed order, so a
+// syntax error anywhere takes precedence over a field error, and which
+// field error is reported does not depend on the member order.
 
-/// Field cursor: remembers the first error so call sites stay linear.
-class Reader {
+std::string outOfRange(const char* key) {
+  return std::string("field '") + key + "' is out of range";
+}
+
+/// Field checks over captured members: remembers the first error so call
+/// sites stay linear.
+class Checker {
  public:
-  explicit Reader(const JsonValue& root) : root_(&root) {}
-
   [[nodiscard]] bool failed() const { return !error_.empty(); }
   [[nodiscard]] const std::string& error() const { return error_; }
 
-  double number(const char* key, bool required = true, double fallback = 0) {
-    const auto* v = root_->find(key);
-    if (v == nullptr) {
+  double number(const JsonField& f, const char* key, bool required = true,
+                double fallback = 0) {
+    if (!f.present) {
       if (required) fail(std::string("missing field '") + key + "'");
       return fallback;
     }
-    if (!v->isNumber()) {
+    if (!f.isNumber()) {
       fail(std::string("field '") + key + "' must be a number");
       return fallback;
     }
-    return v->asNumber();
+    return f.number;
   }
 
-  std::uint64_t id(const char* key, bool required = true) {
-    const double d = number(key, required);
+  std::uint64_t id(const JsonField& f, const char* key, bool required = true) {
+    const double d = number(f, key, required);
     if (failed()) return 0;
     if (d < 0 || d != std::floor(d)) {
       fail(std::string("field '") + key + "' must be a non-negative integer");
       return 0;
     }
+    if (!castFits<std::uint64_t>(d)) {
+      fail(outOfRange(key));
+      return 0;
+    }
     return static_cast<std::uint64_t>(d);
   }
 
-  std::string string(const char* key) {
-    const auto* v = root_->find(key);
-    if (v == nullptr || !v->isString()) {
+  std::uint32_t u32(const JsonField& f, const char* key,
+                    bool required = true) {
+    const std::uint64_t value = id(f, key, required);
+    if (value > std::numeric_limits<std::uint32_t>::max()) {
+      fail(outOfRange(key));
+      return 0;
+    }
+    return static_cast<std::uint32_t>(value);
+  }
+
+  /// An int field; a fraction truncates.
+  int integer(const JsonField& f, const char* key) {
+    const double d = number(f, key);
+    if (!castFits<int>(d)) {
+      fail(outOfRange(key));
+      return 0;
+    }
+    return static_cast<int>(d);
+  }
+
+  /// A time in paper units, converted to ticks.
+  Time time(const JsonField& f, const char* key, bool required = true) {
+    const double d = number(f, key, required);
+    if (!unitsFitTicks(d)) {
+      fail(outOfRange(key));
+      return 0;
+    }
+    return ticksFromUnits(d);
+  }
+
+  std::string string(JsonField& f, const char* key) {
+    if (!f.isString()) {
       fail(std::string("field '") + key + "' must be a string");
       return {};
     }
-    return v->asString();
+    return std::move(f.text);
   }
 
-  bool boolean(const char* key) {
-    const auto* v = root_->find(key);
-    if (v == nullptr || !v->isBool()) {
+  bool boolean(const JsonField& f, const char* key) {
+    if (!f.isBool()) {
       fail(std::string("field '") + key + "' must be a boolean");
       return false;
     }
-    return v->asBool();
+    return f.boolean;
   }
 
   void fail(std::string what) {
@@ -90,54 +140,269 @@ class Reader {
   }
 
  private:
-  const JsonValue* root_;
   std::string error_;
 };
 
-bool placementsFromJson(const JsonValue* value,
-                        std::vector<sched::TaskPlacement>* out,
-                        std::string* error) {
-  if (value == nullptr || !value->isArray()) {
-    *error = "'placements' must be an array";
-    return false;
-  }
-  for (const auto& item : value->asArray()) {
-    if (!item.isObject()) {
-      *error = "placement entries must be objects";
+/// A captured "placements" array: the entries and the first error.
+struct PlacementsField {
+  bool present = false;
+  bool isArray = false;
+  std::vector<sched::TaskPlacement> placements;
+  std::string error;
+
+  void read(JsonReader& reader);
+  /// The placements, or false with `*out` set to the error.
+  bool take(std::vector<sched::TaskPlacement>* placementsOut,
+            std::string* out) {
+    if (!present || !isArray) {
+      *out = "'placements' must be an array";
       return false;
     }
-    Reader r(item);
+    if (!error.empty()) {
+      *out = std::move(error);
+      return false;
+    }
+    *placementsOut = std::move(placements);
+    return true;
+  }
+};
+
+void PlacementsField::read(JsonReader& reader) {
+  static constexpr std::array<std::string_view, 4> kNames = {
+      "begin", "end", "processors", "deadline"};
+  present = true;
+  placements.clear();
+  error.clear();
+  isArray = reader.nextIs(JsonReader::Kind::Array);
+  if (!isArray) {
+    reader.skipValue();
+    return;
+  }
+  reader.beginArray();
+  while (reader.nextElement()) {
+    if (!error.empty() || !reader.nextIs(JsonReader::Kind::Object)) {
+      if (error.empty()) error = "placement entries must be objects";
+      reader.skipValue();
+      continue;
+    }
+    std::array<JsonField, 4> f;
+    auto& [begin, end, processors, deadline] = f;
+    reader.beginObject();
+    std::string_view key;
+    while (reader.nextMember(&key)) readMember(reader, key, kNames, f);
+    if (reader.failed()) return;
+    Checker r;
     sched::TaskPlacement p;
-    p.interval.begin = ticksFromUnits(r.number("begin"));
-    p.interval.end = ticksFromUnits(r.number("end"));
-    p.processors = static_cast<int>(r.number("processors"));
-    const auto* deadline = item.find("deadline");
-    p.deadline = deadline != nullptr && deadline->isNumber()
-                     ? ticksFromUnits(deadline->asNumber())
-                     : kTimeInfinity;
+    p.interval.begin = r.time(begin, "begin");
+    p.interval.end = r.time(end, "end");
+    p.processors = r.integer(processors, "processors");
+    p.deadline = deadline.isNumber() ? r.time(deadline, "deadline")
+                                     : kTimeInfinity;
     if (r.failed()) {
-      *error = r.error();
-      return false;
+      error = r.error();
+      continue;
     }
-    out->push_back(p);
+    placements.push_back(p);
   }
-  return true;
 }
 
-bool idsFromJson(const JsonValue* value, std::vector<std::uint64_t>* out,
-                 std::string* error, const char* key) {
-  if (value == nullptr || !value->isArray()) {
-    *error = std::string("'") + key + "' must be an array";
-    return false;
+/// A captured id array of a RESIZE result.
+struct IdsField {
+  bool present = false;
+  bool isArray = false;
+  std::vector<std::uint64_t> ids;
+  const char* problem = nullptr;
+
+  void read(JsonReader& reader) {
+    present = true;
+    ids.clear();
+    problem = nullptr;
+    isArray = reader.nextIs(JsonReader::Kind::Array);
+    if (!isArray) {
+      reader.skipValue();
+      return;
+    }
+    reader.beginArray();
+    while (reader.nextElement()) {
+      JsonField entry;
+      entry.read(reader);
+      if (problem != nullptr) continue;
+      if (!entry.isNumber()) {
+        problem = " entries must be numbers";
+      } else if (!castFits<std::uint64_t>(entry.number)) {
+        problem = " entries are out of range";
+      } else {
+        ids.push_back(static_cast<std::uint64_t>(entry.number));
+      }
+    }
   }
-  for (const auto& item : value->asArray()) {
-    if (!item.isNumber()) {
-      *error = std::string("'") + key + "' entries must be numbers";
+
+  bool take(const char* key, std::vector<std::uint64_t>* idsOut,
+            std::string* out) {
+    if (!present || !isArray) {
+      *out = std::string("'") + key + "' must be an array";
       return false;
     }
-    out->push_back(static_cast<std::uint64_t>(item.asNumber()));
+    if (problem != nullptr) {
+      *out = std::string("'") + key + "'" + problem;
+      return false;
+    }
+    *idsOut = std::move(ids);
+    return true;
   }
-  return true;
+};
+
+/// A captured "bindings" object of a NEGOTIATE result.  Both maps are keyed
+/// by parameter, so a repeated parameter keeps its last value and the error
+/// reported is that of the first bad parameter in key order.
+struct BindingsField {
+  bool present = false;
+  bool isObject = false;
+  std::map<std::string, std::int64_t> values;
+  std::map<std::string, const char*> bad;
+
+  void read(JsonReader& reader) {
+    present = true;
+    values.clear();
+    bad.clear();
+    isObject = reader.nextIs(JsonReader::Kind::Object);
+    if (!isObject) {
+      reader.skipValue();
+      return;
+    }
+    reader.beginObject();
+    std::string_view key;
+    while (reader.nextMember(&key)) {
+      std::string param(key);
+      JsonField value;
+      value.read(reader);
+      const char* problem = !value.isNumber() ? " must be a number"
+                            : !castFits<std::int64_t>(value.number)
+                                ? " is out of range"
+                                : nullptr;
+      if (problem != nullptr) {
+        values.erase(param);
+        bad[std::move(param)] = problem;
+      } else {
+        bad.erase(param);
+        values[std::move(param)] = static_cast<std::int64_t>(value.number);
+      }
+    }
+  }
+};
+
+/// A captured "events" array of a RESHAPES / RESHAPED result.
+struct EventsField {
+  bool present = false;
+  bool isArray = false;
+  std::vector<ReshapeEvent> events;
+  std::string error;
+
+  void read(JsonReader& reader);
+};
+
+void EventsField::read(JsonReader& reader) {
+  static constexpr std::array<std::string_view, 6> kNames = {
+      "jobId",   "promotion",   "fromChain",
+      "toChain", "fromQuality", "toQuality"};
+  present = true;
+  events.clear();
+  error.clear();
+  isArray = reader.nextIs(JsonReader::Kind::Array);
+  if (!isArray) {
+    reader.skipValue();
+    return;
+  }
+  reader.beginArray();
+  while (reader.nextElement()) {
+    if (!error.empty() || !reader.nextIs(JsonReader::Kind::Object)) {
+      if (error.empty()) error = "reshape events must be objects";
+      reader.skipValue();
+      continue;
+    }
+    std::array<JsonField, 6> f;
+    auto& [jobId, promotion, fromChain, toChain, fromQuality, toQuality] = f;
+    PlacementsField placements;
+    reader.beginObject();
+    std::string_view key;
+    while (reader.nextMember(&key)) {
+      if (key == "placements") {
+        placements.read(reader);
+      } else {
+        readMember(reader, key, kNames, f);
+      }
+    }
+    if (reader.failed()) return;
+    Checker er;
+    ReshapeEvent event;
+    event.jobId = er.id(jobId, "jobId");
+    event.promotion = er.boolean(promotion, "promotion");
+    event.fromChain = static_cast<std::size_t>(er.id(fromChain, "fromChain"));
+    event.toChain = static_cast<std::size_t>(er.id(toChain, "toChain"));
+    event.fromQuality = er.number(fromQuality, "fromQuality");
+    event.toQuality = er.number(toQuality, "toQuality");
+    if (er.failed()) {
+      error = er.error();
+      continue;
+    }
+    if (!placements.take(&event.placements, &error)) continue;
+    events.push_back(std::move(event));
+  }
+}
+
+/// Every member any result kind carries.  Each is captured the same way
+/// whatever the kind ("admitted" is a boolean in a NEGOTIATE result and a
+/// count in a STATS one; a JsonField holds either), so the result object
+/// can be read before its kind, the sibling "cmd", is known.
+struct ResultFields {
+  static constexpr std::array<std::string_view, 21> kNames = {
+      "admitted",         "arrivalSeq",       "jobId",
+      "release",          "chainsConsidered", "chainsSchedulable",
+      "chainIndex",       "quality",          "freed",
+      "processorsBefore", "processorsAfter",  "processors",
+      "clock",            "rejected",         "commandsExecuted",
+      "shards",           "ok",               "violations",
+      "firstViolation",   "version",          "window"};
+  enum Scalar {
+    kAdmitted, kArrivalSeq, kJobId, kRelease, kChainsConsidered,
+    kChainsSchedulable, kChainIndex, kQuality, kFreed, kProcessorsBefore,
+    kProcessorsAfter, kProcessors, kClock, kRejected, kCommandsExecuted,
+    kShards, kOk, kViolations, kFirstViolation, kVersion, kWindow
+  };
+
+  std::array<JsonField, kNames.size()> scalars;
+  PlacementsField placements;
+  BindingsField bindings;
+  IdsField kept, reconfigured, dropped;
+  EventsField events;
+
+  void read(JsonReader& reader) {
+    reader.beginObject();
+    std::string_view key;
+    while (reader.nextMember(&key)) {
+      if (key == "placements") {
+        placements.read(reader);
+      } else if (key == "bindings") {
+        bindings.read(reader);
+      } else if (key == "kept") {
+        kept.read(reader);
+      } else if (key == "reconfigured") {
+        reconfigured.read(reader);
+      } else if (key == "dropped") {
+        dropped.read(reader);
+      } else if (key == "events") {
+        events.read(reader);
+      } else {
+        readMember(reader, key, kNames, scalars);
+      }
+    }
+  }
+  JsonField& operator[](Scalar s) { return scalars[s]; }
+};
+
+std::string jsonError(const JsonReader& reader) {
+  return "JSON error at byte " + std::to_string(reader.errorOffset()) + ": " +
+         reader.error();
 }
 
 }  // namespace
@@ -156,59 +421,84 @@ const char* toString(Command command) {
 }
 
 std::string encodeRequest(const Request& request) {
-  JsonValue::Object o;
-  o["v"] = static_cast<std::int64_t>(request.version);
-  o["id"] = static_cast<std::int64_t>(request.id);
-  o["cmd"] = toString(request.command);
+  std::string out;
+  out.reserve(request.command == Command::Negotiate ? 2048 : 96);
+  JsonWriter w(out);
+  w.beginObject();
+  w.key("cmd").string(toString(request.command));
+  w.key("id").integer(static_cast<std::int64_t>(request.id));
   switch (request.command) {
     case Command::Negotiate: {
       const auto& p = std::get<NegotiateRequest>(request.payload);
-      o["release"] = unitsFromTicks(p.release);
-      o["spec"] = task::toJsonValue(p.spec);
+      w.key("release").number(unitsFromTicks(p.release));
+      w.key("spec");
+      task::writeJobSpec(w, p.spec);
       break;
     }
-    case Command::Cancel: {
-      const auto& p = std::get<CancelRequest>(request.payload);
-      o["jobId"] = static_cast<std::int64_t>(p.jobId);
+    case Command::Cancel:
+      w.key("jobId");
+      w.integer(static_cast<std::int64_t>(
+          std::get<CancelRequest>(request.payload).jobId));
       break;
-    }
-    case Command::Resize: {
-      const auto& p = std::get<ResizeRequest>(request.payload);
-      o["processors"] = p.processors;
-      o["when"] = unitsFromTicks(p.when);
+    case Command::Resize:
+      w.key("processors");
+      w.integer(std::get<ResizeRequest>(request.payload).processors);
       break;
-    }
-    case Command::Hello: {
-      const auto& p = std::get<HelloRequest>(request.payload);
-      o["window"] = static_cast<std::int64_t>(p.window);
-      break;
-    }
+    case Command::Hello:
     case Command::Stats:
     case Command::Verify:
     case Command::Reshapes:
       break;
   }
-  return JsonValue(std::move(o)).dump();
+  w.key("v").integer(request.version);
+  if (request.command == Command::Resize) {
+    w.key("when");
+    w.number(unitsFromTicks(std::get<ResizeRequest>(request.payload).when));
+  } else if (request.command == Command::Hello) {
+    w.key("window").integer(std::get<HelloRequest>(request.payload).window);
+  }
+  w.endObject();
+  return out;
 }
 
 RequestParseResult decodeRequest(const std::string& text) {
+  static constexpr std::array<std::string_view, 8> kNames = {
+      "v",     "id",         "cmd",  "release",
+      "jobId", "processors", "when", "window"};
   RequestParseResult result;
-  const auto parsed = parseJson(text);
-  if (!parsed.ok()) {
-    result.error = "JSON error at byte " + std::to_string(parsed.errorOffset) +
-                   ": " + parsed.error;
+  JsonReader reader(text);
+  std::array<JsonField, kNames.size()> f;
+  auto& [v, id, cmdField, release, jobId, processors, when, window] = f;
+  bool specPresent = false;
+  task::SpecParseResult spec;
+  const bool isObject = reader.nextIs(JsonReader::Kind::Object);
+  if (isObject) {
+    reader.beginObject();
+    std::string_view key;
+    while (reader.nextMember(&key)) {
+      if (key == "spec") {
+        specPresent = true;
+        spec = task::readJobSpec(reader);
+      } else {
+        readMember(reader, key, kNames, f);
+      }
+    }
+  } else {
+    reader.skipValue();
+  }
+  if (!reader.finish()) {
+    result.error = jsonError(reader);
     return result;
   }
-  const JsonValue& root = *parsed.value;
-  if (!root.isObject()) {
+  if (!isObject) {
     result.error = "request must be an object";
     return result;
   }
-  Reader r(root);
+  Checker r;
   Request request;
-  const auto version = r.id("v");
-  request.id = r.id("id");
-  const auto cmd = r.string("cmd");
+  const auto version = r.id(v, "v");
+  request.id = r.id(id, "id");
+  const auto cmd = r.string(cmdField, "cmd");
   if (r.failed()) {
     result.error = r.error();
     return result;
@@ -221,29 +511,27 @@ RequestParseResult decodeRequest(const std::string& text) {
   if (cmd == "NEGOTIATE") {
     request.command = Command::Negotiate;
     NegotiateRequest payload;
-    payload.release = ticksFromUnits(r.number("release", false, 0.0));
-    const auto* spec = root.find("spec");
-    if (spec == nullptr) {
+    payload.release = r.time(release, "release", false);
+    if (!specPresent) {
       result.error = "NEGOTIATE requires a 'spec' object";
       return result;
     }
-    auto parsedSpec = task::jobSpecFromJsonValue(*spec);
-    if (!parsedSpec.ok()) {
-      result.error = "bad spec: " + parsedSpec.error;
+    if (!spec.ok()) {
+      result.error = "bad spec: " + spec.error;
       return result;
     }
-    payload.spec = std::move(*parsedSpec.spec);
+    payload.spec = std::move(*spec.spec);
     request.payload = std::move(payload);
   } else if (cmd == "CANCEL") {
     request.command = Command::Cancel;
     CancelRequest payload;
-    payload.jobId = r.id("jobId");
+    payload.jobId = r.id(jobId, "jobId");
     request.payload = payload;
   } else if (cmd == "RESIZE") {
     request.command = Command::Resize;
     ResizeRequest payload;
-    payload.processors = static_cast<int>(r.number("processors"));
-    payload.when = ticksFromUnits(r.number("when", false, 0.0));
+    payload.processors = r.integer(processors, "processors");
+    payload.when = r.time(when, "when", false);
     request.payload = payload;
   } else if (cmd == "STATS") {
     request.command = Command::Stats;
@@ -258,8 +546,8 @@ RequestParseResult decodeRequest(const std::string& text) {
     }
     request.command = Command::Hello;
     HelloRequest payload;
-    const auto window = r.id("window", false);
-    payload.window = window == 0 ? 1 : static_cast<std::uint32_t>(window);
+    const auto granted = r.u32(window, "window", false);
+    payload.window = granted == 0 ? 1 : granted;
     request.payload = payload;
   } else {
     result.error = "unknown command '" + cmd + "'";
@@ -273,144 +561,232 @@ RequestParseResult decodeRequest(const std::string& text) {
   return result;
 }
 
-std::string encodeResponse(const Response& response) {
-  JsonValue::Object o;
-  o["id"] = static_cast<std::int64_t>(response.id);
-  o["ok"] = response.ok;
-  if (response.advertisedWindow.has_value()) {
-    o["window"] = static_cast<std::int64_t>(*response.advertisedWindow);
+namespace {
+
+void writeResult(JsonWriter& w, const NegotiateResult& negotiate) {
+  const bool admitted = negotiate.admitted;
+  w.key("admitted").boolean(admitted);
+  w.key("arrivalSeq").integer(static_cast<std::int64_t>(negotiate.arrivalSeq));
+  if (admitted && !negotiate.bindings.empty()) {
+    w.key("bindings").beginObject();
+    for (const auto& [param, value] : negotiate.bindings) {
+      w.key(param).integer(value);
+    }
+    w.endObject();
   }
+  if (admitted) {
+    w.key("chainIndex");
+    w.integer(static_cast<std::int64_t>(negotiate.chainIndex));
+  }
+  w.key("chainsConsidered").integer(negotiate.chainsConsidered);
+  w.key("chainsSchedulable").integer(negotiate.chainsSchedulable);
+  w.key("jobId").integer(static_cast<std::int64_t>(negotiate.jobId));
+  if (admitted) {
+    w.key("placements");
+    writePlacements(w, negotiate.placements);
+    w.key("quality").number(negotiate.quality);
+  }
+  w.key("release").number(unitsFromTicks(negotiate.release));
+}
+
+void writeResult(JsonWriter& w, const CancelResult& cancel) {
+  w.key("freed").number(unitsFromTicks(cancel.freedTicks));
+}
+
+void writeResult(JsonWriter& w, const ResizeResult& resize) {
+  writeIds(w, "dropped", resize.dropped);
+  writeIds(w, "kept", resize.kept);
+  w.key("processorsAfter").integer(resize.processorsAfter);
+  w.key("processorsBefore").integer(resize.processorsBefore);
+  writeIds(w, "reconfigured", resize.reconfigured);
+}
+
+void writeResult(JsonWriter& w, const StatsResult& stats) {
+  w.key("admitted").integer(static_cast<std::int64_t>(stats.admitted));
+  w.key("clock").number(unitsFromTicks(stats.clock));
+  w.key("commandsExecuted");
+  w.integer(static_cast<std::int64_t>(stats.commandsExecuted));
+  w.key("processors").integer(stats.processors);
+  w.key("rejected").integer(static_cast<std::int64_t>(stats.rejected));
+  w.key("shards").integer(stats.shards);
+}
+
+void writeResult(JsonWriter& w, const VerifyResult& verify) {
+  if (!verify.ok) {
+    w.key("firstViolation").string(verify.firstViolation);
+  }
+  w.key("ok").boolean(verify.ok);
+  w.key("violations").integer(verify.violations);
+}
+
+void writeResult(JsonWriter& w, const HelloResult& hello) {
+  w.key("version").integer(hello.version);
+  w.key("window").integer(hello.window);
+}
+
+void writeResult(JsonWriter& w, const ReshapesResult& reshapes) {
+  w.key("events").beginArray();
+  for (const auto& event : reshapes.events) {
+    w.beginObject();
+    w.key("fromChain").integer(static_cast<std::int64_t>(event.fromChain));
+    w.key("fromQuality").number(event.fromQuality);
+    w.key("jobId").integer(static_cast<std::int64_t>(event.jobId));
+    w.key("placements");
+    writePlacements(w, event.placements);
+    w.key("promotion").boolean(event.promotion);
+    w.key("toChain").integer(static_cast<std::int64_t>(event.toChain));
+    w.key("toQuality").number(event.toQuality);
+    w.endObject();
+  }
+  w.endArray();
+}
+
+const char* resultCommand(const Response::Result& result) {
+  if (std::holds_alternative<NegotiateResult>(result)) {
+    return toString(Command::Negotiate);
+  }
+  if (std::holds_alternative<CancelResult>(result)) {
+    return toString(Command::Cancel);
+  }
+  if (std::holds_alternative<ResizeResult>(result)) {
+    return toString(Command::Resize);
+  }
+  if (std::holds_alternative<StatsResult>(result)) {
+    return toString(Command::Stats);
+  }
+  if (std::holds_alternative<VerifyResult>(result)) {
+    return toString(Command::Verify);
+  }
+  if (std::holds_alternative<HelloResult>(result)) {
+    return toString(Command::Hello);
+  }
+  if (const auto* reshapes = std::get_if<ReshapesResult>(&result)) {
+    return reshapes->push ? "RESHAPED" : toString(Command::Reshapes);
+  }
+  TPRM_CHECK(false, "ok response without a result payload");
+  return nullptr;
+}
+
+}  // namespace
+
+std::string encodeResponse(const Response& response) {
+  std::string out;
+  JsonWriter w(out);
+  w.beginObject();
   if (!response.ok) {
     TPRM_CHECK(response.error.has_value(),
                "error responses must carry ErrorInfo");
-    JsonValue::Object e;
-    e["code"] = response.error->code;
-    e["message"] = response.error->message;
-    o["error"] = std::move(e);
-    return JsonValue(std::move(o)).dump();
-  }
-  if (const auto* negotiate = std::get_if<NegotiateResult>(&response.result)) {
-    o["cmd"] = toString(Command::Negotiate);
-    JsonValue::Object res;
-    res["admitted"] = negotiate->admitted;
-    res["arrivalSeq"] = static_cast<std::int64_t>(negotiate->arrivalSeq);
-    res["jobId"] = static_cast<std::int64_t>(negotiate->jobId);
-    res["release"] = unitsFromTicks(negotiate->release);
-    res["chainsConsidered"] = negotiate->chainsConsidered;
-    res["chainsSchedulable"] = negotiate->chainsSchedulable;
-    if (negotiate->admitted) {
-      res["chainIndex"] = static_cast<std::int64_t>(negotiate->chainIndex);
-      res["quality"] = negotiate->quality;
-      res["placements"] = placementsToJson(negotiate->placements);
-      if (!negotiate->bindings.empty()) {
-        JsonValue::Object bindings;
-        for (const auto& [param, value] : negotiate->bindings) {
-          bindings[param] = value;
-        }
-        res["bindings"] = std::move(bindings);
-      }
-    }
-    o["result"] = std::move(res);
-  } else if (const auto* cancel = std::get_if<CancelResult>(&response.result)) {
-    o["cmd"] = toString(Command::Cancel);
-    JsonValue::Object res;
-    res["freed"] = unitsFromTicks(cancel->freedTicks);
-    o["result"] = std::move(res);
-  } else if (const auto* resize = std::get_if<ResizeResult>(&response.result)) {
-    o["cmd"] = toString(Command::Resize);
-    JsonValue::Object res;
-    res["processorsBefore"] = resize->processorsBefore;
-    res["processorsAfter"] = resize->processorsAfter;
-    res["kept"] = idsToJson(resize->kept);
-    res["reconfigured"] = idsToJson(resize->reconfigured);
-    res["dropped"] = idsToJson(resize->dropped);
-    o["result"] = std::move(res);
-  } else if (const auto* stats = std::get_if<StatsResult>(&response.result)) {
-    o["cmd"] = toString(Command::Stats);
-    JsonValue::Object res;
-    res["processors"] = stats->processors;
-    res["clock"] = unitsFromTicks(stats->clock);
-    res["admitted"] = static_cast<std::int64_t>(stats->admitted);
-    res["rejected"] = static_cast<std::int64_t>(stats->rejected);
-    res["commandsExecuted"] =
-        static_cast<std::int64_t>(stats->commandsExecuted);
-    res["shards"] = stats->shards;
-    o["result"] = std::move(res);
-  } else if (const auto* verify = std::get_if<VerifyResult>(&response.result)) {
-    o["cmd"] = toString(Command::Verify);
-    JsonValue::Object res;
-    res["ok"] = verify->ok;
-    res["violations"] = verify->violations;
-    if (!verify->ok) res["firstViolation"] = verify->firstViolation;
-    o["result"] = std::move(res);
-  } else if (const auto* hello = std::get_if<HelloResult>(&response.result)) {
-    o["cmd"] = toString(Command::Hello);
-    JsonValue::Object res;
-    res["version"] = static_cast<std::int64_t>(hello->version);
-    res["window"] = static_cast<std::int64_t>(hello->window);
-    o["result"] = std::move(res);
-  } else if (const auto* reshapes =
-                 std::get_if<ReshapesResult>(&response.result)) {
-    o["cmd"] = reshapes->push ? "RESHAPED" : toString(Command::Reshapes);
-    JsonValue::Object res;
-    JsonValue::Array events;
-    for (const auto& event : reshapes->events) {
-      JsonValue::Object e;
-      e["jobId"] = static_cast<std::int64_t>(event.jobId);
-      e["promotion"] = event.promotion;
-      e["fromChain"] = static_cast<std::int64_t>(event.fromChain);
-      e["toChain"] = static_cast<std::int64_t>(event.toChain);
-      e["fromQuality"] = event.fromQuality;
-      e["toQuality"] = event.toQuality;
-      e["placements"] = placementsToJson(event.placements);
-      events.emplace_back(std::move(e));
-    }
-    res["events"] = JsonValue(std::move(events));
-    o["result"] = std::move(res);
+    out.reserve(96 + response.error->message.size());
+    w.key("error").beginObject();
+    w.key("code").string(response.error->code);
+    w.key("message").string(response.error->message);
+    w.endObject();
   } else {
-    TPRM_CHECK(false, "ok response without a result payload");
+    out.reserve(
+        std::holds_alternative<NegotiateResult>(response.result) ? 1024 : 256);
+    w.key("cmd").string(resultCommand(response.result));
   }
-  return JsonValue(std::move(o)).dump();
+  w.key("id").integer(static_cast<std::int64_t>(response.id));
+  w.key("ok").boolean(response.ok);
+  if (response.ok) {
+    w.key("result").beginObject();
+    std::visit(
+        [&w](const auto& result) {
+          if constexpr (!std::is_same_v<std::decay_t<decltype(result)>,
+                                        std::monostate>) {
+            writeResult(w, result);
+          }
+        },
+        response.result);
+    w.endObject();
+  }
+  if (response.advertisedWindow.has_value()) {
+    w.key("window").integer(*response.advertisedWindow);
+  }
+  w.endObject();
+  return out;
 }
 
 ResponseParseResult decodeResponse(const std::string& text) {
+  static constexpr std::array<std::string_view, 4> kNames = {"id", "ok",
+                                                             "window", "cmd"};
+  static constexpr std::array<std::string_view, 2> kErrorNames = {"code",
+                                                                  "message"};
   ResponseParseResult out;
-  const auto parsed = parseJson(text);
-  if (!parsed.ok()) {
-    out.error = "JSON error at byte " + std::to_string(parsed.errorOffset) +
-                ": " + parsed.error;
+  JsonReader reader(text);
+  std::array<JsonField, kNames.size()> f;
+  auto& [id, ok, window, cmdField] = f;
+  bool errorPresent = false;
+  bool errorIsObject = false;
+  std::array<JsonField, kErrorNames.size()> e;
+  auto& [code, message] = e;
+  bool resultPresent = false;
+  bool resultIsObject = false;
+  ResultFields res;
+  const bool isObject = reader.nextIs(JsonReader::Kind::Object);
+  if (isObject) {
+    reader.beginObject();
+    std::string_view key;
+    while (reader.nextMember(&key)) {
+      if (key == "error") {
+        errorPresent = true;
+        e = {};
+        errorIsObject = reader.nextIs(JsonReader::Kind::Object);
+        if (!errorIsObject) {
+          reader.skipValue();
+          continue;
+        }
+        reader.beginObject();
+        while (reader.nextMember(&key)) readMember(reader, key, kErrorNames, e);
+      } else if (key == "result") {
+        resultPresent = true;
+        res = ResultFields{};
+        resultIsObject = reader.nextIs(JsonReader::Kind::Object);
+        if (resultIsObject) {
+          res.read(reader);
+        } else {
+          reader.skipValue();
+        }
+      } else {
+        readMember(reader, key, kNames, f);
+      }
+    }
+  } else {
+    reader.skipValue();
+  }
+  if (!reader.finish()) {
+    out.error = jsonError(reader);
     return out;
   }
-  const JsonValue& root = *parsed.value;
-  if (!root.isObject()) {
+  if (!isObject) {
     out.error = "response must be an object";
     return out;
   }
-  Reader r(root);
+  Checker r;
   Response response;
-  response.id = r.id("id");
-  response.ok = r.boolean("ok");
+  response.id = r.id(id, "id");
+  response.ok = r.boolean(ok, "ok");
   if (r.failed()) {
     out.error = r.error();
     return out;
   }
   // Adaptive-window re-advertisement; tolerated absent (older servers).
-  if (const auto* window = root.find("window")) {
-    if (window->isNumber() && window->asNumber() >= 1) {
-      response.advertisedWindow =
-          static_cast<std::uint32_t>(window->asNumber());
+  if (window.isNumber() && window.number >= 1) {
+    if (!castFits<std::uint32_t>(window.number)) {
+      out.error = outOfRange("window");
+      return out;
     }
+    response.advertisedWindow = static_cast<std::uint32_t>(window.number);
   }
   if (!response.ok) {
-    const auto* error = root.find("error");
-    if (error == nullptr || !error->isObject()) {
+    if (!errorPresent || !errorIsObject) {
       out.error = "error response without 'error' object";
       return out;
     }
-    Reader er(*error);
+    Checker er;
     ErrorInfo info;
-    info.code = er.string("code");
-    info.message = er.string("message");
+    info.code = er.string(code, "code");
+    info.message = er.string(message, "message");
     if (er.failed()) {
       out.error = er.error();
       return out;
@@ -420,42 +796,39 @@ ResponseParseResult decodeResponse(const std::string& text) {
     return out;
   }
 
-  const auto cmd = r.string("cmd");
-  const auto* result = root.find("result");
-  if (r.failed() || result == nullptr || !result->isObject()) {
+  const auto cmd = r.string(cmdField, "cmd");
+  if (r.failed() || !resultPresent || !resultIsObject) {
     out.error = r.failed() ? r.error() : "ok response without 'result' object";
     return out;
   }
-  Reader rr(*result);
+  using F = ResultFields;
+  Checker rr;
   if (cmd == "NEGOTIATE") {
     NegotiateResult negotiate;
-    negotiate.admitted = rr.boolean("admitted");
-    negotiate.arrivalSeq = rr.id("arrivalSeq");
-    negotiate.jobId = rr.id("jobId");
-    negotiate.release = ticksFromUnits(rr.number("release"));
-    negotiate.chainsConsidered = static_cast<int>(rr.number("chainsConsidered"));
+    negotiate.admitted = rr.boolean(res[F::kAdmitted], "admitted");
+    negotiate.arrivalSeq = rr.id(res[F::kArrivalSeq], "arrivalSeq");
+    negotiate.jobId = rr.id(res[F::kJobId], "jobId");
+    negotiate.release = rr.time(res[F::kRelease], "release");
+    negotiate.chainsConsidered =
+        rr.integer(res[F::kChainsConsidered], "chainsConsidered");
     negotiate.chainsSchedulable =
-        static_cast<int>(rr.number("chainsSchedulable"));
+        rr.integer(res[F::kChainsSchedulable], "chainsSchedulable");
     if (!rr.failed() && negotiate.admitted) {
-      negotiate.chainIndex = static_cast<std::size_t>(rr.id("chainIndex"));
-      negotiate.quality = rr.number("quality");
-      if (!placementsFromJson(result->find("placements"),
-                              &negotiate.placements, &out.error)) {
-        return out;
-      }
-      if (const auto* bindings = result->find("bindings")) {
-        if (!bindings->isObject()) {
+      negotiate.chainIndex =
+          static_cast<std::size_t>(rr.id(res[F::kChainIndex], "chainIndex"));
+      negotiate.quality = rr.number(res[F::kQuality], "quality");
+      if (!res.placements.take(&negotiate.placements, &out.error)) return out;
+      if (res.bindings.present) {
+        if (!res.bindings.isObject) {
           out.error = "'bindings' must be an object";
           return out;
         }
-        for (const auto& [param, value] : bindings->asObject()) {
-          if (!value.isNumber()) {
-            out.error = "binding '" + param + "' must be a number";
-            return out;
-          }
-          negotiate.bindings[param] =
-              static_cast<std::int64_t>(value.asNumber());
+        if (!res.bindings.bad.empty()) {
+          const auto& [param, problem] = *res.bindings.bad.begin();
+          out.error = "binding '" + param + "'" + problem;
+          return out;
         }
+        negotiate.bindings = std::move(res.bindings.values);
       }
     }
     if (rr.failed()) {
@@ -465,7 +838,7 @@ ResponseParseResult decodeResponse(const std::string& text) {
     response.result = std::move(negotiate);
   } else if (cmd == "CANCEL") {
     CancelResult cancel;
-    cancel.freedTicks = ticksFromUnits(rr.number("freed"));
+    cancel.freedTicks = rr.time(res[F::kFreed], "freed");
     if (rr.failed()) {
       out.error = rr.error();
       return out;
@@ -473,28 +846,31 @@ ResponseParseResult decodeResponse(const std::string& text) {
     response.result = cancel;
   } else if (cmd == "RESIZE") {
     ResizeResult resize;
-    resize.processorsBefore = static_cast<int>(rr.number("processorsBefore"));
-    resize.processorsAfter = static_cast<int>(rr.number("processorsAfter"));
-    if (rr.failed() ||
-        !idsFromJson(result->find("kept"), &resize.kept, &out.error,
-                     "kept") ||
-        !idsFromJson(result->find("reconfigured"), &resize.reconfigured,
-                     &out.error, "reconfigured") ||
-        !idsFromJson(result->find("dropped"), &resize.dropped, &out.error,
-                     "dropped")) {
-      if (out.error.empty()) out.error = rr.error();
+    resize.processorsBefore =
+        rr.integer(res[F::kProcessorsBefore], "processorsBefore");
+    resize.processorsAfter =
+        rr.integer(res[F::kProcessorsAfter], "processorsAfter");
+    if (rr.failed()) {
+      out.error = rr.error();
+      return out;
+    }
+    if (!res.kept.take("kept", &resize.kept, &out.error) ||
+        !res.reconfigured.take("reconfigured", &resize.reconfigured,
+                               &out.error) ||
+        !res.dropped.take("dropped", &resize.dropped, &out.error)) {
       return out;
     }
     response.result = std::move(resize);
   } else if (cmd == "STATS") {
     StatsResult stats;
-    stats.processors = static_cast<int>(rr.number("processors"));
-    stats.clock = ticksFromUnits(rr.number("clock"));
-    stats.admitted = rr.id("admitted");
-    stats.rejected = rr.id("rejected");
-    stats.commandsExecuted = rr.id("commandsExecuted");
-    if (const auto* shards = result->find("shards")) {
-      if (shards->isNumber()) stats.shards = static_cast<int>(shards->asNumber());
+    stats.processors = rr.integer(res[F::kProcessors], "processors");
+    stats.clock = rr.time(res[F::kClock], "clock");
+    stats.admitted = rr.id(res[F::kAdmitted], "admitted");
+    stats.rejected = rr.id(res[F::kRejected], "rejected");
+    stats.commandsExecuted =
+        rr.id(res[F::kCommandsExecuted], "commandsExecuted");
+    if (res[F::kShards].isNumber()) {
+      stats.shards = rr.integer(res[F::kShards], "shards");
     }
     if (rr.failed()) {
       out.error = rr.error();
@@ -503,10 +879,10 @@ ResponseParseResult decodeResponse(const std::string& text) {
     response.result = stats;
   } else if (cmd == "VERIFY") {
     VerifyResult verify;
-    verify.ok = rr.boolean("ok");
-    verify.violations = static_cast<int>(rr.number("violations"));
-    if (const auto* violation = result->find("firstViolation")) {
-      if (violation->isString()) verify.firstViolation = violation->asString();
+    verify.ok = rr.boolean(res[F::kOk], "ok");
+    verify.violations = rr.integer(res[F::kViolations], "violations");
+    if (res[F::kFirstViolation].isString()) {
+      verify.firstViolation = std::move(res[F::kFirstViolation].text);
     }
     if (rr.failed()) {
       out.error = rr.error();
@@ -515,8 +891,8 @@ ResponseParseResult decodeResponse(const std::string& text) {
     response.result = std::move(verify);
   } else if (cmd == "HELLO") {
     HelloResult hello;
-    hello.version = static_cast<std::uint32_t>(rr.id("version"));
-    hello.window = static_cast<std::uint32_t>(rr.id("window"));
+    hello.version = rr.u32(res[F::kVersion], "version");
+    hello.window = rr.u32(res[F::kWindow], "window");
     if (rr.failed()) {
       out.error = rr.error();
       return out;
@@ -525,34 +901,15 @@ ResponseParseResult decodeResponse(const std::string& text) {
   } else if (cmd == "RESHAPES" || cmd == "RESHAPED") {
     ReshapesResult reshapes;
     reshapes.push = cmd == "RESHAPED";
-    const auto* events = result->find("events");
-    if (events == nullptr || !events->isArray()) {
+    if (!res.events.present || !res.events.isArray) {
       out.error = "'events' must be an array";
       return out;
     }
-    for (const auto& item : events->asArray()) {
-      if (!item.isObject()) {
-        out.error = "reshape events must be objects";
-        return out;
-      }
-      Reader er(item);
-      ReshapeEvent event;
-      event.jobId = er.id("jobId");
-      event.promotion = er.boolean("promotion");
-      event.fromChain = static_cast<std::size_t>(er.id("fromChain"));
-      event.toChain = static_cast<std::size_t>(er.id("toChain"));
-      event.fromQuality = er.number("fromQuality");
-      event.toQuality = er.number("toQuality");
-      if (er.failed()) {
-        out.error = er.error();
-        return out;
-      }
-      if (!placementsFromJson(item.find("placements"), &event.placements,
-                              &out.error)) {
-        return out;
-      }
-      reshapes.events.push_back(std::move(event));
+    if (!res.events.error.empty()) {
+      out.error = std::move(res.events.error);
+      return out;
     }
+    reshapes.events = std::move(res.events.events);
     response.result = std::move(reshapes);
   } else {
     out.error = "unknown response command '" + cmd + "'";

@@ -65,19 +65,27 @@ enum class Command { Negotiate, Cancel, Resize, Stats, Verify, Hello, Reshapes }
 struct NegotiateRequest {
   task::TunableJobSpec spec;
   Time release = 0;
+
+  bool operator==(const NegotiateRequest&) const = default;
 };
 struct CancelRequest {
   std::uint64_t jobId = 0;
+
+  bool operator==(const CancelRequest&) const = default;
 };
 struct ResizeRequest {
   int processors = 0;
   Time when = 0;
+
+  bool operator==(const ResizeRequest&) const = default;
 };
 /// v2 handshake: must be the first frame on a connection that wants
 /// pipelining.  `window` is the in-flight cap the client asks for; the
 /// server grants min(window, its per-connection cap) in HelloResult.
 struct HelloRequest {
   std::uint32_t window = 1;
+
+  bool operator==(const HelloRequest&) const = default;
 };
 
 struct Request {
@@ -90,6 +98,8 @@ struct Request {
   std::variant<std::monostate, NegotiateRequest, CancelRequest, ResizeRequest,
                HelloRequest>
       payload;
+
+  bool operator==(const Request&) const = default;
 };
 
 /// Result of a granted or rejected negotiation.  `arrivalSeq` is the
@@ -109,10 +119,14 @@ struct NegotiateResult {
   std::map<std::string, std::int64_t> bindings;
   int chainsConsidered = 0;
   int chainsSchedulable = 0;
+
+  bool operator==(const NegotiateResult&) const = default;
 };
 
 struct CancelResult {
   std::int64_t freedTicks = 0;
+
+  bool operator==(const CancelResult&) const = default;
 };
 
 struct ResizeResult {
@@ -121,6 +135,8 @@ struct ResizeResult {
   std::vector<std::uint64_t> kept;
   std::vector<std::uint64_t> reconfigured;
   std::vector<std::uint64_t> dropped;
+
+  bool operator==(const ResizeResult&) const = default;
 };
 
 struct StatsResult {
@@ -133,12 +149,16 @@ struct StatsResult {
   /// Arbitrator shards serving this machine (1 = classic single-writer).
   /// Decoded tolerantly: responses from older servers default to 1.
   int shards = 1;
+
+  bool operator==(const StatsResult&) const = default;
 };
 
 struct VerifyResult {
   bool ok = false;
   std::string firstViolation;
   int violations = 0;
+
+  bool operator==(const VerifyResult&) const = default;
 };
 
 /// Server's half of the v2 handshake: the granted protocol version and the
@@ -146,6 +166,8 @@ struct VerifyResult {
 struct HelloResult {
   std::uint32_t version = kProtocolVersionV2;
   std::uint32_t window = 1;
+
+  bool operator==(const HelloResult&) const = default;
 };
 
 /// One committed elastic quality move (arbitrator-initiated renegotiation):
@@ -162,6 +184,8 @@ struct ReshapeEvent {
   double toQuality = 0.0;
   /// The job's placements after the move.
   std::vector<sched::TaskPlacement> placements;
+
+  bool operator==(const ReshapeEvent&) const = default;
 };
 
 /// Reply to a RESHAPES poll (push == false) or an unsolicited RESHAPED
@@ -169,11 +193,15 @@ struct ReshapeEvent {
 struct ReshapesResult {
   bool push = false;
   std::vector<ReshapeEvent> events;
+
+  bool operator==(const ReshapesResult&) const = default;
 };
 
 struct ErrorInfo {
   std::string code;
   std::string message;
+
+  bool operator==(const ErrorInfo&) const = default;
 };
 
 struct Response {
@@ -185,13 +213,20 @@ struct Response {
   /// honours on v2 responses and busy errors; clients shrink to
   /// min(granted, advertised) and restore on the first unstamped response.
   std::optional<std::uint32_t> advertisedWindow;
-  std::variant<std::monostate, NegotiateResult, CancelResult, ResizeResult,
-               StatsResult, VerifyResult, HelloResult, ReshapesResult>
-      result;
+  using Result =
+      std::variant<std::monostate, NegotiateResult, CancelResult,
+                   ResizeResult, StatsResult, VerifyResult, HelloResult,
+                   ReshapesResult>;
+  Result result;
+
+  bool operator==(const Response&) const = default;
 };
 
 // --- Codecs.  Encoding aborts only on programmer error (TPRM_CHECK);
-// decoding never aborts: malformed wire input yields a descriptive error.
+// decoding never aborts: malformed wire input, numbers outside their
+// field's range included, yields a descriptive error.  Frames go straight
+// between these structs and the canonical JSON form of
+// docs/wire_protocol.md section 2; no JSON tree is built.
 
 [[nodiscard]] std::string encodeRequest(const Request& request);
 [[nodiscard]] std::string encodeResponse(const Response& response);

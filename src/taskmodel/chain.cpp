@@ -1,7 +1,7 @@
 #include "taskmodel/chain.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 #include "common/check.h"
 
@@ -65,49 +65,54 @@ Time JobInstance::absoluteDeadline(std::size_t chainIndex,
 
 std::vector<std::string> validate(const TunableJobSpec& spec) {
   std::vector<std::string> errors;
-  auto fail = [&errors](const std::string& what) { errors.push_back(what); };
 
   if (spec.chains.empty()) {
-    fail("job '" + spec.name + "' has no chains");
+    errors.push_back("job '" + spec.name + "' has no chains");
     return errors;
   }
   for (std::size_t c = 0; c < spec.chains.size(); ++c) {
     const Chain& chain = spec.chains[c];
-    std::ostringstream where;
-    where << "job '" << spec.name << "' chain " << c << " ('" << chain.name
-          << "')";
+    // Location strings are built only for a failing check.
+    const auto where = [&] {
+      return "job '" + spec.name + "' chain " + std::to_string(c) + " ('" +
+             chain.name + "')";
+    };
     if (chain.tasks.empty()) {
-      fail(where.str() + " is empty");
+      errors.push_back(where() + " is empty");
       continue;
     }
     Time previousDeadline = 0;
     Time earliestFinish = 0;
     for (std::size_t k = 0; k < chain.tasks.size(); ++k) {
       const TaskSpec& t = chain.tasks[k];
-      std::ostringstream at;
-      at << where.str() << " task " << k << " ('" << t.name << "')";
-      if (t.request.processors <= 0) fail(at.str() + ": processors <= 0");
-      if (t.request.duration <= 0) fail(at.str() + ": duration <= 0");
+      const auto fail = [&](const std::string& what) {
+        errors.push_back(where() + " task " + std::to_string(k) + " ('" +
+                         t.name + "')" + what);
+      };
+      if (t.request.processors <= 0) fail(": processors <= 0");
+      if (t.request.duration <= 0) fail(": duration <= 0");
       if (t.quality < 0.0 || t.quality > 1.0) {
-        fail(at.str() + ": quality outside [0, 1]");
+        fail(": quality outside [0, 1]");
       }
       if (t.malleable) {
-        if (t.malleable->work <= 0) fail(at.str() + ": malleable work <= 0");
+        if (t.malleable->work <= 0) fail(": malleable work <= 0");
         if (t.malleable->maxConcurrency < t.request.processors) {
-          fail(at.str() +
-               ": degree of concurrency below the rigid shape's processors");
+          fail(": degree of concurrency below the rigid shape's processors");
         }
       }
       if (t.relativeDeadline < previousDeadline) {
-        fail(at.str() +
-             ": relative deadline decreases along the chain (a deadline "
+        fail(": relative deadline decreases along the chain (a deadline "
              "covers all predecessors, so it must be non-decreasing)");
       }
       previousDeadline = t.relativeDeadline;
-      earliestFinish += t.request.duration;
+      // Saturates: durations near the tick range must not overflow the sum.
+      if (__builtin_add_overflow(earliestFinish, t.request.duration,
+                                 &earliestFinish)) {
+        earliestFinish = kTimeInfinity;
+      }
       if (t.relativeDeadline < kTimeInfinity &&
           earliestFinish > t.relativeDeadline) {
-        fail(at.str() + ": infeasible even on an idle machine (critical path " +
+        fail(": infeasible even on an idle machine (critical path " +
              formatTime(earliestFinish) + " exceeds deadline " +
              formatTime(t.relativeDeadline) + ")");
       }

@@ -1,224 +1,311 @@
 #include "taskmodel/spec_io.h"
 
+#include <array>
 #include <cmath>
-#include <sstream>
+#include <string_view>
+#include <utility>
 
 namespace tprm::task {
 
-JsonValue toJsonValue(const TunableJobSpec& spec) {
-  JsonValue::Array chains;
+void writeJobSpec(JsonWriter& writer, const TunableJobSpec& spec) {
+  writer.beginObject();
+  writer.key("chains").beginArray();
   for (const auto& chain : spec.chains) {
-    JsonValue::Array tasks;
-    for (const auto& t : chain.tasks) {
-      JsonValue::Object task;
-      task["name"] = t.name;
-      task["processors"] = t.request.processors;
-      task["duration"] = unitsFromTicks(t.request.duration);
-      if (t.relativeDeadline < kTimeInfinity) {
-        task["deadline"] = unitsFromTicks(t.relativeDeadline);
-      }
-      if (t.quality != 1.0) task["quality"] = t.quality;
-      if (t.malleable) task["maxConcurrency"] = t.malleable->maxConcurrency;
-      tasks.emplace_back(std::move(task));
-    }
-    JsonValue::Object chainObject;
-    chainObject["name"] = chain.name;
+    writer.beginObject();
     if (!chain.bindings.empty()) {
-      JsonValue::Object bindings;
+      writer.key("bindings").beginObject();
       for (const auto& [param, value] : chain.bindings) {
-        bindings[param] = value;
+        writer.key(param).integer(value);
       }
-      chainObject["bindings"] = std::move(bindings);
+      writer.endObject();
     }
-    chainObject["tasks"] = std::move(tasks);
-    chains.emplace_back(std::move(chainObject));
+    writer.key("name").string(chain.name);
+    writer.key("tasks").beginArray();
+    for (const auto& t : chain.tasks) {
+      writer.beginObject();
+      if (t.relativeDeadline < kTimeInfinity) {
+        writer.key("deadline").number(unitsFromTicks(t.relativeDeadline));
+      }
+      writer.key("duration").number(unitsFromTicks(t.request.duration));
+      if (t.malleable) {
+        writer.key("maxConcurrency").integer(t.malleable->maxConcurrency);
+      }
+      writer.key("name").string(t.name);
+      writer.key("processors").integer(t.request.processors);
+      if (t.quality != 1.0) {
+        writer.key("quality").number(t.quality);
+      }
+      writer.endObject();
+    }
+    writer.endArray();
+    writer.endObject();
   }
-  JsonValue::Object root;
-  root["name"] = spec.name;
-  if (spec.qualityComposition == QualityComposition::Minimum) {
-    root["qualityComposition"] = "minimum";
-  } else {
-    root["qualityComposition"] = "multiplicative";
-  }
-  root["chains"] = std::move(chains);
-  return JsonValue(std::move(root));
+  writer.endArray();
+  writer.key("name").string(spec.name);
+  writer.key("qualityComposition");
+  writer.string(spec.qualityComposition == QualityComposition::Minimum
+                    ? "minimum"
+                    : "multiplicative");
+  writer.endObject();
 }
 
 std::string toJson(const TunableJobSpec& spec) {
-  return toJsonValue(spec).dump();
+  std::string out;
+  JsonWriter writer(out);
+  writeJobSpec(writer, spec);
+  return out;
 }
 
 namespace {
 
-/// Error accumulator for descriptive parse failures.
-class SpecReader {
- public:
-  SpecParseResult read(const std::string& text) {
-    const auto parsed = parseJson(text);
-    if (!parsed.ok()) {
-      return fail("JSON error at byte " + std::to_string(parsed.errorOffset) +
-                  ": " + parsed.error);
-    }
-    return readValue(*parsed.value);
+// The readers below capture an object's members while reading it, then run
+// their checks in a fixed order, so the first error reported does not
+// depend on the member order in the document.  Each returns its first
+// error ("" when none).  Location strings are built only for an error.
+
+std::string chainWhere(std::size_t c) {
+  return "chains[" + std::to_string(c) + "]";
+}
+
+std::string taskWhere(std::size_t c, std::size_t k) {
+  return chainWhere(c) + ".tasks[" + std::to_string(k) + "]";
+}
+
+std::string readTask(JsonReader& reader, std::size_t c, std::size_t k,
+                     TaskSpec* task) {
+  if (!reader.nextIs(JsonReader::Kind::Object)) {
+    if (!reader.skipValue()) return {};
+    return taskWhere(c, k) + " must be an object";
   }
+  static constexpr std::array<std::string_view, 6> kNames = {
+      "name", "processors", "duration", "deadline", "quality",
+      "maxConcurrency"};
+  std::array<JsonField, kNames.size()> f;
+  auto& [name, processors, duration, deadline, quality, maxConcurrency] = f;
+  reader.beginObject();
+  std::string_view key;
+  while (reader.nextMember(&key)) readMember(reader, key, kNames, f);
+  if (reader.failed()) return {};
 
-  SpecParseResult readValue(const JsonValue& root) {
-    if (!root.isObject()) return fail("top level must be an object");
-
-    TunableJobSpec spec;
-    if (const auto* name = root.find("name")) {
-      if (!name->isString()) return fail("'name' must be a string");
-      spec.name = name->asString();
+  const auto at = [&](const char* what) { return taskWhere(c, k) + what; };
+  if (name.present) {
+    if (!name.isString()) return at(".name must be a string");
+    task->name = std::move(name.text);
+  }
+  if (!processors.isNumber()) return at(".processors must be a number");
+  if (!castFits<int>(processors.number)) {
+    return at(".processors is out of range");
+  }
+  task->request.processors = static_cast<int>(processors.number);
+  if (!duration.isNumber()) return at(".duration must be a number");
+  if (duration.number <= 0.0) return at(".duration must be positive");
+  if (!unitsFitTicks(duration.number)) return at(".duration is out of range");
+  task->request.duration = ticksFromUnits(duration.number);
+  if (deadline.present) {
+    if (!deadline.isNumber()) return at(".deadline must be a number");
+    if (!unitsFitTicks(deadline.number)) {
+      return at(".deadline is out of range");
     }
-    if (const auto* comp = root.find("qualityComposition")) {
-      if (!comp->isString()) {
-        return fail("'qualityComposition' must be a string");
-      }
-      const auto& value = comp->asString();
-      if (value == "minimum") {
-        spec.qualityComposition = QualityComposition::Minimum;
-      } else if (value == "multiplicative") {
-        spec.qualityComposition = QualityComposition::Multiplicative;
+    task->relativeDeadline = ticksFromUnits(deadline.number);
+  }
+  if (quality.present) {
+    if (!quality.isNumber()) return at(".quality must be a number");
+    task->quality = quality.number;
+  }
+  if (maxConcurrency.present) {
+    if (!maxConcurrency.isNumber()) {
+      return at(".maxConcurrency must be a number");
+    }
+    if (!castFits<int>(maxConcurrency.number)) {
+      return at(".maxConcurrency is out of range");
+    }
+    std::int64_t work = 0;
+    if (__builtin_mul_overflow(std::int64_t{task->request.processors},
+                               task->request.duration, &work)) {
+      return at(": processors x duration is out of range");
+    }
+    task->malleable =
+        MalleableSpec{work, static_cast<int>(maxConcurrency.number)};
+  }
+  return {};
+}
+
+/// Reads a chain's "bindings" object into `bindings`; `bad` collects the
+/// parameters that fail, each with the tail of its message.  Both are
+/// maps, so a repeated parameter keeps only its last value and the error
+/// reported is that of the first bad parameter in key order.
+void readBindings(JsonReader& reader,
+                  std::map<std::string, std::int64_t>* bindings,
+                  std::map<std::string, const char*>* bad) {
+  reader.beginObject();
+  std::string_view key;
+  while (reader.nextMember(&key)) {
+    std::string param(key);
+    JsonField bound;
+    bound.read(reader);
+    const char* problem = nullptr;
+    if (!bound.isNumber() || bound.number != std::floor(bound.number)) {
+      problem = " must be an integer";
+    } else if (!castFits<std::int64_t>(bound.number)) {
+      problem = " is out of range";
+    }
+    if (problem != nullptr) {
+      bindings->erase(param);
+      (*bad)[std::move(param)] = problem;
+    } else {
+      bad->erase(param);
+      (*bindings)[std::move(param)] = static_cast<std::int64_t>(bound.number);
+    }
+  }
+}
+
+std::string readChain(JsonReader& reader, std::size_t c, Chain* chain) {
+  if (!reader.nextIs(JsonReader::Kind::Object)) {
+    if (!reader.skipValue()) return {};
+    return chainWhere(c) + " must be an object";
+  }
+  JsonField name;
+  bool bindingsPresent = false;
+  bool bindingsIsObject = false;
+  std::map<std::string, const char*> badBindings;
+  bool tasksIsArray = false;
+  std::string tasksError;
+  reader.beginObject();
+  std::string_view key;
+  while (reader.nextMember(&key)) {
+    if (key == "name") {
+      name.read(reader);
+    } else if (key == "bindings") {
+      bindingsPresent = true;
+      chain->bindings.clear();
+      badBindings.clear();
+      bindingsIsObject = reader.nextIs(JsonReader::Kind::Object);
+      if (bindingsIsObject) {
+        readBindings(reader, &chain->bindings, &badBindings);
       } else {
-        return fail("unknown qualityComposition '" + value + "'");
+        reader.skipValue();
       }
-    }
-    const auto* chains = root.find("chains");
-    if (chains == nullptr || !chains->isArray()) {
-      return fail("'chains' must be an array");
-    }
-    for (std::size_t c = 0; c < chains->asArray().size(); ++c) {
-      auto chain = readChain(chains->asArray()[c], c);
-      if (!chain) return fail(error_);
-      spec.chains.push_back(std::move(*chain));
-    }
-
-    const auto errors = validate(spec);
-    if (!errors.empty()) return fail("invalid spec: " + errors.front());
-    SpecParseResult result;
-    result.spec = std::move(spec);
-    return result;
-  }
-
- private:
-  SpecParseResult fail(const std::string& what) {
-    SpecParseResult result;
-    result.error = what;
-    return result;
-  }
-
-  std::optional<Chain> readChain(const JsonValue& value, std::size_t index) {
-    std::ostringstream where;
-    where << "chains[" << index << "]";
-    if (!value.isObject()) {
-      error_ = where.str() + " must be an object";
-      return std::nullopt;
-    }
-    Chain chain;
-    if (const auto* name = value.find("name")) {
-      if (!name->isString()) {
-        error_ = where.str() + ".name must be a string";
-        return std::nullopt;
+    } else if (key == "tasks") {
+      chain->tasks.clear();
+      tasksError.clear();
+      tasksIsArray = reader.nextIs(JsonReader::Kind::Array);
+      if (!tasksIsArray) {
+        reader.skipValue();
+        continue;
       }
-      chain.name = name->asString();
-    }
-    if (const auto* bindings = value.find("bindings")) {
-      if (!bindings->isObject()) {
-        error_ = where.str() + ".bindings must be an object";
-        return std::nullopt;
-      }
-      for (const auto& [param, bound] : bindings->asObject()) {
-        if (!bound.isNumber() ||
-            bound.asNumber() != std::floor(bound.asNumber())) {
-          error_ = where.str() + ".bindings." + param +
-                   " must be an integer";
-          return std::nullopt;
+      reader.beginArray();
+      for (std::size_t k = 0; reader.nextElement(); ++k) {
+        if (!tasksError.empty()) {
+          reader.skipValue();
+          continue;
         }
-        chain.bindings[param] = static_cast<std::int64_t>(bound.asNumber());
+        TaskSpec task;
+        tasksError = readTask(reader, c, k, &task);
+        chain->tasks.push_back(std::move(task));
       }
+    } else {
+      reader.skipValue();
     }
-    const auto* tasks = value.find("tasks");
-    if (tasks == nullptr || !tasks->isArray()) {
-      error_ = where.str() + ".tasks must be an array";
-      return std::nullopt;
-    }
-    for (std::size_t k = 0; k < tasks->asArray().size(); ++k) {
-      auto task = readTask(tasks->asArray()[k], where.str(), k);
-      if (!task) return std::nullopt;
-      chain.tasks.push_back(std::move(*task));
-    }
-    return chain;
   }
+  if (reader.failed()) return {};
 
-  std::optional<TaskSpec> readTask(const JsonValue& value,
-                                   const std::string& chainWhere,
-                                   std::size_t index) {
-    std::ostringstream where;
-    where << chainWhere << ".tasks[" << index << "]";
-    if (!value.isObject()) {
-      error_ = where.str() + " must be an object";
-      return std::nullopt;
-    }
-    TaskSpec task;
-    if (const auto* name = value.find("name")) {
-      if (!name->isString()) {
-        error_ = where.str() + ".name must be a string";
-        return std::nullopt;
-      }
-      task.name = name->asString();
-    }
-    const auto* processors = value.find("processors");
-    if (processors == nullptr || !processors->isNumber()) {
-      error_ = where.str() + ".processors must be a number";
-      return std::nullopt;
-    }
-    task.request.processors = static_cast<int>(processors->asNumber());
-    const auto* duration = value.find("duration");
-    if (duration == nullptr || !duration->isNumber()) {
-      error_ = where.str() + ".duration must be a number";
-      return std::nullopt;
-    }
-    if (duration->asNumber() <= 0.0) {
-      error_ = where.str() + ".duration must be positive";
-      return std::nullopt;
-    }
-    task.request.duration = ticksFromUnits(duration->asNumber());
-    if (const auto* deadline = value.find("deadline")) {
-      if (!deadline->isNumber()) {
-        error_ = where.str() + ".deadline must be a number";
-        return std::nullopt;
-      }
-      task.relativeDeadline = ticksFromUnits(deadline->asNumber());
-    }
-    if (const auto* quality = value.find("quality")) {
-      if (!quality->isNumber()) {
-        error_ = where.str() + ".quality must be a number";
-        return std::nullopt;
-      }
-      task.quality = quality->asNumber();
-    }
-    if (const auto* maxConc = value.find("maxConcurrency")) {
-      if (!maxConc->isNumber()) {
-        error_ = where.str() + ".maxConcurrency must be a number";
-        return std::nullopt;
-      }
-      task.malleable = MalleableSpec{task.request.area(),
-                                     static_cast<int>(maxConc->asNumber())};
-    }
-    return task;
+  if (name.present) {
+    if (!name.isString()) return chainWhere(c) + ".name must be a string";
+    chain->name = std::move(name.text);
   }
+  if (bindingsPresent) {
+    if (!bindingsIsObject) return chainWhere(c) + ".bindings must be an object";
+    if (!badBindings.empty()) {
+      const auto& [param, problem] = *badBindings.begin();
+      return chainWhere(c) + ".bindings." + param + problem;
+    }
+  }
+  if (!tasksIsArray) return chainWhere(c) + ".tasks must be an array";
+  return tasksError;
+}
 
-  std::string error_;
-};
+SpecParseResult specError(std::string what) {
+  SpecParseResult result;
+  result.error = std::move(what);
+  return result;
+}
 
 }  // namespace
 
-SpecParseResult jobSpecFromJson(const std::string& text) {
-  return SpecReader().read(text);
+SpecParseResult readJobSpec(JsonReader& reader) {
+  if (!reader.nextIs(JsonReader::Kind::Object)) {
+    if (!reader.skipValue()) return {};
+    return specError("top level must be an object");
+  }
+  TunableJobSpec spec;
+  JsonField name, composition;
+  bool chainsIsArray = false;
+  std::string chainsError;
+  reader.beginObject();
+  std::string_view key;
+  while (reader.nextMember(&key)) {
+    if (key == "name") {
+      name.read(reader);
+    } else if (key == "qualityComposition") {
+      composition.read(reader);
+    } else if (key == "chains") {
+      spec.chains.clear();
+      chainsError.clear();
+      chainsIsArray = reader.nextIs(JsonReader::Kind::Array);
+      if (!chainsIsArray) {
+        reader.skipValue();
+        continue;
+      }
+      reader.beginArray();
+      for (std::size_t c = 0; reader.nextElement(); ++c) {
+        if (!chainsError.empty()) {
+          reader.skipValue();
+          continue;
+        }
+        Chain chain;
+        chainsError = readChain(reader, c, &chain);
+        spec.chains.push_back(std::move(chain));
+      }
+    } else {
+      reader.skipValue();
+    }
+  }
+  if (reader.failed()) return {};
+
+  if (name.present) {
+    if (!name.isString()) return specError("'name' must be a string");
+    spec.name = std::move(name.text);
+  }
+  if (composition.present) {
+    if (!composition.isString()) {
+      return specError("'qualityComposition' must be a string");
+    }
+    if (composition.text == "minimum") {
+      spec.qualityComposition = QualityComposition::Minimum;
+    } else if (composition.text == "multiplicative") {
+      spec.qualityComposition = QualityComposition::Multiplicative;
+    } else {
+      return specError("unknown qualityComposition '" + composition.text + "'");
+    }
+  }
+  if (!chainsIsArray) return specError("'chains' must be an array");
+  if (!chainsError.empty()) return specError(std::move(chainsError));
+
+  const auto errors = validate(spec);
+  if (!errors.empty()) return specError("invalid spec: " + errors.front());
+  SpecParseResult result;
+  result.spec = std::move(spec);
+  return result;
 }
 
-SpecParseResult jobSpecFromJsonValue(const JsonValue& root) {
-  return SpecReader().readValue(root);
+SpecParseResult jobSpecFromJson(const std::string& text) {
+  JsonReader reader(text);
+  auto result = readJobSpec(reader);
+  if (!reader.finish()) {
+    return specError("JSON error at byte " + std::to_string(reader.errorOffset()) +
+                ": " + reader.error());
+  }
+  return result;
 }
 
 }  // namespace tprm::task

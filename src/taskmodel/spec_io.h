@@ -37,12 +37,13 @@
 
 namespace tprm::task {
 
-/// Serialises a spec to the schema above (stable, pretty-printed).
+/// Serialises a spec to the schema above (stable, pretty-printed: the
+/// canonical form of JsonValue::dump()).
 [[nodiscard]] std::string toJson(const TunableJobSpec& spec);
 
-/// Serialises a spec to a JsonValue (for embedding in larger documents, e.g.
-/// negotiation-service frames).
-[[nodiscard]] JsonValue toJsonValue(const TunableJobSpec& spec);
+/// Writes a spec as the next value of `writer` (for embedding in larger
+/// documents, e.g. negotiation-service frames).
+void writeJobSpec(JsonWriter& writer, const TunableJobSpec& spec);
 
 /// Deserialisation outcome: a spec or a descriptive error.
 struct SpecParseResult {
@@ -53,12 +54,15 @@ struct SpecParseResult {
 };
 
 /// Parses a spec from JSON text.  Malformed documents, missing required
-/// fields, wrong types, and structurally invalid specs (per task::validate)
-/// are reported as errors, never aborts.
+/// fields, wrong types, numbers outside the range of their field, and
+/// structurally invalid specs (per task::validate) are reported as errors,
+/// never aborts.  Unknown keys are ignored; of repeated keys the last wins.
 [[nodiscard]] SpecParseResult jobSpecFromJson(const std::string& text);
 
-/// Same, from an already parsed JSON value (the wire protocol embeds specs
-/// inside request frames).
-[[nodiscard]] SpecParseResult jobSpecFromJsonValue(const JsonValue& root);
+/// Reads a spec from the next value of `reader` (the wire protocol embeds
+/// specs inside request frames).  A JSON syntax error stays in the reader
+/// for the caller to report, and takes precedence: the result is only
+/// meaningful while !reader.failed().
+[[nodiscard]] SpecParseResult readJobSpec(JsonReader& reader);
 
 }  // namespace tprm::task

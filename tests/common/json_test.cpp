@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace tprm {
 namespace {
 
@@ -177,6 +186,212 @@ TEST(JsonRoundTrip, NumbersSurvive) {
     const auto v = parseOk(JsonValue(d).dump());
     EXPECT_DOUBLE_EQ(v.asNumber(), d);
   }
+}
+
+// --- Streaming writer ------------------------------------------------------
+
+TEST(JsonWriter, WritesTheDumpFormInBothStyles) {
+  JsonValue::Object inner;
+  inner["b"] = JsonValue(JsonValue::Array{});
+  inner["c"] = JsonValue(JsonValue::Object{});
+  JsonValue::Object root;
+  root["a"] = JsonValue(JsonValue::Array{1, 2.5, true, nullptr, "x\t\x01"});
+  root["n"] = JsonValue(std::move(inner));
+  root["z"] = -0.0;
+  const JsonValue tree(std::move(root));
+
+  const auto write = [](JsonWriter::Style style) {
+    std::string out;
+    JsonWriter w(out, style);
+    w.beginObject();
+    w.key("a");
+    w.beginArray();
+    w.integer(1);
+    w.number(2.5);
+    w.boolean(true);
+    w.null();
+    w.string("x\t\x01");
+    w.endArray();
+    w.key("n");
+    w.beginObject();
+    w.key("b");
+    w.beginArray();
+    w.endArray();
+    w.key("c");
+    w.beginObject();
+    w.endObject();
+    w.endObject();
+    w.key("z");
+    w.number(-0.0);
+    w.endObject();
+    return out;
+  };
+  EXPECT_EQ(write(JsonWriter::Style::Pretty), tree.dump());
+  EXPECT_EQ(write(JsonWriter::Style::Compact), tree.dumpCompact());
+  EXPECT_EQ(tree.dumpCompact(),
+            R"({"a":[1,2.5,true,null,"x\t\u0001"],"n":{"b":[],"c":{}},"z":-0})");
+}
+
+/// The number forms the writer promises, spelled with printf.
+std::string printfNumber(double d) {
+  char buffer[64];
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    std::snprintf(buffer, sizeof buffer, "%.0f", d);
+  } else {
+    std::snprintf(buffer, sizeof buffer, "%.17g", d);
+  }
+  return buffer;
+}
+
+std::string writerNumber(double d) {
+  std::string out;
+  JsonWriter(out).number(d);
+  return out;
+}
+
+TEST(JsonWriter, NumbersMatchPrintfForm) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 2.5, 1e-7, 5e-324, 1e15 - 1, 1e15, -1e15,
+      1e15 + 0.5, 9007199254740993.0, 1e300, -1e-300,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    // Any finite bit pattern...
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) values.push_back(d);
+    // ...and the wire's own values: tick counts in paper units.
+    values.push_back(
+        static_cast<double>(static_cast<std::int64_t>(rng() % 4'000'000'000'000)) /
+        1e6);
+  }
+  for (const double d : values) {
+    EXPECT_EQ(writerNumber(d), printfNumber(d)) << d;
+  }
+}
+
+TEST(JsonWriter, IntegersMatchTheirDoubles) {
+  std::vector<std::int64_t> values = {0,
+                                      1,
+                                      -1,
+                                      999'999'999'999'999,
+                                      -999'999'999'999'999,
+                                      1'000'000'000'000'000,
+                                      -1'000'000'000'000'000,
+                                      std::numeric_limits<std::int64_t>::max(),
+                                      std::numeric_limits<std::int64_t>::min()};
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(static_cast<std::int64_t>(rng()) >> (rng() % 64));
+  }
+  for (const auto i : values) {
+    std::string out;
+    JsonWriter(out).integer(i);
+    EXPECT_EQ(out, writerNumber(static_cast<double>(i))) << i;
+  }
+}
+
+TEST(JsonWriter, KeysOutOfOrderAreCaughtInDebugBuilds) {
+  std::string out;
+  JsonWriter w(out);
+  w.beginObject();
+  w.key("b");
+  w.integer(1);
+  EXPECT_DEBUG_DEATH(w.key("a"), "ascending order");
+}
+
+// --- Pull reader -----------------------------------------------------------
+
+TEST(JsonReader, PullsMembersAndElementsInDocumentOrder) {
+  JsonReader reader(
+      R"( {"k\u0041y": [1, "two", true, null], "skip": {"x": [[]]}, "n": -2.5e1} )");
+  ASSERT_TRUE(reader.nextIs(JsonReader::Kind::Object));
+  ASSERT_TRUE(reader.beginObject());
+  std::string_view key;
+  ASSERT_TRUE(reader.nextMember(&key));
+  EXPECT_EQ(key, "kAy");  // escaped keys are decoded
+  ASSERT_TRUE(reader.beginArray());
+  std::vector<JsonReader::Kind> kinds;
+  while (reader.nextElement()) {
+    JsonReader::Kind kind = JsonReader::Kind::Null;
+    ASSERT_TRUE(reader.peek(&kind));
+    kinds.push_back(kind);
+    ASSERT_TRUE(reader.skipValue());
+  }
+  EXPECT_EQ(kinds,
+            (std::vector<JsonReader::Kind>{
+                JsonReader::Kind::Number, JsonReader::Kind::String,
+                JsonReader::Kind::Bool, JsonReader::Kind::Null}));
+  ASSERT_TRUE(reader.nextMember(&key));
+  EXPECT_EQ(key, "skip");
+  ASSERT_TRUE(reader.skipValue());
+  ASSERT_TRUE(reader.nextMember(&key));
+  EXPECT_EQ(key, "n");
+  double n = 0.0;
+  ASSERT_TRUE(reader.readNumber(&n));
+  EXPECT_EQ(n, -25.0);
+  EXPECT_FALSE(reader.nextMember(&key));
+  EXPECT_FALSE(reader.failed());
+  EXPECT_TRUE(reader.finish());
+}
+
+TEST(JsonReader, SkippingReportsParseJsonErrorsAtTheSameOffsets) {
+  const std::string document =
+      R"({"a": [1, -2.5e3, "s\"é\n"], "b": {"c": null, "d": [true, false]}})";
+  std::vector<std::string> corpus;
+  for (std::size_t n = 0; n <= document.size(); ++n) {
+    corpus.push_back(document.substr(0, n));
+  }
+  for (std::size_t i = 0; i < document.size(); ++i) {
+    for (const char c : std::string("{}[]\",:0-.eEtfnu\\ \x01")) {
+      std::string flipped = document;
+      flipped[i] = c;
+      corpus.push_back(flipped);
+    }
+  }
+  for (const auto& text : corpus) {
+    const auto parsed = parseJson(text);
+    JsonReader reader(text);
+    const bool ok = reader.skipValue() && reader.finish();
+    ASSERT_EQ(ok, parsed.ok()) << text;
+    if (!ok) {
+      EXPECT_EQ(reader.error(), parsed.error) << text;
+      EXPECT_EQ(reader.errorOffset(), parsed.errorOffset) << text;
+    }
+  }
+}
+
+TEST(JsonReader, FirstErrorIsSticky) {
+  JsonReader reader("[1, oops, 3]");
+  ASSERT_TRUE(reader.beginArray());
+  ASSERT_TRUE(reader.nextElement());
+  ASSERT_TRUE(reader.skipValue());
+  ASSERT_TRUE(reader.nextElement());
+  EXPECT_FALSE(reader.skipValue());
+  EXPECT_STREQ(reader.error(), "invalid number");
+  EXPECT_EQ(reader.errorOffset(), 4u);
+  EXPECT_FALSE(reader.nextElement());
+  EXPECT_FALSE(reader.finish());
+  EXPECT_EQ(reader.errorOffset(), 4u);
+}
+
+TEST(JsonCastFits, BoundsAreTheTypesRanges) {
+  EXPECT_TRUE(castFits<int>(2147483647.0));
+  EXPECT_TRUE(castFits<int>(2147483647.9));  // truncates into range
+  EXPECT_FALSE(castFits<int>(2147483648.0));
+  EXPECT_TRUE(castFits<int>(-2147483648.9));
+  EXPECT_FALSE(castFits<int>(-2147483649.0));
+  EXPECT_TRUE(castFits<std::uint32_t>(-0.5));
+  EXPECT_FALSE(castFits<std::uint32_t>(-1.0));
+  EXPECT_FALSE(castFits<std::uint32_t>(4294967296.0));
+  EXPECT_TRUE(castFits<std::uint64_t>(18446744073709549568.0));
+  EXPECT_FALSE(castFits<std::uint64_t>(18446744073709551616.0));
+  EXPECT_FALSE(castFits<std::int64_t>(9223372036854775808.0));
+  EXPECT_FALSE(castFits<int>(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(castFits<int>(std::numeric_limits<double>::infinity()));
 }
 
 TEST(JsonDeath, TypeMismatchAborts) {

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -224,13 +225,27 @@ TEST(AdaptiveWindow, MapsQueuePressureToWindow) {
 // Tiny queue + deliberately expensive negotiations on one raw v2
 // connection: every frame is answered exactly once (no deadlock, no lost
 // responses), the connection survives, and at least one response
-// re-advertises a window below the HELLO grant.
+// re-advertises a window below the HELLO grant.  The worker is held in its
+// seam from its first batch until the first busy response has been read,
+// so the two-slot queue fills by construction, not by the event loop
+// out-running the worker.
 TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   ServerConfig config;
   config.processors = 8;
   config.unixPath = freshSocketPath();
   config.commandQueueCapacity = 2;
+  std::atomic<bool> seamRelease{false};
+  std::atomic<int> seamCalls{0};
+  config.workerSeamForTest = [&] {
+    if (seamCalls.fetch_add(1) != 0) return;  // hold the first batch only
+    while (!seamRelease.load()) std::this_thread::sleep_for(1ms);
+  };
   NegotiationServer server(config);
+  // However the test exits, the worker is released before the server stops.
+  struct ReleaseOnExit {
+    std::atomic<bool>& release;
+    ~ReleaseOnExit() { release.store(true); }
+  } releaseOnExit{seamRelease};
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
@@ -299,6 +314,7 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
     } else {
       ASSERT_EQ(decoded.response->error->code, "busy");
       ++busy;
+      seamRelease.store(true);
     }
   }
   EXPECT_GE(ok, 1);

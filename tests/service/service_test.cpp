@@ -802,6 +802,56 @@ TEST(Service, MalformedJsonGetsErrorResponseAndConnectionSurvives) {
   EXPECT_EQ(server.counters().framesMalformed, 3u);
 }
 
+// A frame whose numbers lie outside their fields' range draws bad_request
+// (it used to abort the daemon in the tick conversion), and the same
+// connection then negotiates normally.
+TEST(Service, OutOfRangeFieldGetsBadRequestAndConnectionSurvives) {
+  NegotiationServer server(unixConfig(8));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  auto connected =
+      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
+  ASSERT_TRUE(connected.ok()) << connected.error;
+  const net::FrameLimits limits;
+  const auto roundTrip = [&](const std::string& payload) {
+    EXPECT_TRUE(net::writeFrame(connected.socket, payload, limits,
+                                net::Deadline::after(1s))
+                    .ok());
+    auto frame = net::readFrame(connected.socket, limits,
+                                net::Deadline::after(5s),
+                                net::Deadline::after(5s));
+    EXPECT_TRUE(frame.ok()) << net::toString(frame.status);
+    return decodeResponse(frame.payload);
+  };
+  for (const auto& [bad, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"v":1,"id":1,"cmd":"RESIZE","processors":4,"when":1e13})",
+            "when"},
+           {R"({"v":1,"id":2,"cmd":"NEGOTIATE","spec":{"chains":[{"tasks":)"
+            R"([{"processors":1,"duration":1e13}]}]}})",
+            "duration"}}) {
+    const auto decoded = roundTrip(bad);
+    ASSERT_TRUE(decoded.ok()) << decoded.error;
+    EXPECT_FALSE(decoded.response->ok);
+    EXPECT_EQ(decoded.response->error->code, "bad_request");
+    EXPECT_NE(decoded.response->error->message.find(field), std::string::npos)
+        << decoded.response->error->message;
+  }
+
+  Request request;
+  request.id = 7;
+  request.command = Command::Negotiate;
+  request.payload = NegotiateRequest{makeSpec(1), 0};
+  const auto decoded = roundTrip(encodeRequest(request));
+  ASSERT_TRUE(decoded.ok()) << decoded.error;
+  ASSERT_TRUE(decoded.response->ok);
+  EXPECT_EQ(decoded.response->id, 7u);
+  EXPECT_TRUE(std::get<NegotiateResult>(decoded.response->result).admitted);
+  server.stop();
+  EXPECT_EQ(server.counters().framesMalformed, 2u);
+}
+
 // An oversized frame draws a best-effort error and loses the connection —
 // and only that connection.
 TEST(Service, OversizedFrameRejectedPerConnection) {
@@ -1373,6 +1423,129 @@ TEST(Protocol, DecodeRejectsGarbageWithoutAborting) {
   }
   EXPECT_FALSE(decodeResponse("{\"ok\":true}").ok());
   EXPECT_FALSE(decodeResponse("not json").ok());
+
+  // Numbers outside their field's range are rejected with an error naming
+  // the field.  Times beyond the tick range used to abort the decoder, and
+  // the narrowing casts of the integer fields were undefined behaviour.
+  const std::string task =
+      R"({"name":"t","processors":2,"duration":5,"deadline":50})";
+  const auto negotiate = [](const std::string& spec) {
+    return R"({"v":1,"id":1,"cmd":"NEGOTIATE","spec":{"chains":[)" + spec +
+           "]}}";
+  };
+  const auto withTask = [&](const std::string& field) {
+    return negotiate(R"({"name":"c","tasks":[{"name":"t","processors":2,)"
+                     R"("duration":5,)" +
+                     field + "}]}");
+  };
+  struct Case {
+    std::string frame;
+    const char* field;
+  };
+  const std::vector<Case> requests = {
+      {R"({"v":1,"id":1,"cmd":"RESIZE","processors":4,"when":1e13})", "when"},
+      {R"({"v":1,"id":1,"cmd":"RESIZE","processors":1e10})", "processors"},
+      {R"({"v":1,"id":1,"cmd":"RESIZE","processors":-3e9})", "processors"},
+      {R"({"v":1,"id":1e20,"cmd":"STATS"})", "'id'"},
+      {R"({"v":1e20,"id":1,"cmd":"STATS"})", "'v'"},
+      {R"({"v":1,"id":1,"cmd":"CANCEL","jobId":1e20})", "jobId"},
+      {R"({"v":2,"id":1,"cmd":"HELLO","window":1e20})", "window"},
+      {R"({"v":2,"id":1,"cmd":"HELLO","window":4294967296})", "window"},
+      {R"({"v":1,"id":1,"cmd":"NEGOTIATE","release":1e13,"spec":{"chains":[{"tasks":[)" +
+           task + "]}]}}",
+       "release"},
+      {negotiate(R"({"tasks":[{"processors":2,"duration":1e13}]})"),
+       "duration"},
+      {negotiate(R"({"tasks":[{"processors":1e10,"duration":5}]})"),
+       "processors"},
+      {withTask(R"("deadline":1e13)"), "deadline"},
+      {withTask(R"("maxConcurrency":1e10)"), "maxConcurrency"},
+      {negotiate(R"({"bindings":{"g":1e19},"tasks":[)" + task + "]}"),
+       "bindings.g"},
+      {negotiate(R"({"tasks":[{"processors":2e9,"duration":2e12,)"
+                 R"("maxConcurrency":2e9}]})"),
+       "processors x duration"},
+  };
+  for (const auto& [frame, field] : requests) {
+    const auto decoded = decodeRequest(frame);
+    ASSERT_FALSE(decoded.ok()) << frame;
+    EXPECT_NE(decoded.error.find(field), std::string::npos)
+        << frame << " -> " << decoded.error;
+    EXPECT_NE(decoded.error.find("out of range"), std::string::npos)
+        << frame << " -> " << decoded.error;
+  }
+
+  const std::string placement =
+      R"({"begin":0,"end":5,"processors":2,"deadline":50})";
+  // `fields` (each with a leading comma) come last: a repeated key wins.
+  const auto admitted = [&](const std::string& fields,
+                            const std::string& placements) {
+    return R"({"id":1,"ok":true,"cmd":"NEGOTIATE","result":{)"
+           R"("admitted":true,"arrivalSeq":1,"jobId":2,"release":0,)"
+           R"("chainsConsidered":1,"chainsSchedulable":1,"chainIndex":0,)"
+           R"("quality":1,"placements":[)" +
+           placements + "]" + fields + "}}";
+  };
+  const std::vector<Case> responses = {
+      {R"({"id":1e20,"ok":false,"error":{"code":"busy","message":""}})",
+       "'id'"},
+      {R"({"id":1,"ok":false,"window":1e10,"error":{"code":"busy","message":""}})",
+       "window"},
+      {admitted(R"(,"chainIndex":1e20)", placement), "chainIndex"},
+      {admitted(R"(,"arrivalSeq":1e20)", placement), "arrivalSeq"},
+      {admitted(R"(,"jobId":1e20)", placement), "jobId"},
+      {admitted(R"(,"release":1e13)", placement), "release"},
+      {admitted(R"(,"chainsConsidered":1e10)", placement), "chainsConsidered"},
+      {admitted(R"(,"chainsSchedulable":1e10)", placement),
+       "chainsSchedulable"},
+      {admitted(R"(,"bindings":{"g":1e19})", placement), "binding 'g'"},
+      {admitted("", R"({"begin":1e13,"end":5,"processors":2})"), "begin"},
+      {admitted("", R"({"begin":0,"end":1e13,"processors":2})"), "end"},
+      {admitted("", R"({"begin":0,"end":5,"processors":1e10})"), "processors"},
+      {admitted("", R"({"begin":0,"end":5,"processors":2,"deadline":1e13})"),
+       "deadline"},
+      {R"({"id":1,"ok":true,"cmd":"CANCEL","result":{"freed":1e13}})", "freed"},
+      {R"({"id":1,"ok":true,"cmd":"RESIZE","result":{"processorsBefore":1e10,)"
+       R"("processorsAfter":4,"kept":[],"reconfigured":[],"dropped":[]}})",
+       "processorsBefore"},
+      {R"({"id":1,"ok":true,"cmd":"RESIZE","result":{"processorsBefore":8,)"
+       R"("processorsAfter":4,"kept":[-5],"reconfigured":[],"dropped":[]}})",
+       "'kept'"},
+      {R"({"id":1,"ok":true,"cmd":"STATS","result":{"processors":8,)"
+       R"("clock":1e13,"admitted":1,"rejected":1,"commandsExecuted":2}})",
+       "clock"},
+      {R"({"id":1,"ok":true,"cmd":"STATS","result":{"processors":8,"clock":0,)"
+       R"("admitted":1,"rejected":1,"commandsExecuted":2,"shards":1e10}})",
+       "shards"},
+      {R"({"id":1,"ok":true,"cmd":"VERIFY","result":{"ok":true,)"
+       R"("violations":1e10}})",
+       "violations"},
+      {R"({"id":1,"ok":true,"cmd":"HELLO","result":{"version":2,)"
+       R"("window":4294967296}})",
+       "window"},
+      {R"({"id":0,"ok":true,"cmd":"RESHAPED","result":{"events":[{"jobId":1,)"
+       R"("promotion":true,"fromChain":1e20,"toChain":0,"fromQuality":0.5,)"
+       R"("toQuality":1,"placements":[]}]}})",
+       "fromChain"},
+  };
+  for (const auto& [frame, field] : responses) {
+    const auto decoded = decodeResponse(frame);
+    ASSERT_FALSE(decoded.ok()) << frame;
+    EXPECT_NE(decoded.error.find(field), std::string::npos)
+        << frame << " -> " << decoded.error;
+    EXPECT_NE(decoded.error.find("out of range"), std::string::npos)
+        << frame << " -> " << decoded.error;
+  }
+
+  // A long chain of durations near the tick range must not overflow the
+  // critical-path sum in task::validate: it decodes, whatever the verdict.
+  std::string longChain;
+  for (int k = 0; k < 6; ++k) {
+    longChain += std::string(k == 0 ? "" : ",") +
+                 R"({"processors":1,"duration":2e12})";
+  }
+  EXPECT_TRUE(decodeRequest(negotiate(R"({"tasks":[)" + longChain + "]}"))
+                  .ok());
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "workload/fig4.h"
 
 namespace tprm::task {
@@ -138,6 +142,26 @@ TEST(SpecIo, ErrorsAreDescriptive) {
                                 "chains": []})")
                 .error.find("qualityComposition"),
             std::string::npos);
+  // Numbers outside a field's range name the field; times beyond the tick
+  // range used to abort the reader.
+  for (const auto& [task, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"processors": 1e10, "duration": 5})",
+            "chains[0].tasks[0].processors is out of range"},
+           {R"({"processors": 1, "duration": 1e13})",
+            "chains[0].tasks[0].duration is out of range"},
+           {R"({"processors": 1, "duration": 5, "deadline": -1e13})",
+            "chains[0].tasks[0].deadline is out of range"},
+           {R"({"processors": 1, "duration": 5, "maxConcurrency": 1e10})",
+            "chains[0].tasks[0].maxConcurrency is out of range"}}) {
+    EXPECT_EQ(jobSpecFromJson(R"({"chains": [{"tasks": [)" + task + "]}]}")
+                  .error,
+              field);
+  }
+  EXPECT_EQ(jobSpecFromJson(R"({"chains": [{"bindings": {"g": 1e19},
+                                "tasks": [{"processors": 1, "duration": 5}]}]})")
+                .error,
+            "chains[0].bindings.g is out of range");
 }
 
 TEST(SpecIo, StructurallyInvalidSpecsRejected) {
