@@ -14,6 +14,10 @@
 //      steal mode, a thief) holds the claim token across both the drain and
 //      the execution of the drained batch, so per-shard commands execute in
 //      arrivalSeq order even when different threads take turns draining.
+//      The server's event loops also take the claim, without draining, to
+//      run a command themselves when its queue is empty; a worker that
+//      finds the claim taken parks in waitClaimReleased() until the holder
+//      lets go instead of re-polling.
 //
 // Implementations:
 //   * MutexCommandQueue  — the original mutex + std::deque + two condition
@@ -47,6 +51,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -113,8 +118,49 @@ class CommandQueue {
 
   /// Claims the consumer token; false if another thread holds it.  The
   /// holder is the queue's only legal drainer until releaseConsumer().
-  [[nodiscard]] virtual bool tryClaimConsumer() = 0;
-  virtual void releaseConsumer() = 0;
+  [[nodiscard]] bool tryClaimConsumer() {
+    bool expected = false;
+    if (claimed_.compare_exchange_strong(expected, true,
+                                         std::memory_order_acquire)) {
+      return true;
+    }
+    claimMisses_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+
+  /// Releases the claim and wakes every thread parked in
+  /// waitClaimReleased().  The store and the waiter count are both seq_cst
+  /// (Dekker, as in the linked queue's push): either the releaser sees the
+  /// waiter registered, or the waiter sees the claim already free.
+  void releaseConsumer() {
+    claimed_.store(false);
+    if (claimWaiters_.load() != 0) {
+      std::lock_guard<std::mutex> lock(claimMu_);
+      claimCv_.notify_all();
+    }
+  }
+
+  /// Parks the caller while another thread holds the consumer claim, until
+  /// it is released or `timeout` elapses (kWaitForever = no limit).
+  /// Returns at once when the claim is free.  Spurious returns are fine;
+  /// callers re-poll.
+  void waitClaimReleased(std::chrono::milliseconds timeout) {
+    if (!claimed_.load()) return;
+    std::unique_lock<std::mutex> lock(claimMu_);
+    claimWaiters_.fetch_add(1);
+    const auto released = [&] { return !claimed_.load(); };
+    if (timeout < std::chrono::milliseconds::zero()) {
+      claimCv_.wait(lock, released);
+    } else {
+      claimCv_.wait_for(lock, timeout, released);
+    }
+    claimWaiters_.fetch_sub(1);
+  }
+
+  /// tryClaimConsumer() calls that found the claim taken.
+  [[nodiscard]] std::uint64_t claimMisses() const {
+    return claimMisses_.load(std::memory_order_relaxed);
+  }
 
   /// Drains up to `max` items FIFO into `out` (appended).  Caller must
   /// hold the consumer claim.  May return 0 with approxDepth() > 0 when a
@@ -147,6 +193,14 @@ class CommandQueue {
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   std::size_t capacity_;
+
+ private:
+  std::atomic<bool> claimed_{false};
+  std::atomic<std::uint64_t> claimMisses_{0};
+  // Claim parking only — touched on release when a waiter is registered.
+  std::mutex claimMu_;
+  std::condition_variable claimCv_;
+  std::atomic<int> claimWaiters_{0};
 };
 
 /// The original handoff queue: one mutex guards a deque, notEmpty wakes the
@@ -198,16 +252,6 @@ class MutexCommandQueue final : public CommandQueue<T> {
     notEmpty_.notify_one();
     return {depth >= this->capacity_ ? QueuePush::OkAtCapacity : QueuePush::Ok,
             depth};
-  }
-
-  bool tryClaimConsumer() override {
-    bool expected = false;
-    return claimed_.compare_exchange_strong(expected, true,
-                                            std::memory_order_acquire);
-  }
-
-  void releaseConsumer() override {
-    claimed_.store(false, std::memory_order_release);
   }
 
   std::size_t tryDrainUpTo(std::size_t max, std::vector<T>* out) override {
@@ -268,7 +312,6 @@ class MutexCommandQueue final : public CommandQueue<T> {
   std::deque<T> items_;       // guarded by mu_
   bool closed_ = false;       // guarded by mu_
   std::atomic<std::size_t> depthMirror_{0};
-  std::atomic<bool> claimed_{false};
 };
 
 namespace detail {
@@ -338,16 +381,6 @@ class LinkedCommandQueue : public CommandQueue<T> {
       }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
-  }
-
-  bool tryClaimConsumer() override {
-    bool expected = false;
-    return claimed_.compare_exchange_strong(expected, true,
-                                            std::memory_order_acquire);
-  }
-
-  void releaseConsumer() override {
-    claimed_.store(false, std::memory_order_release);
   }
 
   std::size_t tryDrainUpTo(std::size_t max, std::vector<T>* out) override {
@@ -425,7 +458,6 @@ class LinkedCommandQueue : public CommandQueue<T> {
   Node* tail_;               // consumed sentinel; claim holder advances
   std::atomic<std::size_t> depth_{0};
   std::atomic<bool> closed_{false};
-  std::atomic<bool> claimed_{false};
 
   // Consumer parking only — never touched on an uncontended push.
   std::mutex parkMu_;

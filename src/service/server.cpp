@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/log.h"
+#include "taskmodel/chain.h"
 
 namespace tprm::service {
 
@@ -55,9 +56,10 @@ std::uint32_t adaptiveWindow(std::size_t queueDepth,
   return full;
 }
 
-/// One decoded command travelling from an event loop to a worker thread.
-/// Immutable once enqueued: the worker reads it, the loop never touches it
-/// again (responses come back as a separate ResponseMsg).
+/// One decoded, stamped command.  On the inline path it lives on the event
+/// loop's stack; queued, it travels to a worker thread and is immutable once
+/// pushed: the worker reads it, the loop never touches it again (responses
+/// come back as a separate ResponseMsg).
 struct NegotiationServer::PendingCommand {
   Request request;
   std::uint64_t arrivalSeq = 0;
@@ -75,8 +77,11 @@ struct NegotiationServer::PendingCommand {
 };
 
 /// A finished command's encoded response — or a batch of reshape push
-/// events — travelling worker -> loop.
+/// events — travelling to the loop that owns the connection.
 struct NegotiationServer::ResponseMsg {
+  /// Owning loop; set on push messages, whose connection is found through
+  /// originByJob_ rather than the command.
+  int loopIndex = 0;
   std::uint64_t connId = 0;
   std::uint64_t deliverSeq = 0;
   std::string payload;  // encoded response JSON (empty for push batches)
@@ -138,6 +143,15 @@ struct NegotiationServer::Loop {
   // Loop-thread-local state.
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
   std::vector<std::uint64_t> doomed;  // closed this cycle; erased at reap
+  /// Shards whose consumer claim this loop took for inline execution
+  /// during the current read batch; released by finishBatch().
+  std::vector<std::size_t> heldClaims;
+  /// Connections written to since the last flush (finishBatch / inbox).
+  std::vector<Connection*> touched;
+  /// Scratch reused across commands: posted responses taken from the
+  /// inbox, and the pushes of one inline command.
+  std::vector<ResponseMsg> posted;
+  std::vector<ResponseMsg> pushes;
   bool draining = false;
   bool finishing = false;
   Clock::time_point finishDeadline{};
@@ -150,6 +164,7 @@ struct NegotiationServer::Loop {
 /// loop threads must not stall); at/above commandQueueCapacity v1 producers
 /// pause reading and v2 producers get `busy` instead.
 struct NegotiationServer::ShardQueue {
+  int index = 0;
   std::unique_ptr<qos::CommandQueue<std::shared_ptr<PendingCommand>>> impl;
   /// (loopIndex, connId) of v1 connections paused on this queue's
   /// backpressure; whoever drains the queue below capacity (its worker or,
@@ -178,6 +193,7 @@ NegotiationServer::NegotiationServer(ServerConfig config)
   queues_.reserve(static_cast<std::size_t>(config_.shards));
   for (int k = 0; k < config_.shards; ++k) {
     auto queue = std::make_unique<ShardQueue>();
+    queue->index = k;
     queue->impl = qos::makeCommandQueue<std::shared_ptr<PendingCommand>>(
         config_.queueKind, config_.commandQueueCapacity);
     queues_.push_back(std::move(queue));
@@ -347,6 +363,10 @@ ServerCounters NegotiationServer::counters() const {
   counters.framesMalformed = framesMalformed_.load();
   counters.framesOversized = framesOversized_.load();
   counters.commandsExecuted = commandsExecuted_.load();
+  counters.commandsInline = commandsInline_.load();
+  for (const auto& queue : queues_) {
+    counters.claimMisses += queue->impl->claimMisses();
+  }
   counters.disconnectsMidRequest = disconnectsMidRequest_.load();
   counters.busyRejections = busyRejections_.load();
   counters.helloHandshakes = helloHandshakes_.load();
@@ -369,6 +389,8 @@ JsonValue NegotiationServer::observabilitySnapshot() const {
       static_cast<double>(server.framesOversized);
   serverObject["commands_executed"] =
       static_cast<double>(server.commandsExecuted);
+  serverObject["commands_inline"] = static_cast<double>(server.commandsInline);
+  serverObject["claim_misses"] = static_cast<double>(server.claimMisses);
   serverObject["disconnects_mid_request"] =
       static_cast<double>(server.disconnectsMidRequest);
   serverObject["busy_rejections"] =
@@ -424,7 +446,14 @@ void NegotiationServer::acceptLoop(net::Listener* listener) {
 // --- Event loop ------------------------------------------------------------
 
 void NegotiationServer::loopMain(Loop* loop) {
+  // Reserved up front (epoll_wait reports at most 64 events per call), so
+  // the loop's first heap allocation happens at thread start, before any
+  // acceptor hands it a connection.  glibc gives a new thread the malloc
+  // arena most recently released by an exited thread, and the previous
+  // server's loop exits last: allocating first, a restarted server's loop
+  // reuses the arena its predecessor freed instead of stranding it.
   std::vector<net::Epoll::Event> events;
+  events.reserve(64);
   std::string error;
   loop->lastSweep = Clock::now();
   auto reap = [loop] {
@@ -485,14 +514,12 @@ void NegotiationServer::loopMain(Loop* loop) {
 
 void NegotiationServer::processInbox(Loop* loop) {
   std::vector<net::Socket> conns;
-  std::vector<ResponseMsg> responses;
   std::vector<std::uint64_t> resumes;
   bool drainRequested = false;
   bool finishRequested = false;
   {
     std::lock_guard<std::mutex> lock(loop->inboxMu);
     conns.swap(loop->pendingConns);
-    responses.swap(loop->pendingResponses);
     resumes.swap(loop->pendingResumes);
     drainRequested = loop->drainRequested;
     finishRequested = loop->finishRequested;
@@ -501,57 +528,8 @@ void NegotiationServer::processInbox(Loop* loop) {
   // Append every response of the batch to its connection's buffer first,
   // then flush each touched connection once: one write syscall per
   // connection per batch instead of one per response.
-  std::vector<Connection*> touched;
-  for (auto& msg : responses) {
-    const auto it = loop->conns.find(msg.connId);
-    if (it == loop->conns.end() || it->second->closed) {
-      if (msg.push) {
-        // Reshape events have no reader anymore; the moves themselves are
-        // committed arbitrator state either way.
-        reshapeEventsDropped_.fetch_add(msg.events.size());
-        std::lock_guard<std::mutex> lock(originMu_);
-        for (const auto& event : msg.events) originByJob_.erase(event.jobId);
-        continue;
-      }
-      // Client vanished between submitting and reading the decision.  The
-      // command already executed atomically; state stays consistent.
-      disconnectsMidRequest_.fetch_add(1);
-      continue;
-    }
-    Connection* conn = it->second.get();
-    if (msg.push) {
-      // Unsolicited notification: consumes no in-flight slot.  v2 peers
-      // get a RESHAPED push frame; v1 peers buffer until a RESHAPES poll.
-      if (conn->v2) {
-        Response response;
-        response.ok = true;
-        ReshapesResult result;
-        result.push = true;
-        result.events = std::move(msg.events);
-        response.result = std::move(result);
-        stampWindow(&response);
-        deliverResponse(loop, conn, kUnordered, encodeResponse(response));
-      } else {
-        for (auto& event : msg.events) {
-          if (conn->reshapes.size() >= config_.reshapeEventBuffer) {
-            conn->reshapes.pop_front();
-            reshapeEventsDropped_.fetch_add(1);
-          }
-          conn->reshapes.push_back(std::move(event));
-        }
-      }
-      if (std::find(touched.begin(), touched.end(), conn) == touched.end()) {
-        touched.push_back(conn);
-      }
-      continue;
-    }
-    if (conn->inFlight > 0) --conn->inFlight;
-    deliverResponse(loop, conn, msg.deliverSeq, msg.payload);
-    if (std::find(touched.begin(), touched.end(), conn) == touched.end()) {
-      touched.push_back(conn);
-    }
-  }
-  for (Connection* conn : touched) flushOut(loop, conn);
+  deliverPosted(loop);
+  finishBatch(loop);
   for (const auto connId : resumes) {
     const auto it = loop->conns.find(connId);
     if (it == loop->conns.end() || it->second->closed) continue;
@@ -573,6 +551,102 @@ void NegotiationServer::processInbox(Loop* loop) {
   if (finishRequested && !loop->finishing) {
     loop->finishing = true;
     loop->finishDeadline = Clock::now() + config_.ioTimeout;
+  }
+}
+
+void NegotiationServer::deliverPosted(Loop* loop) {
+  {
+    std::lock_guard<std::mutex> lock(loop->inboxMu);
+    loop->posted.swap(loop->pendingResponses);
+  }
+  for (auto& msg : loop->posted) deliverMsg(loop, msg);
+  loop->posted.clear();
+}
+
+void NegotiationServer::deliverMsg(Loop* loop, ResponseMsg& msg) {
+  const auto it = loop->conns.find(msg.connId);
+  if (it == loop->conns.end() || it->second->closed) {
+    if (msg.push) {
+      // Reshape events have no reader anymore; the moves themselves are
+      // committed arbitrator state either way.
+      reshapeEventsDropped_.fetch_add(msg.events.size());
+      std::lock_guard<std::mutex> lock(originMu_);
+      for (const auto& event : msg.events) originByJob_.erase(event.jobId);
+      return;
+    }
+    // Client vanished between submitting and reading the decision.  The
+    // command already executed atomically; state stays consistent.
+    disconnectsMidRequest_.fetch_add(1);
+    return;
+  }
+  Connection* conn = it->second.get();
+  if (msg.push) {
+    // Unsolicited notification: consumes no in-flight slot.  v2 peers
+    // get a RESHAPED push frame; v1 peers buffer until a RESHAPES poll.
+    if (conn->v2) {
+      Response response;
+      response.ok = true;
+      ReshapesResult result;
+      result.push = true;
+      result.events = std::move(msg.events);
+      response.result = std::move(result);
+      stampWindow(&response);
+      deliverResponse(loop, conn, kUnordered, encodeResponse(response));
+    } else {
+      for (auto& event : msg.events) {
+        if (conn->reshapes.size() >= config_.reshapeEventBuffer) {
+          conn->reshapes.pop_front();
+          reshapeEventsDropped_.fetch_add(1);
+        }
+        conn->reshapes.push_back(std::move(event));
+      }
+    }
+  } else {
+    if (conn->inFlight > 0) --conn->inFlight;
+    deliverResponse(loop, conn, msg.deliverSeq, msg.payload);
+  }
+  if (std::find(loop->touched.begin(), loop->touched.end(), conn) ==
+      loop->touched.end()) {
+    loop->touched.push_back(conn);
+  }
+}
+
+void NegotiationServer::finishBatch(Loop* loop) {
+  // Claims first: the responses already sit in their output buffers in
+  // order, so the write syscalls need not delay a worker waiting to drain.
+  for (const std::size_t k : loop->heldClaims) {
+    queues_[k]->impl->releaseConsumer();
+  }
+  loop->heldClaims.clear();
+  for (Connection* conn : loop->touched) flushOut(loop, conn);
+  loop->touched.clear();
+}
+
+void NegotiationServer::executeInline(Loop* loop, Connection* conn, int shard,
+                                      const PendingCommand& command) {
+  // Whatever the workers have already handed this loop goes out first, so
+  // an earlier command's response and RESHAPED pushes always precede this
+  // later response (the claim just taken orders this shard's earlier
+  // executions, and their posts, before us).
+  deliverPosted(loop);
+  auto& pushes = loop->pushes;
+  pushes.clear();
+  const std::string payload = runCommand(shard, command, &pushes);
+  commandsInline_.fetch_add(1, std::memory_order_relaxed);
+  deliverResponse(loop, conn, command.deliverSeq, payload);
+  // Pushes follow the response: ours straight into the output buffers,
+  // other loops' through their inboxes.
+  for (auto& msg : pushes) {
+    if (msg.loopIndex == loop->index) {
+      deliverMsg(loop, msg);
+      continue;
+    }
+    auto& target = *loops_[static_cast<std::size_t>(msg.loopIndex)];
+    {
+      std::lock_guard<std::mutex> lock(target.inboxMu);
+      target.pendingResponses.push_back(std::move(msg));
+    }
+    target.wakeup.signal();
   }
 }
 
@@ -648,8 +722,9 @@ void NegotiationServer::processDecodedFrames(Loop* loop, Connection* conn) {
         encodeResponse(
             makeError(0, "frame_too_large", conn->decoder.message())));
   }
-  // Inline responses generated while handling this batch of frames (HELLO
-  // grants, busy/bad_request errors) leave in one flush.
+  // Responses generated while handling this batch of frames (executed
+  // commands, HELLO grants, busy/bad_request errors) leave in one flush.
+  finishBatch(loop);
   flushOut(loop, conn);
 }
 
@@ -694,6 +769,20 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
   }
 
   conn->sawFrame = true;
+  if (const auto* negotiate = std::get_if<NegotiateRequest>(&request.payload)) {
+    // Admission bound: a frame can be well-formed with every number in
+    // range and still ask for more processor-ticks than the arbitrator's
+    // int64 arithmetic holds.  Refused before anything is stamped.
+    const auto bound =
+        task::admissionBoundError(negotiate->spec, negotiate->release);
+    if (!bound.empty()) {
+      deliverResponse(loop, conn,
+                      conn->v2 ? kUnordered : conn->nextSubmitSeq++,
+                      encodeResponse(makeError(request.id, "bad_request",
+                                               "bad spec: " + bound)));
+      return;
+    }
+  }
   if (request.command == Command::Reshapes) {
     // Answered inline on the loop thread — the buffered events live in
     // loop-owned connection state.  Consumes no in-flight slot.
@@ -726,16 +815,20 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
     }
   }
 
-  auto command = std::make_shared<PendingCommand>();
-  command->request = std::move(request);
-  command->loopIndex = loop->index;
-  command->connId = conn->id;
-  command->deliverSeq = conn->v2 ? kUnordered : conn->nextSubmitSeq;
-  const EnqueueStatus status = enqueue(command, conn->v2);
-  switch (status) {
+  PendingCommand command;
+  command.request = std::move(request);
+  command.loopIndex = loop->index;
+  command.connId = conn->id;
+  command.deliverSeq = conn->v2 ? kUnordered : conn->nextSubmitSeq;
+  int shard = 0;
+  switch (enqueue(loop, command, conn->v2, &shard)) {
+    case EnqueueStatus::Inline:
+      executeInline(loop, conn, shard, command);
+      if (!conn->v2) ++conn->nextSubmitSeq;
+      return;
     case EnqueueStatus::Busy: {
       busyRejections_.fetch_add(1);
-      Response busy = makeError(command->request.id, "busy",
+      Response busy = makeError(command.request.id, "busy",
                                 "command queue full; retry");
       busy.advertisedWindow = std::min(conn->window, dynamicWindowNow());
       deliverResponse(loop, conn, kUnordered, encodeResponse(busy));
@@ -743,7 +836,7 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
     }
     case EnqueueStatus::Closed: {
       const auto response = encodeResponse(
-          makeError(command->request.id, "shutting_down",
+          makeError(command.request.id, "shutting_down",
                     "server is draining; retry elsewhere"));
       deliverResponse(loop, conn,
                       conn->v2 ? kUnordered : conn->nextSubmitSeq++,
@@ -899,31 +992,94 @@ void NegotiationServer::sweepIdle(Loop* loop) {
 // --- Queue handoff ---------------------------------------------------------
 
 NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
-    const std::shared_ptr<PendingCommand>& command, bool allowBusy) {
+    Loop* loop, PendingCommand& command, bool allowBusy, int* shard) {
   std::lock_guard<std::mutex> seqLock(seqMutex_);
   if (queueClosed_.load()) return EnqueueStatus::Closed;
   // Route before committing anything: a negotiation's job id — the next to
   // be reserved, peeked here — fixes its home shard; cancels follow the
   // job's home shard so cancel-after-negotiate pairs stay ordered;
-  // machine-wide commands serialise through queue 0.
+  // machine-wide commands serialise through shard 0.
   std::size_t target = 0;
-  const bool isNegotiate = command->request.command == Command::Negotiate;
-  if (isNegotiate) {
+  if (command.request.command == Command::Negotiate) {
     target = static_cast<std::size_t>(
         arbitrator_.homeShard(arbitrator_.peekNextJobId()));
-  } else if (command->request.command == Command::Cancel) {
+  } else if (command.request.command == Command::Cancel) {
     target = static_cast<std::size_t>(arbitrator_.homeShard(
-        std::get<CancelRequest>(command->request.payload).jobId));
+        std::get<CancelRequest>(command.request.payload).jobId));
   }
+  *shard = static_cast<int>(target);
   auto& queue = *queues_[target];
-  if (allowBusy &&
-      queue.impl->approxDepth() >= config_.commandQueueCapacity) {
+  // approxDepth is exact on the producer side: every push happens under
+  // seqMutex_, held here.
+  const std::size_t depth = queue.impl->approxDepth();
+  if (depth == 0) {
+    // Run to completion: nothing of this shard is waiting, so if no other
+    // thread is executing on it either (the claim is ours), this loop runs
+    // the command itself — no queue, no worker wakeup, no inbox handoff.
+    // Per-shard order holds: everything stamped before us has been drained,
+    // and whoever drained it has released the claim, i.e. executed it.
+    auto& held = loop->heldClaims;
+    const bool holding =
+        std::find(held.begin(), held.end(), target) != held.end();
+    if (holding || queue.impl->tryClaimConsumer()) {
+      if (!holding) held.push_back(target);
+      stampCommand(&command);
+      return EnqueueStatus::Inline;
+    }
+  }
+  if (allowBusy && depth >= config_.commandQueueCapacity) {
     // v2 backpressure: refuse before drawing a sequence number or job id,
     // so the wire trace and the replayed id stream only ever contain
-    // commands that executed.  approxDepth is exact on the producer side —
-    // every push happens under seqMutex_, held here.
+    // commands that executed.
     return EnqueueStatus::Busy;
   }
+  const auto entry = std::make_pair(command.loopIndex, command.connId);
+  auto queued = std::make_shared<PendingCommand>(std::move(command));
+  stampCommand(queued.get());
+  const auto pushed =
+      queue.impl->push(std::move(queued), /*refuseAtCapacity=*/false);
+  if (pushed.status == qos::QueuePush::Closed) {
+    // Unreachable in practice — close happens under seqMutex_, checked at
+    // entry — but the contract allows it, so don't mislead the caller.
+    return EnqueueStatus::Closed;
+  }
+  if (queue.depth != nullptr) {
+    // Sample the depth the push itself observed (not a later re-read): the
+    // high-water gauge then sees every peak even when the worker drains a
+    // whole batch before the next enqueue (the undercount bugfix).
+    queue.depth->set(static_cast<std::int64_t>(pushed.depth));
+  }
+  EnqueueStatus status = EnqueueStatus::Ok;
+  if (!allowBusy && pushed.status == qos::QueuePush::OkAtCapacity) {
+    // v1 backpressure: the command is in (order preserved), but the
+    // connection must stop producing until the worker drains the queue.
+    {
+      std::lock_guard<std::mutex> lock(queue.throttledMu);
+      queue.throttled.push_back(entry);
+    }
+    status = EnqueueStatus::OkThrottle;
+    // Lost-resume closure: the worker flushes `throttled` only on drains
+    // that leave the queue under capacity, and it may have drained this
+    // very command before the registration above landed — then nothing
+    // would ever resume the connection.  Each side writes before it reads
+    // (we publish the entry, then re-read depth; the worker drains, then
+    // reads the list), so at least one observes the other: either the
+    // worker saw our entry and resumes, or we see the drained queue here
+    // and retract the pause before it starts.  A resume racing this
+    // retraction is discarded by the loop's !readPaused guard.
+    if (queue.impl->approxDepth() < config_.commandQueueCapacity) {
+      std::lock_guard<std::mutex> lock(queue.throttledMu);
+      const auto it = std::find(queue.throttled.begin(),
+                                queue.throttled.end(), entry);
+      if (it != queue.throttled.end()) queue.throttled.erase(it);
+      status = EnqueueStatus::Ok;
+    }
+  }
+  return status;
+}
+
+void NegotiationServer::stampCommand(PendingCommand* command) {
+  const bool isNegotiate = command->request.command == Command::Negotiate;
   const std::uint64_t seq = nextArrivalSeq_++;
   command->arrivalSeq = seq;
   if (isNegotiate) command->presetJobId = arbitrator_.reserveJobId();
@@ -958,58 +1114,20 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
     }
   }
   if (trace_ != nullptr) command->enqueuedNs = obs::monotonicNanos();
-  const auto pushed = queue.impl->push(command, /*refuseAtCapacity=*/false);
-  if (pushed.status == qos::QueuePush::Closed) {
-    // Unreachable in practice — close happens under seqMutex_, checked at
-    // entry — but the contract allows it, so don't mislead the caller.
-    return EnqueueStatus::Closed;
-  }
-  if (queue.depth != nullptr) {
-    // Sample the depth the push itself observed (not a later re-read): the
-    // high-water gauge then sees every peak even when the worker drains a
-    // whole batch before the next enqueue (the undercount bugfix).
-    queue.depth->set(static_cast<std::int64_t>(pushed.depth));
-  }
-  EnqueueStatus status = EnqueueStatus::Ok;
-  if (!allowBusy && pushed.status == qos::QueuePush::OkAtCapacity) {
-    // v1 backpressure: the command is in (order preserved), but the
-    // connection must stop producing until the worker drains the queue.
-    {
-      std::lock_guard<std::mutex> lock(queue.throttledMu);
-      queue.throttled.emplace_back(command->loopIndex, command->connId);
-    }
-    status = EnqueueStatus::OkThrottle;
-    // Lost-resume closure: the worker flushes `throttled` only on drains
-    // that leave the queue under capacity, and it may have drained this
-    // very command before the registration above landed — then nothing
-    // would ever resume the connection.  Each side writes before it reads
-    // (we publish the entry, then re-read depth; the worker drains, then
-    // reads the list), so at least one observes the other: either the
-    // worker saw our entry and resumes, or we see the drained queue here
-    // and retract the pause before it starts.  A resume racing this
-    // retraction is discarded by the loop's !readPaused guard.
-    if (queue.impl->approxDepth() < config_.commandQueueCapacity) {
-      std::lock_guard<std::mutex> lock(queue.throttledMu);
-      const auto entry =
-          std::make_pair(command->loopIndex, command->connId);
-      const auto it = std::find(queue.throttled.begin(),
-                                queue.throttled.end(), entry);
-      if (it != queue.throttled.end()) queue.throttled.erase(it);
-      status = EnqueueStatus::Ok;
-    }
-  }
-  return status;
 }
 
 void NegotiationServer::workerLoop(int shard) {
   auto& own = *queues_[static_cast<std::size_t>(shard)];
   std::vector<std::shared_ptr<PendingCommand>> batch;
   std::vector<std::pair<int, std::uint64_t>> resumes;
-  std::vector<std::vector<ResponseMsg>> perLoop(loops_.size());
+  std::vector<ResponseMsg> pushes;
+  // Sized on the first drained batch: a worker whose shard only ever runs
+  // inline touches no heap, and so never takes a malloc arena of its own.
+  std::vector<std::vector<ResponseMsg>> perLoop;
   const bool stealing =
       config_.queueKind == qos::QueueKind::Steal && queues_.size() > 1;
   for (;;) {
-    if (drainAndExecute(&own, &batch, &resumes, &perLoop)) continue;
+    if (drainAndExecute(&own, &batch, &resumes, &pushes, &perLoop)) continue;
     if (stealing) {
       // Idle: help the deepest sibling instead of sleeping.  Claiming its
       // consumer token — and holding it across execution — keeps that
@@ -1028,29 +1146,45 @@ void NegotiationServer::workerLoop(int shard) {
       }
       if (victim >= 0 &&
           drainAndExecute(queues_[static_cast<std::size_t>(victim)].get(),
-                          &batch, &resumes, &perLoop)) {
+                          &batch, &resumes, &pushes, &perLoop)) {
         batchesStolen_.fetch_add(1);
         continue;
       }
     }
-    if (own.impl->closed() && own.impl->approxDepth() == 0) return;
+    const std::size_t depth = own.impl->approxDepth();
+    if (own.impl->closed() && depth == 0) return;
     // Steal mode polls so an idle worker notices sibling depth; otherwise
-    // sleep until a producer or close() wakes this queue.
-    own.impl->waitNonEmpty(stealing ? std::chrono::milliseconds(1)
-                                    : qos::kWaitForever);
+    // sleep until a producer or close() wakes this queue.  Commands we
+    // could not drain mean another thread holds the claim (an event loop
+    // running a command inline, or a thief): sleep until it lets go rather
+    // than re-polling a queue that stays non-empty.
+    const auto timeout =
+        stealing ? std::chrono::milliseconds(1) : qos::kWaitForever;
+    if (depth > 0) {
+      own.impl->waitClaimReleased(timeout);
+    } else {
+      own.impl->waitNonEmpty(timeout);
+    }
   }
 }
 
 bool NegotiationServer::drainAndExecute(
     ShardQueue* queue, std::vector<std::shared_ptr<PendingCommand>>* batchPtr,
     std::vector<std::pair<int, std::uint64_t>>* resumesPtr,
+    std::vector<ResponseMsg>* pushesPtr,
     std::vector<std::vector<ResponseMsg>>* perLoopPtr) {
   auto& batch = *batchPtr;
   auto& resumes = *resumesPtr;
+  auto& pushes = *pushesPtr;
   auto& perLoop = *perLoopPtr;
-  if (!queue->impl->tryClaimConsumer()) return false;
+  // Empty queues are not claimed at all: a speculative claim would only
+  // make an event loop's inline attempt on this shard miss.
+  if (queue->impl->approxDepth() == 0 || !queue->impl->tryClaimConsumer()) {
+    return false;
+  }
   batch.clear();
   resumes.clear();
+  if (perLoop.empty()) perLoop.resize(loops_.size());
   // Batched handoff: one claim drains up to workerBatch commands (FIFO, so
   // drain order == arrivalSeq order per shard).
   const std::size_t n = queue->impl->tryDrainUpTo(config_.workerBatch, &batch);
@@ -1075,53 +1209,17 @@ bool NegotiationServer::drainAndExecute(
     }
     loop.wakeup.signal();
   }
-  if (config_.workerSeamForTest) config_.workerSeamForTest();
   for (const auto& command : batch) {
-    const std::int64_t startNs = trace_ != nullptr ? obs::monotonicNanos() : 0;
-    std::vector<qos::QualityMove> moves;
-    Response response = execute(command->request, command->arrivalSeq,
-                                command->presetJobId, &moves);
-    response.id = command->request.id;
-    stampWindow(&response);
-    commandsExecuted_.fetch_add(1);
-    if (trace_ != nullptr) recordSpan(*command, response, startNs);
+    pushes.clear();
     ResponseMsg msg;
     msg.connId = command->connId;
     msg.deliverSeq = command->deliverSeq;
-    msg.payload = encodeResponse(response);
+    msg.payload = runCommand(queue->index, *command, &pushes);
     perLoop[static_cast<std::size_t>(command->loopIndex)].push_back(
         std::move(msg));
-    // Route each committed quality move to the connection that
-    // negotiated the moved job (it may be this command's own connection
-    // or any other).  Moves with no reachable owner are dropped — the
-    // arbitrator state is committed regardless.
-    for (const auto& move : moves) {
-      std::pair<int, std::uint64_t> origin;
-      {
-        std::lock_guard<std::mutex> originLock(originMu_);
-        const auto it = originByJob_.find(move.jobId);
-        if (it == originByJob_.end()) {
-          reshapeEventsDropped_.fetch_add(1);
-          continue;
-        }
-        origin = it->second;
-      }
-      ReshapeEvent event;
-      event.jobId = move.jobId;
-      event.promotion = move.promotion;
-      event.fromChain = move.fromChain;
-      event.toChain = move.toChain;
-      event.fromQuality = move.fromQuality;
-      event.toQuality = move.toQuality;
-      event.placements = move.schedule.placements;
-      ResponseMsg pushMsg;
-      pushMsg.connId = origin.second;
-      pushMsg.deliverSeq = kUnordered;
-      pushMsg.push = true;
-      pushMsg.events.push_back(std::move(event));
-      reshapeEventsDispatched_.fetch_add(1);
-      perLoop[static_cast<std::size_t>(origin.first)].push_back(
-          std::move(pushMsg));
+    for (auto& push : pushes) {
+      perLoop[static_cast<std::size_t>(push.loopIndex)].push_back(
+          std::move(push));
     }
   }
   // One inbox lock + one eventfd wakeup per loop per batch.
@@ -1137,10 +1235,59 @@ bool NegotiationServer::drainAndExecute(
     loop.wakeup.signal();
     perLoop[i].clear();
   }
-  // Release only after execution: the claim token is what serialises
-  // per-shard execution across owner and thieves.
+  // Release only after execution and the posts: the claim token is what
+  // serialises per-shard execution across owner, thieves and event loops,
+  // and a loop that claims next delivers these posts before its own
+  // response.
   queue->impl->releaseConsumer();
   return true;
+}
+
+std::string NegotiationServer::runCommand(int shard,
+                                          const PendingCommand& command,
+                                          std::vector<ResponseMsg>* pushes) {
+  if (config_.executeSeamForTest) config_.executeSeamForTest(shard);
+  const std::int64_t startNs = trace_ != nullptr ? obs::monotonicNanos() : 0;
+  std::vector<qos::QualityMove> moves;
+  Response response = execute(command.request, command.arrivalSeq,
+                              command.presetJobId, &moves);
+  response.id = command.request.id;
+  stampWindow(&response);
+  commandsExecuted_.fetch_add(1);
+  if (trace_ != nullptr) recordSpan(command, response, startNs);
+  // Route each committed quality move to the connection that negotiated
+  // the moved job (it may be this command's own connection or any other).
+  // Moves with no reachable owner are dropped — the arbitrator state is
+  // committed regardless.
+  for (const auto& move : moves) {
+    std::pair<int, std::uint64_t> origin;
+    {
+      std::lock_guard<std::mutex> originLock(originMu_);
+      const auto it = originByJob_.find(move.jobId);
+      if (it == originByJob_.end()) {
+        reshapeEventsDropped_.fetch_add(1);
+        continue;
+      }
+      origin = it->second;
+    }
+    ReshapeEvent event;
+    event.jobId = move.jobId;
+    event.promotion = move.promotion;
+    event.fromChain = move.fromChain;
+    event.toChain = move.toChain;
+    event.fromQuality = move.fromQuality;
+    event.toQuality = move.toQuality;
+    event.placements = move.schedule.placements;
+    ResponseMsg pushMsg;
+    pushMsg.loopIndex = origin.first;
+    pushMsg.connId = origin.second;
+    pushMsg.deliverSeq = kUnordered;
+    pushMsg.push = true;
+    pushMsg.events.push_back(std::move(event));
+    reshapeEventsDispatched_.fetch_add(1);
+    pushes->push_back(std::move(pushMsg));
+  }
+  return encodeResponse(response);
 }
 
 void NegotiationServer::rebalanceLoop() {

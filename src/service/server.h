@@ -3,25 +3,41 @@
 // Architecture (mirrors the paper's Section 3 split, across a real process
 // boundary): per-application QoS agents connect over a Unix-domain or TCP
 // loopback socket and exchange length-prefixed JSON frames; the system-wide
-// arbitrator state sits behind per-shard command queues.
+// arbitrator state is partitioned into K shards, each behind a command
+// queue whose consumer claim serialises execution on that shard.
 //
 //   accept thread(s) ──► event-loop threads (epoll, nonblocking sockets)
 //                          │  each loop owns its connections: incremental
 //                          │  frame decoding, buffered partial writes
 //                          ▼
-//            (arrivalSeq, jobId) drawn atomically, command routed
-//                          │  NEGOTIATE/CANCEL: queue[jobId % K]
-//                          │  RESIZE/STATS/VERIFY: queue[0]
+//            under seqMutex_: route, then (arrivalSeq, jobId) drawn
+//                          │  NEGOTIATE/CANCEL: shard jobId % K
+//                          │  RESIZE/STATS/VERIFY: shard 0
 //                          ▼
-//          K command queues  (backpressure: v1 connections pause reads,
-//                             v2 connections get a typed `busy` error)
-//                          │
-//                          ▼
-//          K worker threads over one qos::ShardedArbitrator
-//                          │  drain up to workerBatch commands per wakeup
-//                          ▼
-//          responses handed back to the owning loop (eventfd MPSC inbox),
+//        shard queue empty AND the loop wins (or already holds) its claim?
+//             │ yes: run to completion              │ no: queue it
+//             ▼                                     ▼
+//   the loop executes the command          K command queues (backpressure:
+//   itself, under the claim, and           v1 connections pause reads, v2
+//   appends the response (and any          connections get a typed `busy`)
+//   RESHAPED pushes for its own                     │
+//   connections) to the outputs;                    ▼
+//   the claim is released after            K worker threads drain up to
+//   the read batch                         workerBatch commands per claim
+//             │                                     │
+//             │                                     ▼
+//             │                            responses handed back to the
+//             │                            owning loop (eventfd MPSC inbox)
+//             ▼                                     ▼
+//          one flush per connection per read batch / inbox batch; responses
 //          correlated by requestId (v2) or delivered in submit order (v1)
+//
+// Both paths run one function per command (execute, window stamp, counters,
+// trace span, quality-move routing), so the path a command takes changes
+// where and when it runs, never what it decides.  An idle shard costs no
+// thread handoff at all; queues only fill under contention (another loop or
+// the worker holds the claim, or earlier commands are still queued).  A
+// worker that finds the claim taken parks until it is released.
 //
 // A connection speaks wire protocol v1 unless its first frame is HELLO
 // (docs/wire_protocol.md).  v1 keeps the classic one-request-one-response
@@ -31,11 +47,17 @@
 // in-flight requests and receive responses in completion order.
 //
 // With shards == 1 this degenerates to the classic single-writer design:
-// one queue, one worker, total arrivalSeq order, and (the replay tests pin
-// this) decisions byte-identical to an in-process QoSArbitrator fed the
-// same specs in arrivalSeq order.  With shards > 1 the order guarantee is
-// per shard: commands routed to the same shard execute in arrivalSeq order;
-// cross-shard commands may interleave.
+// total arrivalSeq order, and (the replay tests pin this) decisions
+// byte-identical to an in-process QoSArbitrator fed the same specs in
+// arrivalSeq order.  With shards > 1 the order guarantee is per shard:
+// commands routed to the same shard execute in arrivalSeq order, whichever
+// thread runs them; cross-shard commands may interleave.  The inline path
+// keeps this because it only runs when the shard's queue is empty and the
+// claim is held, and the stamp happens under seqMutex_ like every push.
+//
+// Output ordering: before a loop executes a command inline it delivers the
+// responses and pushes workers have already handed it, so every RESHAPED
+// push of an earlier command precedes a later response on the connection.
 //
 // Failure semantics:
 //  * Commands are atomic: once enqueued they execute to completion even if
@@ -153,11 +175,14 @@ struct ServerConfig {
   /// execute, under the victim's consumer claim — per-shard arrivalSeq
   /// order holds) batches from the deepest sibling queue.
   qos::QueueKind queueKind = qos::QueueKind::Mutex;
-  /// Test-only seam: when set, a shard worker calls it after draining a
-  /// batch and before executing it.  Lets tests hold a worker mid-batch to
-  /// deterministically fill a queue (gauge high-water, shutdown-wedge
-  /// regressions).  Production callers leave it unset.
-  std::function<void()> workerSeamForTest;
+  /// Test-only seam: when set, called with the shard index right before
+  /// each command executes, on whichever thread executes it (an event loop
+  /// on the inline path, a shard worker otherwise) and with the shard's
+  /// consumer claim held.  Blocking in it keeps the claim, so tests can make
+  /// other commands for that shard queue by construction (busy, gauge
+  /// high-water, shutdown-wedge regressions).  Production callers leave it
+  /// unset.
+  std::function<void(int shard)> executeSeamForTest;
 };
 
 /// Adaptive pipeline window (pure, exposed for tests): the v2 in-flight
@@ -176,6 +201,12 @@ struct ServerCounters {
   std::uint64_t framesMalformed = 0;
   std::uint64_t framesOversized = 0;
   std::uint64_t commandsExecuted = 0;
+  /// Of commandsExecuted: run to completion on an event loop (the shard's
+  /// queue was empty and its claim free) rather than by a shard worker.
+  std::uint64_t commandsInline = 0;
+  /// Consumer-claim attempts (loops and workers) that found the claim
+  /// taken.  A worker parks after a miss, so this stays small.
+  std::uint64_t claimMisses = 0;
   std::uint64_t disconnectsMidRequest = 0;
   /// v2 backpressure: requests refused with a `busy` error (window
   /// exceeded or shard queue full).  Never counts executed work.
@@ -250,8 +281,10 @@ class NegotiationServer {
   struct ShardQueue;
 
   enum class EnqueueStatus {
-    Ok,          // admitted; response will arrive via the loop inbox
-    OkThrottle,  // admitted, but the target queue is at capacity — pause
+    Inline,      // stamped, and the loop holds the shard's claim: the caller
+                 // executes the command now (executeInline)
+    Ok,          // queued; response will arrive via the loop inbox
+    OkThrottle,  // queued, but the target queue is at capacity — pause
                  // reading this (v1) connection until the worker drains
     Busy,        // refused (v2 + queue full); nothing was committed
     Closed,      // server draining; nothing was committed
@@ -264,16 +297,42 @@ class NegotiationServer {
   /// and executes them with the token still held (so per-shard commands
   /// execute in arrivalSeq order no matter which worker drains), posts
   /// responses and throttle resumes, then releases the token.  Returns
-  /// false — with nothing drained — when the token is taken or the queue
-  /// is empty.  `batch`/`resumes`/`perLoop` are caller-owned scratch.
+  /// false — with nothing drained — when the queue is empty or the token
+  /// is taken.  `batch`/`resumes`/`pushes`/`perLoop` are caller-owned
+  /// scratch.
   bool drainAndExecute(ShardQueue* queue,
                        std::vector<std::shared_ptr<PendingCommand>>* batch,
                        std::vector<std::pair<int, std::uint64_t>>* resumes,
+                       std::vector<ResponseMsg>* pushes,
                        std::vector<std::vector<ResponseMsg>>* perLoop);
+
+  /// The one per-command body of both execution paths; the caller holds
+  /// shard `shard`'s consumer claim.  Runs the test seam, executes, stamps
+  /// the adaptive window, counts, records the trace span, and routes each
+  /// committed quality move to the loop of the connection that negotiated
+  /// the moved job (appended to `pushes`, one push message per move).
+  /// Returns the encoded response.
+  std::string runCommand(int shard, const PendingCommand& command,
+                         std::vector<ResponseMsg>* pushes);
   void rebalanceLoop();
 
   // --- Loop-thread helpers (each touches only `loop`-owned state). ---
   void processInbox(Loop* loop);
+  /// Delivers the responses and pushes workers have posted to `loop` so
+  /// far (not connections, resumes or shutdown phases); the connections
+  /// they touch are flushed with the rest of the batch.
+  void deliverPosted(Loop* loop);
+  /// Routes one posted or inline message to its connection (or counts it
+  /// orphaned); adds the connection to loop->touched.
+  void deliverMsg(Loop* loop, ResponseMsg& msg);
+  /// Runs a command the loop claimed in enqueue() and writes its response
+  /// and same-loop pushes straight into the connections' output; pushes for
+  /// other loops go through their inboxes.
+  void executeInline(Loop* loop, Connection* conn, int shard,
+                     const PendingCommand& command);
+  /// Releases the claims the loop took for inline execution, then flushes
+  /// every connection the batch wrote to.
+  void finishBatch(Loop* loop);
   void registerConnection(Loop* loop, net::Socket socket);
   void handleReadable(Loop* loop, Connection* conn);
   void processDecodedFrames(Loop* loop, Connection* conn);
@@ -288,14 +347,22 @@ class NegotiationServer {
   void closeConnection(Loop* loop, Connection* conn);
   void sweepIdle(Loop* loop);
 
-  /// Routes and enqueues a decoded command, stamping its arrival sequence
-  /// (and, for NEGOTIATE, reserving its job id — the id fixes the home
-  /// shard, so routing is deterministic in arrival order).  Never blocks:
-  /// a full queue either throttles the connection (v1) or refuses with
-  /// Busy (v2, `allowBusy`).  On Busy/Closed nothing was committed — no
-  /// sequence number, no job id, no trace record.
-  EnqueueStatus enqueue(const std::shared_ptr<PendingCommand>& command,
-                        bool allowBusy);
+  /// Routes a decoded command and stamps it (stampCommand).  When the
+  /// target shard's queue is empty and `loop` holds or wins its consumer
+  /// claim, returns Inline with the shard in *shard: the caller executes
+  /// the command now.  Otherwise moves it into the shard's queue.  Never
+  /// blocks: a full queue either throttles the connection (v1) or refuses
+  /// with Busy (v2, `allowBusy`).  On Busy/Closed nothing was committed —
+  /// no sequence number, no job id, no trace record — and `command` is left
+  /// intact.
+  EnqueueStatus enqueue(Loop* loop, PendingCommand& command, bool allowBusy,
+                        int* shard);
+
+  /// The stamping both paths share; caller holds seqMutex_.  Draws the
+  /// arrival sequence (and, for NEGOTIATE, reserves the job id), remembers
+  /// a negotiated job's connection for reshape routing, appends the
+  /// --record-out record, and stamps enqueuedNs when tracing.
+  void stampCommand(PendingCommand* command);
 
   Response execute(const Request& request, std::uint64_t arrivalSeq,
                    const std::optional<std::uint64_t>& presetJobId,
@@ -312,8 +379,8 @@ class NegotiationServer {
   void stampWindow(Response* response) const;
 
   /// Records one finished command into the histograms and the trace ring.
-  /// Called on worker threads; requires observability on (both sinks are
-  /// thread-safe).
+  /// Called on the executing thread (loop or worker); requires
+  /// observability on (both sinks are thread-safe).
   void recordSpan(const PendingCommand& command, const Response& response,
                   std::int64_t startNs);
 
@@ -334,9 +401,9 @@ class NegotiationServer {
   std::atomic<std::size_t> activeSessions_{0};
   std::atomic<int> drainAcks_{0};
 
-  /// Guards the (arrivalSeq, jobId) draw and the push that follows, so
-  /// commands enter their target queue in arrivalSeq order.  Lock order:
-  /// seqMutex_ then the target ShardQueue's mutex.
+  /// Guards the (arrivalSeq, jobId) draw and the push or claim that
+  /// follows, so commands enter their shard in arrivalSeq order.  Lock
+  /// order: seqMutex_ then the target ShardQueue's mutex.
   std::mutex seqMutex_;
   std::uint64_t nextArrivalSeq_ = 0;  // guarded by seqMutex_
   /// Wire-trace recording (config_.recordPath).  Written under seqMutex_ so
@@ -384,6 +451,7 @@ class NegotiationServer {
   std::atomic<std::uint64_t> framesMalformed_{0};
   std::atomic<std::uint64_t> framesOversized_{0};
   std::atomic<std::uint64_t> commandsExecuted_{0};
+  std::atomic<std::uint64_t> commandsInline_{0};
   std::atomic<std::uint64_t> disconnectsMidRequest_{0};
   std::atomic<std::uint64_t> busyRejections_{0};
   std::atomic<std::uint64_t> helloHandshakes_{0};

@@ -121,4 +121,38 @@ std::vector<std::string> validate(const TunableJobSpec& spec) {
   return errors;
 }
 
+std::string admissionBoundError(const TunableJobSpec& spec, Time release) {
+  for (std::size_t c = 0; c < spec.chains.size(); ++c) {
+    std::int64_t chainArea = 0;
+    Time horizon = std::max<Time>(release, 0);
+    const auto& tasks = spec.chains[c].tasks;
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      const TaskSpec& t = tasks[k];
+      const auto at = [&](const char* what) {
+        return "chains[" + std::to_string(c) + "].tasks[" +
+               std::to_string(k) + "]: " + what + " exceeds the admission bound";
+      };
+      std::int64_t area = 0;
+      if (__builtin_mul_overflow(std::int64_t{t.request.processors},
+                                 t.request.duration, &area) ||
+          area > kMaxAdmissionTicks ||
+          (t.malleable && t.malleable->work > kMaxAdmissionTicks)) {
+        return at("area (processors x duration)");
+      }
+      // Each term is at most 2^50, so neither sum can overflow before the
+      // bound check stops it.
+      chainArea += area;
+      if (chainArea > kMaxAdmissionTicks) return at("chain area");
+      // A malleable task may be placed on one processor: its longest run
+      // is its whole work.
+      horizon += t.malleable ? std::max(t.malleable->work, t.request.duration)
+                             : t.request.duration;
+      if (horizon > kMaxAdmissionTicks) {
+        return at("horizon (release + critical path)");
+      }
+    }
+  }
+  return {};
+}
+
 }  // namespace tprm::task

@@ -89,4 +89,20 @@ struct JobInstance {
 /// (critical path fits within the last deadline).
 [[nodiscard]] std::vector<std::string> validate(const TunableJobSpec& spec);
 
+/// Admission bound for specs from untrusted input (the wire): every task's
+/// area (processors x duration; a malleable task's whole work), every
+/// chain's total area, and release + every chain's critical path stay at
+/// or below this many ticks.  2^50 ticks is about 1.1e9 paper units, far
+/// beyond any real reservation, and keeps the arbitrator's int64 area and
+/// time arithmetic exact: ResourceRequest::area, ChainSchedule::area, chain
+/// sums, and the ledger's running area total, which stays below 2^63 for
+/// 2^13 admissions at the bound.  Valid ticks alone (up to kTimeInfinity)
+/// do not: 8 processors x 2e18 ticks overflows.
+inline constexpr std::int64_t kMaxAdmissionTicks = std::int64_t{1} << 50;
+
+/// Empty when `spec`, released at `release`, is within kMaxAdmissionTicks;
+/// otherwise a message naming the first offending task.
+[[nodiscard]] std::string admissionBoundError(const TunableJobSpec& spec,
+                                              Time release);
+
 }  // namespace tprm::task

@@ -177,6 +177,32 @@ TEST_P(CommandQueueTest, ClaimTokenIsExclusive) {
   queue->releaseConsumer();
 }
 
+TEST_P(CommandQueueTest, ClaimWaiterParksUntilRelease) {
+  auto queue = make(8);
+  // Free claim: no wait at all.
+  queue->waitClaimReleased(kWaitForever);
+  ASSERT_TRUE(queue->tryClaimConsumer());
+  ASSERT_EQ(queue->push(1, false).status, QueuePush::Ok);
+  std::atomic<bool> released{false};
+  std::atomic<bool> woke{false};
+  std::thread waiter([&] {
+    // The queue is non-empty, so a worker polling it would spin; this
+    // one sleeps until the holder lets go.
+    EXPECT_FALSE(queue->tryClaimConsumer());
+    queue->waitClaimReleased(kWaitForever);
+    EXPECT_TRUE(released.load());
+    woke.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(woke.load());
+  released.store(true);
+  queue->releaseConsumer();
+  waiter.join();
+  EXPECT_TRUE(woke.load());
+  EXPECT_EQ(queue->claimMisses(), 1u);
+  EXPECT_EQ(drainAll(*queue).size(), 1u);
+}
+
 TEST_P(CommandQueueTest, MultiProducerStressKeepsFifoPerProducerAndLosesNothing) {
   // N producers race pipelined bursts at one consumer.  Per-producer FIFO
   // and no-loss are exactly the invariants the server's replay identity

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -16,6 +17,7 @@
 #include "elastic/reshaper.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "claim_holder.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -176,6 +178,145 @@ TEST(ElasticService, V2ClientReceivesReshapedPushes) {
   server.stop();
 }
 
+// Output ordering across the two execution paths.  A command a shard
+// worker ran reaches the client through the event loop's inbox, RESHAPED
+// pushes included; a later command the same loop runs inline must not
+// overtake them.  Two shards of 8 processors (spill off): shard 0's claim
+// is held so the demoting NEGOTIATE queues, and the connection's loop is
+// itself held inside a shard-1 command until the worker has executed the
+// demotion and posted its push; the next shard-1 command then runs inline
+// on that loop, and its response must come after the push.
+TEST(ElasticService, WorkerPushesPrecedeALaterInlineResponse) {
+  elastic::Reshaper reshaper;
+  ServerConfig config = elasticConfig(16, &reshaper);
+  config.shards = 2;
+  config.shardSpill = false;
+  config.workerBatch = 1;
+  std::atomic<bool> loopGateArmed{false};
+  std::atomic<bool> loopGateEntered{false};
+  std::atomic<int> workerRuns{0};
+  std::atomic<bool> demotionPosted{false};
+  testutil::ClaimHolder holder(&config, [&](int shard) {
+    if (shard == 0) {
+      // One command per batch: the second queued shard-0 command starts
+      // only after the first one's response and pushes were posted.
+      if (loopGateEntered.load() && workerRuns.fetch_add(1) == 1) {
+        demotionPosted.store(true);
+      }
+      return;
+    }
+    if (loopGateArmed.load() && !loopGateEntered.exchange(true)) {
+      for (int i = 0; i < 5000 && !demotionPosted.load(); ++i) {
+        std::this_thread::sleep_for(2ms);
+      }
+    }
+  });
+  NegotiationServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  ASSERT_TRUE(holder.connect(server));  // loop 0
+
+  auto connected =  // loop 1
+      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
+  ASSERT_TRUE(connected.ok()) << connected.error;
+  const net::FrameLimits limits;
+  const auto send = [&](std::vector<Request> requests) {
+    std::string wire;
+    for (auto& request : requests) {
+      request.version = kProtocolVersionV2;
+      EXPECT_TRUE(net::appendFrame(wire, encodeRequest(request), limits).ok());
+    }
+    EXPECT_TRUE(connected.socket
+                    .writeAll(wire.data(), wire.size(),
+                              net::Deadline::after(1s))
+                    .ok());
+  };
+  const auto receive = [&] {
+    auto frame = net::readFrame(connected.socket, limits,
+                                net::Deadline::after(10s),
+                                net::Deadline::after(10s));
+    EXPECT_TRUE(frame.ok()) << frame.message;
+    auto decoded = decodeResponse(frame.payload);
+    EXPECT_TRUE(decoded.ok()) << decoded.error;
+    return decoded.response.value_or(Response{});
+  };
+  const auto negotiate = [](std::uint64_t id, task::TunableJobSpec spec) {
+    Request request;
+    request.command = Command::Negotiate;
+    request.id = id;
+    request.payload = NegotiateRequest{std::move(spec), 0};
+    return request;
+  };
+  const auto cancel = [](std::uint64_t id, std::uint64_t jobId) {
+    Request request;
+    request.command = Command::Cancel;
+    request.id = id;
+    request.payload = CancelRequest{jobId};
+    return request;
+  };
+
+  Request hello;
+  hello.command = Command::Hello;
+  hello.id = 1;
+  hello.payload = HelloRequest{8};
+  send({hello});
+  ASSERT_TRUE(receive().ok);
+  // Job 0 (shard 0) takes the whole shard at full quality; job 1 fills
+  // shard 1's id slot, so the next negotiation is job 2, on shard 0.
+  send({negotiate(10, twoRungSpec())});
+  const Response first = receive();
+  ASSERT_TRUE(first.ok);
+  ASSERT_EQ(std::get<NegotiateResult>(first.result).jobId, 0u);
+  ASSERT_EQ(std::get<NegotiateResult>(first.result).quality, 1.0);
+  send({negotiate(11, tightSpec())});
+  ASSERT_TRUE(receive().ok);
+
+  ASSERT_TRUE(holder.hold(server, testutil::statsRequest(100)));
+  // Job 2 demotes job 0 when it runs; the STATS behind it marks, in the
+  // seam, that the worker has posted job 2's response and push.
+  send({negotiate(12, tightSpec()), testutil::statsRequest(13)});
+  auto& depth = server.metricsRegistry()->gauge("server.queue_depth.shard0");
+  for (int i = 0; i < 2500 && depth.value() < 2; ++i) {
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_EQ(depth.value(), 2);
+  // Two shard-1 commands in one read: the first holds this loop until the
+  // push is posted, the second then runs inline.  Jobs 1001 and 1003 never
+  // exist; cancelling them changes nothing.
+  loopGateArmed.store(true);
+  send({cancel(14, 1001), cancel(15, 1003)});
+  for (int i = 0; i < 2500 && !loopGateEntered.load(); ++i) {
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_TRUE(loopGateEntered.load());
+  holder.release();
+
+  std::vector<std::string> order;
+  while (order.empty() || order.back() != "15") {
+    const Response response = receive();
+    ASSERT_TRUE(response.ok);
+    const auto* pushed = std::get_if<ReshapesResult>(&response.result);
+    if (pushed != nullptr && pushed->push) {
+      ASSERT_EQ(pushed->events.size(), 1u);
+      EXPECT_EQ(pushed->events[0].jobId, 0u);
+      EXPECT_FALSE(pushed->events[0].promotion);
+      order.push_back("push");
+    } else {
+      order.push_back(std::to_string(response.id));
+    }
+    ASSERT_LT(order.size(), 8u);
+  }
+  const auto position = [&](const std::string& what) {
+    return std::find(order.begin(), order.end(), what) - order.begin();
+  };
+  const auto last = static_cast<std::ptrdiff_t>(order.size()) - 1;
+  EXPECT_LT(position("push"), last);
+  EXPECT_LT(position("12"), last);
+  EXPECT_LT(position("14"), last);
+  EXPECT_GE(server.counters().commandsInline, 4u);  // jobs 0, 1, both CANCELs
+  server.stop();
+}
+
 // Without a policy the second job must be rejected — the pair of specs
 // above only admits through the reshaper (the ablation in miniature).
 TEST(ElasticService, StaticServerRejectsWhatElasticAdmits) {
@@ -225,29 +366,20 @@ TEST(AdaptiveWindow, MapsQueuePressureToWindow) {
 // Tiny queue + deliberately expensive negotiations on one raw v2
 // connection: every frame is answered exactly once (no deadlock, no lost
 // responses), the connection survives, and at least one response
-// re-advertises a window below the HELLO grant.  The worker is held in its
-// seam from its first batch until the first busy response has been read,
-// so the two-slot queue fills by construction, not by the event loop
-// out-running the worker.
+// re-advertises a window below the HELLO grant.  A holder on the other
+// event loop keeps shard 0's claim until the first busy response has been
+// read, so the two-slot queue fills by construction, not by the event
+// loop out-running the worker.
 TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   ServerConfig config;
   config.processors = 8;
   config.unixPath = freshSocketPath();
   config.commandQueueCapacity = 2;
-  std::atomic<bool> seamRelease{false};
-  std::atomic<int> seamCalls{0};
-  config.workerSeamForTest = [&] {
-    if (seamCalls.fetch_add(1) != 0) return;  // hold the first batch only
-    while (!seamRelease.load()) std::this_thread::sleep_for(1ms);
-  };
+  testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
-  // However the test exits, the worker is released before the server stops.
-  struct ReleaseOnExit {
-    std::atomic<bool>& release;
-    ~ReleaseOnExit() { release.store(true); }
-  } releaseOnExit{seamRelease};
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
 
   auto connected =
       net::connectUnix(server.unixPath(), net::Deadline::after(1s));
@@ -314,7 +446,7 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
     } else {
       ASSERT_EQ(decoded.response->error->code, "busy");
       ++busy;
-      seamRelease.store(true);
+      holder.release();
     }
   }
   EXPECT_GE(ok, 1);

@@ -18,6 +18,7 @@
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "qos/qos.h"
+#include "claim_holder.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -148,22 +149,44 @@ TEST(Service, ResizeAcrossTheWire) {
   server.stop();
 }
 
-// The tentpole acceptance test: N concurrent clients against the service
-// produce exactly the decisions of the in-process arbitrator replayed in
-// the server's stamped arrival order.
-TEST(Service, ConcurrentClientsMatchInProcessReplayInArrivalOrder) {
+// One configuration of the concurrent replay test below.
+struct ConcurrentRun {
+  int shards;
+  int eventLoops;
+  qos::QueueKind queueKind;
+};
+
+void runConcurrentClientsAgainstReplay(const ConcurrentRun& run) {
   constexpr int kClients = 8;
   constexpr int kRequestsPerClient = 25;
-  const int processors = 8;
+  const int processors = 8 * (run.shards == 1 ? 1 : 2);
 
-  NegotiationServer server(unixConfig(processors));
+  auto config = unixConfig(processors);
+  config.shards = run.shards;
+  config.shardSpill = false;  // independent shards: per-shard replay is exact
+  config.eventLoops = run.eventLoops;
+  config.queueKind = run.queueKind;
+  testutil::ClaimHolder holder(&config);
+  NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  auto& depth = server.metricsRegistry()->gauge(
+      run.shards == 1 ? "server.queue_depth" : "server.queue_depth.shard0");
 
   struct Observed {
     task::TunableJobSpec spec;
     NegotiateResult result;
   };
+  // The first negotiation (job 0, shard 0) runs inline on loop 0 and keeps
+  // shard 0's claim until some client's command has queued behind it, so
+  // every run mixes both execution paths.
+  const auto firstSpec = makeSpec(kClients * kRequestsPerClient);
+  Request first;
+  first.command = Command::Negotiate;
+  first.id = 1;
+  first.payload = NegotiateRequest{firstSpec, 0};
+  ASSERT_TRUE(holder.hold(server, first));
+
   std::vector<std::vector<Observed>> perClient(kClients);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
@@ -177,7 +200,17 @@ TEST(Service, ConcurrentClientsMatchInProcessReplayInArrivalOrder) {
       }
     });
   }
+  for (int i = 0; i < 2500 && depth.max() < 1; ++i) {
+    std::this_thread::sleep_for(2ms);
+  }
+  EXPECT_GE(depth.max(), 1);
+  holder.release();
   for (auto& thread : threads) thread.join();
+  const auto held = holder.response();
+  ASSERT_TRUE(held.ok()) << held.error;
+  ASSERT_TRUE(held.response->ok);
+  perClient.push_back(
+      {{firstSpec, std::get<NegotiateResult>(held.response->result)}});
 
   // Flatten and order by the server-stamped arrival sequence.
   std::vector<const Observed*> byArrival;
@@ -187,7 +220,7 @@ TEST(Service, ConcurrentClientsMatchInProcessReplayInArrivalOrder) {
     }
   }
   ASSERT_EQ(byArrival.size(),
-            static_cast<std::size_t>(kClients * kRequestsPerClient));
+            static_cast<std::size_t>(kClients * kRequestsPerClient + 1));
   std::sort(byArrival.begin(), byArrival.end(),
             [](const Observed* a, const Observed* b) {
               return a->result.arrivalSeq < b->result.arrivalSeq;
@@ -199,24 +232,52 @@ TEST(Service, ConcurrentClientsMatchInProcessReplayInArrivalOrder) {
 
   // Replay into a fresh in-process arbitrator in that order: every decision
   // must match exactly (admission, chain, quality, placements, job ids).
-  qos::QoSArbitrator replay(processors);
-  for (const auto* observed : byArrival) {
-    const auto decision =
-        replay.submit(observed->spec, observed->result.release);
-    ASSERT_EQ(replay.lastJobId().value(), observed->result.jobId);
-    ASSERT_EQ(decision.admitted, observed->result.admitted)
-        << "arrivalSeq " << observed->result.arrivalSeq;
-    if (decision.admitted) {
-      EXPECT_EQ(decision.schedule.chainIndex, observed->result.chainIndex);
-      EXPECT_EQ(decision.quality, observed->result.quality);
-      EXPECT_EQ(decision.schedule.placements, observed->result.placements);
+  if (run.shards == 1) {
+    qos::QoSArbitrator replay(processors);
+    for (const auto* observed : byArrival) {
+      const auto decision =
+          replay.submit(observed->spec, observed->result.release);
+      ASSERT_EQ(replay.lastJobId().value(), observed->result.jobId);
+      ASSERT_EQ(decision.admitted, observed->result.admitted)
+          << "arrivalSeq " << observed->result.arrivalSeq;
+      if (decision.admitted) {
+        EXPECT_EQ(decision.schedule.chainIndex, observed->result.chainIndex);
+        EXPECT_EQ(decision.quality, observed->result.quality);
+        EXPECT_EQ(decision.schedule.placements, observed->result.placements);
+      }
     }
+    const auto replayReport = replay.verify();
+    EXPECT_TRUE(replayReport.ok) << replayReport.firstViolation;
+  } else {
+    qos::ShardedOptions options;
+    options.shards = run.shards;
+    options.spill = false;
+    qos::ShardedArbitrator replay(processors, options);
+    for (const auto* observed : byArrival) {
+      const std::uint64_t jobId = replay.reserveJobId();
+      ASSERT_EQ(jobId, observed->result.jobId);
+      const auto decision =
+          replay.submit(jobId, observed->spec, observed->result.release);
+      ASSERT_EQ(decision.admitted, observed->result.admitted)
+          << "arrivalSeq " << observed->result.arrivalSeq;
+      if (decision.admitted) {
+        EXPECT_EQ(decision.schedule.chainIndex, observed->result.chainIndex);
+        EXPECT_EQ(decision.quality, observed->result.quality);
+        EXPECT_EQ(decision.schedule.placements, observed->result.placements);
+      }
+    }
+    const auto replayReport = replay.verify();
+    EXPECT_TRUE(replayReport.ok) << replayReport.firstViolation;
   }
-  const auto replayReport = replay.verify();
-  EXPECT_TRUE(replayReport.ok) << replayReport.firstViolation;
 
-  // Under 8-way contention on an 8-processor machine some submissions must
-  // have been rejected, or the test exercised nothing.
+  // Both paths ran: the held negotiation inline, at least one command
+  // queued behind it.
+  const auto counters = server.counters();
+  EXPECT_GT(counters.commandsInline, 0u);
+  EXPECT_LT(counters.commandsInline, counters.commandsExecuted);
+
+  // Under 8-way contention some submissions must have been rejected, or
+  // the test exercised nothing.
   QoSAgentClient client(clientFor(server));
   const auto stats = client.stats();
   ASSERT_TRUE(stats.ok());
@@ -226,6 +287,28 @@ TEST(Service, ConcurrentClientsMatchInProcessReplayInArrivalOrder) {
   ASSERT_TRUE(verify.ok());
   EXPECT_TRUE(verify->ok) << verify->firstViolation;
   server.stop();
+}
+
+// The tentpole acceptance test: N concurrent clients against the service
+// produce exactly the decisions of the in-process arbitrator replayed in
+// the server's stamped arrival order — with one shard, and with four
+// shards over two and four event loops and every handoff queue, where
+// commands run inline on the loops when their shard is idle and queue
+// otherwise.
+TEST(Service, ConcurrentClientsMatchInProcessReplayInArrivalOrder) {
+  const ConcurrentRun runs[] = {
+      {1, 2, qos::QueueKind::Mutex}, {4, 2, qos::QueueKind::Mutex},
+      {4, 2, qos::QueueKind::Mpsc},  {4, 2, qos::QueueKind::Steal},
+      {4, 4, qos::QueueKind::Mutex}, {4, 4, qos::QueueKind::Mpsc},
+      {4, 4, qos::QueueKind::Steal},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE("shards=" + std::to_string(run.shards) +
+                 " loops=" + std::to_string(run.eventLoops) +
+                 " queue=" + qos::toString(run.queueKind));
+    runConcurrentClientsAgainstReplay(run);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // The pipelined (wire v2) twin of the equivalence test above: 8 clients,
@@ -313,15 +396,24 @@ TEST(Service, PipelinedClientsMatchInProcessReplayInArrivalOrder) {
 }
 
 // One raw v2 connection against a sharded server: cheap STATS commands
-// (shard queue 0) interleaved with expensive NEGOTIATEs (home-shard queues)
-// must come back correlated by requestId — and, because the shards execute
-// in parallel, genuinely out of submission order.
+// (shard 0) interleaved with expensive NEGOTIATEs (home shards) must come
+// back correlated by requestId — and genuinely out of submission order when
+// a NEGOTIATE has to queue.  A holder on the other event loop keeps shard
+// 1's claim through the first two pairs, so pair 1's NEGOTIATE (job 1, home
+// shard 1) queues while its STATS runs inline: the overtake is certain.
 TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
   ServerConfig config = unixConfig(16);
   config.shards = 4;
+  testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  Request cancel;  // job 1001 never exists; 1001 % 4 == 1
+  cancel.command = Command::Cancel;
+  cancel.id = 1;
+  cancel.payload = CancelRequest{1001};
+  ASSERT_TRUE(holder.hold(server, cancel));
+  ASSERT_EQ(holder.shard(), 1);
 
   auto connected =
       net::connectUnix(server.unixPath(), net::Deadline::after(1s));
@@ -350,11 +442,11 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
   EXPECT_EQ(grant->window, 64u);
 
   // One pair at a time: a NEGOTIATE carrying dozens of chains (deliberately
-  // expensive to schedule, routed to its home-shard queue) followed in the
-  // same write by an O(1) STATS (queue 0).  Separate workers execute them
-  // concurrently, so the cheap command's response overtakes — exactly what
+  // expensive to schedule, routed to its home shard) followed in the same
+  // write by an O(1) STATS (shard 0).  When the NEGOTIATE's shard is busy
+  // it queues, and the cheap command's response overtakes — exactly what
   // requestId correlation exists for.  Waiting for both responses before
-  // the next pair keeps each race independent of queue batching.
+  // the next pair keeps each pair independent of the others.
   constexpr int kPairs = 10;
   std::size_t inversions = 0;
   for (int i = 0; i < kPairs; ++i) {
@@ -389,6 +481,8 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
           << decoded.response->error->code << ": "
           << decoded.response->error->message;
       order.push_back(decoded.response->id);
+      // Pair 1's NEGOTIATE cannot finish while shard 1's claim is held.
+      if (i == 1) holder.release();
     }
     // Both responses, each exactly once, correlated by id.
     ASSERT_NE(order[0], order[1]);
@@ -397,8 +491,8 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
     }
     if (order[0] == stats.id) ++inversions;
   }
-  // A v1 stream would force all ten pairs into submit order; v2 must let
-  // the cheap command win at least once (in practice: almost every time).
+  // A v1 stream would force all ten pairs into submit order; v2 lets the
+  // cheap command win whenever the heavy one queued (pair 1 at least).
   EXPECT_GT(inversions, 0u);
 
   QoSAgentClient client(clientFor(server));
@@ -412,9 +506,14 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
 // beyond the window gets the typed busy error, nothing desyncs, and the
 // connection keeps working afterwards.
 TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
-  NegotiationServer server(unixConfig(8));
+  ServerConfig config = unixConfig(8);
+  // Shard 0's claim stays on the holder's loop, so the in-window STATS
+  // queues (and keeps its slot) instead of running inline.
+  testutil::ClaimHolder holder(&config);
+  NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
 
   auto connected =
       net::connectUnix(server.unixPath(), net::Deadline::after(1s));
@@ -437,8 +536,8 @@ TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
   ASSERT_TRUE(helloDecoded.ok());
   ASSERT_TRUE(helloDecoded.response->ok);
 
-  // 20 STATS frames in a single write: the loop decodes them in batches,
-  // so all but the in-window head of each batch must bounce busy.
+  // 20 STATS frames in a single write: the in-window head queues behind
+  // the held claim, so every later frame must bounce busy.
   constexpr int kBurst = 20;
   std::string wire;
   for (int i = 0; i < kBurst; ++i) {
@@ -466,6 +565,7 @@ TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
     } else {
       ASSERT_EQ(decoded.response->error->code, "busy");
       ++busy;
+      holder.release();
     }
   }
   EXPECT_GE(ok, 1);
@@ -494,13 +594,22 @@ TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
 
 // Tiny shard queue + pipelined burst: queue-full busy rejections never
 // execute, never draw a sequence number, and the executed subset still
-// replays to identical decisions.
+// replays to identical decisions.  The burst's first negotiation goes
+// through a holder on the other event loop and keeps shard 0's claim
+// while the rest of the burst arrives, so the queue of one fills by
+// construction.
 TEST(Service, TinyQueueBusyPreservesReplayEquivalence) {
   ServerConfig config = unixConfig(8);
   config.commandQueueCapacity = 1;
+  testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  Request first;
+  first.command = Command::Negotiate;
+  first.id = 1;
+  first.payload = NegotiateRequest{makeSpec(0), 0};
+  ASSERT_TRUE(holder.hold(server, first));
 
   PipelinedClient client(clientFor(server), /*window=*/64);
   auto connectError = client.connect();
@@ -514,11 +623,19 @@ TEST(Service, TinyQueueBusyPreservesReplayEquivalence) {
   std::vector<std::pair<task::TunableJobSpec,
                         PipelinedClient::ResponseFuture>>
       submitted;
-  for (int r = 0; r < kBurst; ++r) {
+  for (int r = 1; r < kBurst; ++r) {
     const auto spec = makeSpec(r);
     submitted.emplace_back(spec, client.negotiateAsync(spec, 0));
   }
+  holder.release();
   std::vector<Observed> executed;
+  {
+    const auto held = holder.response();
+    ASSERT_TRUE(held.ok()) << held.error;
+    ASSERT_TRUE(held.response->ok);
+    executed.push_back(
+        {makeSpec(0), std::get<NegotiateResult>(held.response->result)});
+  }
   int busy = 0;
   for (auto& [spec, future] : submitted) {
     auto decision = extractResult<NegotiateResult>(future.get());
@@ -684,11 +801,20 @@ TEST(Service, ShardedResizeBelowShardCountIsBadRequest) {
 }
 
 // Kill the client the instant the request is written: the command still
-// executes atomically and the ledger stays consistent.
+// executes atomically and the ledger stays consistent.  A holder keeps
+// shard 0's claim until the server has seen every client hang up, so each
+// command runs after its client is gone — otherwise an idle shard answers
+// before the client's close and the decision is delivered, not orphaned.
+// Six event loops keep the clients off the holder's loop.
 TEST(Service, DisconnectMidNegotiationLeavesArbitratorClean) {
-  NegotiationServer server(unixConfig(8));
+  auto config = unixConfig(8);
+  config.eventLoops = 6;
+  testutil::ClaimHolder holder(&config);
+  NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
+  auto& sessions = server.metricsRegistry()->gauge("server.sessions_active");
 
   for (int i = 0; i < 5; ++i) {
     auto connected =
@@ -704,8 +830,15 @@ TEST(Service, DisconnectMidNegotiationLeavesArbitratorClean) {
                     .ok());
     connected.socket.close();  // vanish without reading the decision
   }
+  // Every client is gone (only the holder's session remains) before any
+  // of their commands runs.
+  for (int i = 0; i < 2500 && sessions.value() > 1; ++i) {
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_EQ(sessions.value(), 1);
+  holder.release();
 
-  // The commands raced our disconnects; wait until all five executed.
+  // Wait until all five orphaned commands executed.
   QoSAgentClient client(clientFor(server));
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   for (;;) {
@@ -752,6 +885,12 @@ TEST(Service, TruncatedFrameClosesOnlyThatConnection) {
   const auto verify = client.verify();
   ASSERT_TRUE(verify.ok());
   EXPECT_TRUE(verify->ok);
+  // The truncated stream sits on the other event loop, and stop() ends
+  // all reading: let that loop see the hangup first.  (The client's
+  // commands run inline and can finish before it does on a loaded host.)
+  for (int i = 0; i < 2500 && server.counters().framesMalformed == 0; ++i) {
+    std::this_thread::sleep_for(2ms);
+  }
   server.stop();
   EXPECT_GE(server.counters().framesMalformed, 1u);
 }
@@ -852,6 +991,71 @@ TEST(Service, OutOfRangeFieldGetsBadRequestAndConnectionSurvives) {
   EXPECT_EQ(server.counters().framesMalformed, 2u);
 }
 
+// A NEGOTIATE whose numbers are each in range but whose area or horizon
+// is not (8 processors x 2e12 units overflows int64 processor-ticks) draws
+// a typed bad_request at admission, before anything is stamped — it used
+// to overflow the arbitrator's area arithmetic — and the connection
+// negotiates normally afterwards.
+TEST(Service, OversizedAreaOrHorizonGetsBadRequestAndConnectionSurvives) {
+  NegotiationServer server(unixConfig(8));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  auto connected =
+      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
+  ASSERT_TRUE(connected.ok()) << connected.error;
+  const net::FrameLimits limits;
+  const auto roundTrip = [&](const std::string& payload) {
+    EXPECT_TRUE(net::writeFrame(connected.socket, payload, limits,
+                                net::Deadline::after(1s))
+                    .ok());
+    auto frame = net::readFrame(connected.socket, limits,
+                                net::Deadline::after(5s),
+                                net::Deadline::after(5s));
+    EXPECT_TRUE(frame.ok()) << net::toString(frame.status);
+    return decodeResponse(frame.payload);
+  };
+  for (const auto& [bad, what] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"v":1,"id":1,"cmd":"NEGOTIATE","spec":{"chains":[{"tasks":)"
+            R"([{"processors":8,"duration":2e12}]}]}})",
+            "area"},
+           {R"({"v":1,"id":2,"cmd":"NEGOTIATE","release":2e9,"spec":)"
+            R"({"chains":[{"tasks":[{"processors":1,"duration":10}]}]}})",
+            "horizon"},
+           {R"({"v":1,"id":3,"cmd":"NEGOTIATE","spec":{"chains":[{"tasks":)"
+            R"([{"processors":1,"duration":6e8},)"
+            R"({"processors":1,"duration":6e8}]}]}})",
+            "area"}}) {
+    const auto decoded = roundTrip(bad);
+    ASSERT_TRUE(decoded.ok()) << decoded.error;
+    EXPECT_FALSE(decoded.response->ok);
+    EXPECT_EQ(decoded.response->error->code, "bad_request");
+    EXPECT_NE(decoded.response->error->message.find(what), std::string::npos)
+        << decoded.response->error->message;
+    // The frame itself decoded: the error carries the request's id.
+    EXPECT_NE(decoded.response->id, 0u);
+  }
+
+  Request request;
+  request.id = 7;
+  request.command = Command::Negotiate;
+  request.payload = NegotiateRequest{makeSpec(1), 0};
+  const auto decoded = roundTrip(encodeRequest(request));
+  ASSERT_TRUE(decoded.ok()) << decoded.error;
+  ASSERT_TRUE(decoded.response->ok);
+  EXPECT_EQ(decoded.response->id, 7u);
+  const auto& result = std::get<NegotiateResult>(decoded.response->result);
+  EXPECT_TRUE(result.admitted);
+  // Nothing of the refused frames was committed: the first admitted job
+  // took the first sequence number and job id.
+  EXPECT_EQ(result.arrivalSeq, 0u);
+  EXPECT_EQ(result.jobId, 0u);
+  server.stop();
+  EXPECT_EQ(server.counters().framesMalformed, 0u);
+  EXPECT_EQ(server.counters().commandsExecuted, 1u);
+}
+
 // An oversized frame draws a best-effort error and loses the connection —
 // and only that connection.
 TEST(Service, OversizedFrameRejectedPerConnection) {
@@ -933,25 +1137,20 @@ TEST(Service, BackpressureWithTinyQueueStillCompletesEverything) {
 // Regression (gauge undercount under batching): the depth gauge used to be
 // sampled by the worker, so a worker draining whole batches between
 // samples hid every intermediate peak.  It is now set from the depth each
-// push itself observed.  The seam wedges the worker after its first drain;
-// five more commands then stack up, and the high-water mark must see all
-// of them even though the worker never sampled the queue in between.
+// push itself observed.  A holder on the other event loop keeps shard 0's
+// claim, so six commands stack up with nobody draining, and the high-water
+// mark must see them even though the worker never sampled the queue in
+// between.
 TEST(Service, QueueDepthGaugeSeesEveryPeakUnderBatching) {
   auto config = unixConfig(8);
-  std::atomic<bool> seamEntered{false};
-  std::atomic<bool> seamRelease{false};
-  std::atomic<int> seamCalls{0};
-  config.workerSeamForTest = [&] {
-    if (seamCalls.fetch_add(1) != 0) return;  // wedge the first batch only
-    seamEntered.store(true);
-    while (!seamRelease.load()) std::this_thread::sleep_for(1ms);
-  };
+  testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   auto* registry = server.metricsRegistry();
   ASSERT_NE(registry, nullptr);
   auto& gauge = registry->gauge("server.queue_depth");
+  ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
 
   PipelinedClient client(clientFor(server), /*window=*/16);
   auto connectError = client.connect();
@@ -959,19 +1158,19 @@ TEST(Service, QueueDepthGaugeSeesEveryPeakUnderBatching) {
 
   std::vector<PipelinedClient::ResponseFuture> futures;
   futures.push_back(client.negotiateAsync(makeSpec(0), 0));
-  // The worker drains the first command and wedges in the seam...
-  for (int i = 0; i < 500 && !seamEntered.load(); ++i) {
+  // The claim is held, so the first command queues...
+  for (int i = 0; i < 500 && gauge.max() < 1; ++i) {
     std::this_thread::sleep_for(2ms);
   }
-  ASSERT_TRUE(seamEntered.load());
-  // ...so the next five pushes stack up with nobody draining.
+  ASSERT_GE(gauge.max(), 1);
+  // ...and the next five stack up behind it with nobody draining.
   for (int r = 1; r <= 5; ++r) {
     futures.push_back(client.negotiateAsync(makeSpec(r), 0));
   }
   for (int i = 0; i < 500 && gauge.max() < 5; ++i) {
     std::this_thread::sleep_for(2ms);
   }
-  seamRelease.store(true);
+  holder.release();
   for (auto& future : futures) {
     auto decision = extractResult<NegotiateResult>(future.get());
     ASSERT_TRUE(decision.ok()) << decision.error.message;
@@ -992,19 +1191,34 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
   std::atomic<bool> seamEntered{false};
   std::atomic<bool> seamRelease{false};
   std::atomic<int> seamCalls{0};
-  // Wedge the worker on its SECOND drained batch: command 1 executes and
-  // answers normally, command 2 is drained and then held hostage — so by
-  // the time the seam is entered, two commands are provably admitted and
-  // one of them can only be answered if the shutdown path wakes the
-  // pipeline and drains what was admitted.
-  config.workerSeamForTest = [&] {
-    if (seamCalls.fetch_add(1) != 1) return;
-    seamEntered.store(true);
-    while (!seamRelease.load()) std::this_thread::sleep_for(1ms);
+  obs::Gauge* depth = nullptr;
+  const auto waitFor = [](const auto& done) {
+    for (int i = 0; i < 2500 && !done(); ++i) {
+      std::this_thread::sleep_for(2ms);
+    }
   };
+  // A holder on the other event loop keeps shard 0's claim until command
+  // 1 has queued (filling the queue of one and pausing the connection).
+  // After that every command runs on the worker, which holds the claim:
+  // command 1 waits in the seam until the resumed connection has queued
+  // command 2, and command 2 is then held hostage — so by the time the
+  // seam is entered, commands 1 and 2 are provably admitted, command 3
+  // refills the queue, and one of them can only be answered if the
+  // shutdown path wakes the pipeline and drains what was admitted.
+  testutil::ClaimHolder holder(&config, [&](int) {
+    const int call = seamCalls.fetch_add(1);
+    if (call == 0) {
+      waitFor([&] { return depth->value() == 1; });
+    } else if (call == 1) {
+      seamEntered.store(true);
+      while (!seamRelease.load()) std::this_thread::sleep_for(1ms);
+    }
+  });
   NegotiationServer server(config);
+  depth = &server.metricsRegistry()->gauge("server.queue_depth");
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  ASSERT_TRUE(holder.hold(server, testutil::statsRequest(100)));
 
   // Four v1 negotiate frames in one write, no reads: the client is wedged.
   auto connected =
@@ -1024,12 +1238,13 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
                   .writeAll(wire.data(), wire.size(), net::Deadline::after(1s))
                   .ok());
 
-  // Command 1 answers; command 2 is drained and wedged in the worker's
-  // hands; command 3 then refills the queue of one and re-pauses the
-  // connection's reads, leaving frame 4 unread.
-  for (int i = 0; i < 500 && !seamEntered.load(); ++i) {
-    std::this_thread::sleep_for(2ms);
-  }
+  // Command 1 queues behind the holder; the worker then answers it, drains
+  // command 2 and is wedged with it; command 3 refills the queue of one and
+  // re-pauses the connection's reads, leaving frame 4 unread.
+  waitFor([&] { return depth->value() == 1; });
+  ASSERT_EQ(depth->value(), 1);
+  holder.release();
+  waitFor([&] { return seamEntered.load(); });
   ASSERT_TRUE(seamEntered.load());
   // Give the (resumed) loop a beat to admit command 3 against the full
   // queue — not asserted, the prefix check below absorbs either outcome.
@@ -1060,6 +1275,48 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
   ASSERT_GE(answered.size(), 2u);
   for (std::size_t i = 0; i < answered.size(); ++i) {
     EXPECT_EQ(answered[i], i + 1);
+  }
+}
+
+// A worker whose queue holds commands while another thread keeps the
+// consumer claim parks until the claim is released; it does not re-poll
+// the non-empty queue.  The holder keeps shard 0's claim for 200 ms with
+// three commands queued behind it; every claim attempt that finds the
+// claim taken is counted, and a spinning worker would make millions.
+// (Steal mode polls sibling queues every millisecond by design, so it is
+// left out.)
+TEST(Service, WorkerParksWhileAnotherThreadHoldsTheClaim) {
+  for (const auto kind : {qos::QueueKind::Mutex, qos::QueueKind::Mpsc}) {
+    SCOPED_TRACE(qos::toString(kind));
+    auto config = unixConfig(8);
+    config.queueKind = kind;
+    testutil::ClaimHolder holder(&config);
+    NegotiationServer server(config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
+
+    PipelinedClient client(clientFor(server), /*window=*/8);
+    auto connectError = client.connect();
+    ASSERT_FALSE(connectError.has_value()) << connectError->message;
+    std::vector<PipelinedClient::ResponseFuture> futures;
+    for (int i = 0; i < 3; ++i) futures.push_back(client.statsAsync());
+    std::this_thread::sleep_for(200ms);
+    const auto missesWhileHeld = server.counters().claimMisses;
+    holder.release();
+    for (auto& future : futures) {
+      const auto result = future.get();
+      ASSERT_TRUE(result.ok()) << result.error.message;
+    }
+    // A miss per read batch on the loop (at most one per queued command),
+    // and about one per wakeup on the worker before it parks.
+    EXPECT_GE(missesWhileHeld, 1u);
+    EXPECT_LE(missesWhileHeld, 16u);
+    const auto counters = server.counters();
+    EXPECT_EQ(counters.commandsExecuted, 4u);
+    EXPECT_EQ(counters.commandsInline, 1u);  // the held STATS
+    client.close();
+    server.stop();
   }
 }
 
@@ -1297,6 +1554,13 @@ TEST(Observability, ServerSnapshotCoversNegotiationLifecycle) {
   // Every executed command left a span and a queue-wait observation.
   const auto executed = server.counters().commandsExecuted;
   EXPECT_EQ(executed, 3u);
+  // A sequential client always finds its shard idle: every command ran to
+  // completion on the event loop.
+  const auto* serverSection = snapshot.find("server");
+  EXPECT_EQ(serverSection->find("commands_inline")->asNumber(),
+            static_cast<double>(executed));
+  EXPECT_EQ(serverSection->find("commands_executed")->asNumber(),
+            static_cast<double>(executed));
   const auto* spans = snapshot.find("spans");
   ASSERT_NE(spans, nullptr);
   ASSERT_TRUE(spans->isArray());

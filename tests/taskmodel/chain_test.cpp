@@ -166,5 +166,46 @@ TEST(Validate, ReportsChainAndTaskNames) {
   EXPECT_NE(errors[0].find("mytask"), std::string::npos);
 }
 
+TEST(AdmissionBound, RejectsAreaAndHorizonBeyondTheBound) {
+  constexpr Time kBound = kMaxAdmissionTicks;
+  const auto spec = [](std::vector<TaskSpec> tasks) {
+    TunableJobSpec job;
+    job.chains = {Chain{"c", std::move(tasks), {}}};
+    return job;
+  };
+  // Exactly at the bound: area, chain area and horizon all fit.
+  EXPECT_EQ(admissionBoundError(
+                spec({TaskSpec::rigid("a", 1, kBound / 2, kTimeInfinity),
+                      TaskSpec::rigid("b", 1, kBound / 2, kTimeInfinity)}),
+                0),
+            "");
+  // 8 processors x 2e18 ticks: the product itself overflows int64.
+  EXPECT_NE(admissionBoundError(
+                spec({TaskSpec::rigid("a", 8, 2'000'000'000'000'000'000,
+                                      kTimeInfinity)}),
+                0)
+                .find("chains[0].tasks[0]: area"),
+            std::string::npos);
+  // Each task fits, their sum does not.
+  EXPECT_NE(admissionBoundError(
+                spec({TaskSpec::rigid("a", 2, kBound / 2, kTimeInfinity),
+                      TaskSpec::rigid("b", 2, kBound / 2, kTimeInfinity)}),
+                0)
+                .find("chain area"),
+            std::string::npos);
+  // A late release pushes a small chain over the horizon.
+  EXPECT_NE(admissionBoundError(
+                spec({TaskSpec::rigid("a", 1, 10, kTimeInfinity)}), kBound)
+                .find("horizon"),
+            std::string::npos);
+  // A malleable task may run on one processor for its whole work: its
+  // 4 x kBound/4 shape fits the horizon, its kBound of work does not.
+  const auto malleable = spec(
+      {TaskSpec::malleableTask("m", 4, kBound / 4, 4, kTimeInfinity)});
+  EXPECT_EQ(admissionBoundError(malleable, 0), "");
+  EXPECT_NE(admissionBoundError(malleable, kBound / 2).find("horizon"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace tprm::task
