@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "resource/availability_profile.h"
 #include "resource/reference_profile.h"
+#include "resource/reservation_ledger.h"
 #include "sched/greedy_arbitrator.h"
 #include "service/protocol.h"
 #include "sim/engine.h"
@@ -197,6 +198,31 @@ void BM_AdmitTunableJob(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdmitTunableJob);
+
+// One elastic move's ledger bookkeeping — record a job's three entries, then
+// annul them — on a ledger already holding `range(0)` entries of other
+// jobs.  Annul visits only the job's own slots and compaction is amortized,
+// so the per-iteration cost stays flat as the history grows.
+void BM_LedgerAnnul(benchmark::State& state) {
+  const auto prior = static_cast<std::uint64_t>(state.range(0));
+  resource::ReservationLedger ledger(64);
+  for (std::uint64_t job = 0; job < prior; ++job) {
+    const auto begin = static_cast<Time>(job);
+    ledger.add(resource::Reservation{job, 0, 0, {begin, begin + 10}, 1,
+                                     kTimeInfinity});
+  }
+  const std::uint64_t mover = prior;
+  std::vector<resource::ReservationLedger::Slot> slots;
+  for (auto _ : state) {
+    for (int k = 0; k < 3; ++k) {
+      const Time begin = 100 * k;
+      slots.push_back(ledger.add(resource::Reservation{
+          mover, k, 0, {begin, begin + 50}, 2, kTimeInfinity}));
+    }
+    benchmark::DoNotOptimize(ledger.annul(mover, 0, slots));
+  }
+}
+BENCHMARK(BM_LedgerAnnul)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // --- Wire codec: one flash-crowd stream (seed 1), each job as the NEGOTIATE
 // request a client sends and as the admitted response tprmd sends back.

@@ -1,6 +1,7 @@
 #include "qos/qos.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -21,6 +22,23 @@ sched::GreedyOptions elasticOptions(sched::GreedyOptions options) {
   return options;
 }
 
+/// A job's rung ladder around its current `quality`: the lowest offered
+/// chain quality, and the best one strictly below `quality` (negative when
+/// there is none).
+struct Rungs {
+  double lowest = std::numeric_limits<double>::infinity();
+  double next = -1.0;
+};
+Rungs rungsAround(const task::TunableJobSpec& spec, double quality) {
+  Rungs rungs;
+  for (const auto& chain : spec.chains) {
+    const double q = chain.quality(spec.qualityComposition);
+    rungs.lowest = std::min(rungs.lowest, q);
+    if (q < quality && q > rungs.next) rungs.next = q;
+  }
+  return rungs;
+}
+
 }  // namespace
 
 QoSArbitrator::QoSArbitrator(int processors, sched::GreedyOptions options)
@@ -35,25 +53,75 @@ void QoSArbitrator::attachMetrics(obs::NegotiationMetrics* metrics) {
 }
 
 void QoSArbitrator::retireFinished() {
-  for (auto it = live_.begin(); it != live_.end();) {
+  while (!finishes_.empty() && finishes_.top().first <= clock_) {
+    const auto [end, jobId] = finishes_.top();
+    finishes_.pop();
+    const auto it = live_.find(jobId);
+    if (it == live_.end()) continue;  // cancelled or dropped
     const auto& placements = it->second.placements;
-    if (!placements.empty() && placements.back().interval.end <= clock_) {
-      it = live_.erase(it);
-    } else {
-      ++it;
-    }
+    if (placements.back().interval.end != end) continue;  // moved since
+    eraseLive(it);
   }
 }
 
-void QoSArbitrator::record(std::uint64_t jobId, std::size_t chainIndex,
-                           const std::vector<sched::TaskPlacement>& placements,
-                           std::size_t firstTaskIndex) {
+QoSArbitrator::LiveJob& QoSArbitrator::insertLive(std::uint64_t jobId,
+                                                  LiveJob job) {
+  const Rungs rungs = rungsAround(job.spec, job.currentQuality);
+  job.lowestRung = rungs.lowest;
+  job.nextRung = rungs.next;
+  trackFinish(jobId, job);
+  return live_.insert_or_assign(jobId, std::move(job)).first->second;
+}
+
+void QoSArbitrator::eraseLive(std::map<std::uint64_t, LiveJob>::iterator it) {
+  demoted_.erase(it->first);
+  live_.erase(it);
+}
+
+void QoSArbitrator::trackFinish(std::uint64_t jobId, const LiveJob& job) {
+  if (!job.placements.empty()) {
+    finishes_.emplace(job.placements.back().interval.end, jobId);
+  }
+}
+
+void QoSArbitrator::setQuality(std::uint64_t jobId, LiveJob& job,
+                               double quality) {
+  job.currentQuality = quality;
+  job.nextRung = rungsAround(job.spec, quality).next;
+  if (!job.pinned && quality < job.admittedQuality) {
+    demoted_.insert(jobId);
+  } else {
+    demoted_.erase(jobId);
+  }
+}
+
+void QoSArbitrator::record(
+    std::uint64_t jobId, LiveJob& job,
+    const std::vector<sched::TaskPlacement>& placements,
+    std::size_t firstTaskIndex) {
+  job.slots.reserve(job.slots.size() + placements.size());
   for (std::size_t k = 0; k < placements.size(); ++k) {
     const auto& p = placements[k];
-    ledger_.add(resource::Reservation{
+    job.slots.push_back(ledger_.add(resource::Reservation{
         jobId, static_cast<int>(firstTaskIndex + k),
-        static_cast<int>(chainIndex), p.interval, p.processors, p.deadline});
+        static_cast<int>(job.chainIndex), p.interval, p.processors,
+        p.deadline}));
   }
+}
+
+void QoSArbitrator::syncSlots() {
+  if (slotsLayout_ == ledger_.layout()) return;
+  const auto& entries = ledger_.reservations();  // compacts what is pending
+  for (auto& [jobId, job] : live_) {
+    (void)jobId;
+    job.slots.clear();
+  }
+  for (std::size_t slot = 0; slot < entries.size(); ++slot) {
+    if (entries[slot].interval.begin < clock_) continue;
+    const auto it = live_.find(entries[slot].jobId);
+    if (it != live_.end()) it->second.slots.push_back(slot);
+  }
+  slotsLayout_ = ledger_.layout();
 }
 
 sched::AdmissionDecision QoSArbitrator::submit(
@@ -92,10 +160,15 @@ sched::AdmissionDecision QoSArbitrator::submit(
   }
   ++admitted_;
   if (metrics_ != nullptr) metrics_->admitted->add();
-  record(job.id, decision.schedule.chainIndex, decision.schedule.placements);
-  live_[job.id] = LiveJob{spec, release, decision.schedule.chainIndex,
-                          decision.schedule.placements, decision.quality,
-                          decision.quality};
+  LiveJob admittedJob;
+  admittedJob.spec = spec;
+  admittedJob.release = release;
+  admittedJob.chainIndex = decision.schedule.chainIndex;
+  admittedJob.placements = decision.schedule.placements;
+  admittedJob.admittedQuality = decision.quality;
+  admittedJob.currentQuality = decision.quality;
+  LiveJob& live = insertLive(job.id, std::move(admittedJob));
+  record(job.id, live, live.placements);
   return decision;
 }
 
@@ -122,8 +195,9 @@ std::int64_t QoSArbitrator::cancel(std::uint64_t jobId,
   }
   // Keep the audit trail in step: the returned capacity is no longer a
   // commitment, so later admissions may legitimately reuse it.
-  (void)ledger_.annul(jobId, clock_);
-  live_.erase(it);
+  syncSlots();
+  (void)ledger_.annul(jobId, clock_, it->second.slots);
+  eraseLive(it);
   // Elastic model: the freed capacity is exactly the signal a demoted job is
   // waiting on — promote immediately rather than on the next submission.
   if (freed > 0) promotePass(moves);
@@ -144,8 +218,14 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
   report.processorsAfter = processors;
 
   // Start a new machine era: fresh profile and ledger at the new capacity.
+  // Every live job's entries are re-added below, slots and all.
   pastEras_.push_back(std::move(ledger_));
   ledger_ = resource::ReservationLedger(processors);
+  slotsLayout_ = ledger_.layout();
+  for (auto& [jobId, job] : live_) {
+    (void)jobId;
+    job.slots.clear();
+  }
   resource::AvailabilityProfile fresh(processors);
   fresh.discardBefore(clock_);
   profile_ = std::move(fresh);
@@ -164,10 +244,10 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
         const TimeInterval rest{clock_, p.interval.end};
         if (profile_.minAvailable(rest) >= p.processors) {
           profile_.reserve(rest, p.processors);
-          ledger_.add(resource::Reservation{
+          job.slots.push_back(ledger_.add(resource::Reservation{
               jobId, static_cast<int>(taskIndexOf(job, t)),
               static_cast<int>(job.chainIndex), rest, p.processors,
-              p.deadline});
+              p.deadline}));
         } else {
           doomed.push_back(jobId);
         }
@@ -176,7 +256,7 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
     }
   }
   for (const auto jobId : doomed) {
-    live_.erase(jobId);
+    eraseLive(live_.find(jobId));
     report.dropped.push_back(jobId);
     if (metrics_ != nullptr) metrics_->droppedRunningNoFit->add();
   }
@@ -227,10 +307,10 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
         trial.commit();
         for (std::size_t k = firstFuture; k < job.placements.size(); ++k) {
           const auto& p = job.placements[k];
-          ledger_.add(resource::Reservation{
+          job.slots.push_back(ledger_.add(resource::Reservation{
               jobId, static_cast<int>(taskIndexOf(job, k)),
               static_cast<int>(job.chainIndex), p.interval, p.processors,
-              p.deadline});
+              p.deadline}));
         }
         report.kept.push_back(jobId);
         if (metrics_ != nullptr) metrics_->resizeKept->add();
@@ -245,7 +325,7 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
       // re-admit the full job on this shard).  Verbatim-or-drop: the sharded
       // wrapper cancels the siblings of a dropped fragment.
       report.dropped.push_back(jobId);
-      live_.erase(jobId);
+      eraseLive(live_.find(jobId));
       if (metrics_ != nullptr) metrics_->droppedRenegotiation->add();
       continue;
     }
@@ -305,7 +385,7 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
 
     if (!feasibleSpec) {
       report.dropped.push_back(jobId);
-      live_.erase(jobId);
+      eraseLive(live_.find(jobId));
       if (metrics_ != nullptr) metrics_->droppedInfeasible->add();
       continue;
     }
@@ -313,7 +393,7 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
     const auto decision = heuristic_.admit(instance, profile_);
     if (!decision.admitted) {
       report.dropped.push_back(jobId);
-      live_.erase(jobId);
+      eraseLive(live_.find(jobId));
       if (metrics_ != nullptr) metrics_->droppedRenegotiation->add();
       continue;
     }
@@ -324,15 +404,16 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
       job.chainIndex = originalChain[decision.schedule.chainIndex];
       job.release = earliestStart;
       job.placements = decision.schedule.placements;
-      job.currentQuality = decision.quality;
-      record(jobId, job.chainIndex, job.placements);
+      setQuality(jobId, job, decision.quality);
+      record(jobId, job, job.placements);
     } else {
       job.placements.resize(firstFuture);
       job.placements.insert(job.placements.end(),
                             decision.schedule.placements.begin(),
                             decision.schedule.placements.end());
-      record(jobId, job.chainIndex, decision.schedule.placements, firstFuture);
+      record(jobId, job, decision.schedule.placements, firstFuture);
     }
+    trackFinish(jobId, job);
   }
   return report;
 }
@@ -352,30 +433,28 @@ bool QoSArbitrator::notStarted(const LiveJob& job) const {
 std::vector<ElasticCandidate> QoSArbitrator::elasticCandidates(
     bool demotedOnly) const {
   std::vector<ElasticCandidate> out;
-  for (const auto& [jobId, job] : live_) {
-    if (job.pinned) continue;  // gang fragments never move independently
-    if (!notStarted(job)) continue;
-    if (demotedOnly && !(job.currentQuality < job.admittedQuality)) continue;
+  const auto consider = [&](std::uint64_t jobId, const LiveJob& job) {
+    if (job.pinned) return;  // gang fragments never move independently
+    if (!notStarted(job)) return;
+    if (!demotedOnly && job.nextRung < 0) return;  // lowest rung
     ElasticCandidate candidate;
     candidate.jobId = jobId;
     candidate.chainIndex = job.chainIndex;
     candidate.quality = job.currentQuality;
     candidate.admittedQuality = job.admittedQuality;
     candidate.release = job.release;
-    candidate.floorQuality = job.currentQuality;
-    for (const auto& chain : job.spec.chains) {
-      const double q = chain.quality(job.spec.qualityComposition);
-      candidate.floorQuality = std::min(candidate.floorQuality, q);
-      if (q < job.currentQuality && q > candidate.nextQuality) {
-        candidate.nextQuality = q;
-      }
-    }
-    if (!demotedOnly && candidate.nextQuality < 0) continue;  // lowest rung
+    candidate.floorQuality = std::min(job.currentQuality, job.lowestRung);
+    candidate.nextQuality = job.nextRung;
     for (const auto& p : job.placements) {
       candidate.futureArea += static_cast<std::int64_t>(p.processors) *
                               p.interval.length();
     }
     out.push_back(std::move(candidate));
+  };
+  if (demotedOnly) {
+    for (const auto jobId : demoted_) consider(jobId, live_.at(jobId));
+  } else {
+    for (const auto& [jobId, job] : live_) consider(jobId, job);
   }
   return out;
 }
@@ -445,11 +524,13 @@ std::optional<QualityMove> QoSArbitrator::tryMoveInTrial(
 
 void QoSArbitrator::applyMove(const QualityMove& move) {
   auto& job = live_.at(move.jobId);
-  (void)ledger_.annul(move.jobId, clock_);
-  record(move.jobId, move.toChain, move.schedule.placements);
+  syncSlots();
+  (void)ledger_.annul(move.jobId, clock_, job.slots);
   job.chainIndex = move.toChain;
   job.placements = move.schedule.placements;
-  job.currentQuality = move.toQuality;
+  record(move.jobId, job, job.placements);
+  setQuality(move.jobId, job, move.toQuality);
+  trackFinish(move.jobId, job);
   if (metrics_ != nullptr) {
     if (move.promotion) {
       metrics_->elastic.promotions->add();
@@ -560,12 +641,6 @@ std::uint64_t QoSArbitrator::gangCommit(
   retireFinished();
 
   const std::uint64_t jobId = nextJobId_++;
-  for (std::size_t k = 0; k < placements.size(); ++k) {
-    const auto& p = placements[k];
-    ledger_.add(resource::Reservation{
-        jobId, static_cast<int>(taskIndices[k]),
-        static_cast<int>(chainIndex), p.interval, p.processors, p.deadline});
-  }
   LiveJob job;
   job.spec = spec;
   job.release = release;
@@ -575,7 +650,13 @@ std::uint64_t QoSArbitrator::gangCommit(
   job.currentQuality = quality;
   job.pinned = true;
   job.taskIndices = taskIndices;
-  live_[jobId] = std::move(job);
+  LiveJob& live = insertLive(jobId, std::move(job));
+  for (std::size_t k = 0; k < placements.size(); ++k) {
+    const auto& p = placements[k];
+    live.slots.push_back(ledger_.add(resource::Reservation{
+        jobId, static_cast<int>(taskIndices[k]),
+        static_cast<int>(chainIndex), p.interval, p.processors, p.deadline}));
+  }
   ++admitted_;
   return jobId;
 }

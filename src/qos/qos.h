@@ -18,7 +18,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "resource/availability_profile.h"
@@ -264,6 +267,15 @@ class QoSArbitrator {
     /// Spec task index of each placement (empty: placement k is task k).
     /// Non-trivial only for gang fragments, whose placements may skip tasks.
     std::vector<std::size_t> taskIndices;
+    /// Rung ladder, fixed at admission so that listing candidates computes
+    /// no chain quality: the lowest offered quality, and the best one
+    /// strictly below `currentQuality` (negative when on the lowest rung;
+    /// setQuality recomputes it when a move or a resize changes that).
+    double lowestRung = 0.0;
+    double nextRung = -1.0;
+    /// Current-era ledger slots of the job's entries that a later annul may
+    /// still reach; valid while `slotsLayout_` equals the ledger's layout.
+    std::vector<resource::ReservationLedger::Slot> slots;
   };
 
   /// Spec task index of `job.placements[k]`.
@@ -272,12 +284,28 @@ class QoSArbitrator {
     return job.taskIndices.empty() ? k : job.taskIndices[k];
   }
 
-  /// Retires finished jobs from the live map.
+  /// Retires finished jobs from the live map: pops the finish heap up to
+  /// the clock, skipping entries a move or cancel made stale.
   void retireFinished();
-  /// Records a job's placements in the current-era ledger.
-  void record(std::uint64_t jobId, std::size_t chainIndex,
+  /// Registers a newly live job: computes its rung ladder and files its
+  /// finish.
+  LiveJob& insertLive(std::uint64_t jobId, LiveJob job);
+  /// Removes a job from the live map and every index over it.
+  void eraseLive(std::map<std::uint64_t, LiveJob>::iterator it);
+  /// Files the job's current last placement end in the finish heap.
+  void trackFinish(std::uint64_t jobId, const LiveJob& job);
+  /// Sets the committed quality, keeping the next rung and the demoted set
+  /// in step.
+  void setQuality(std::uint64_t jobId, LiveJob& job, double quality);
+  /// Records `placements` of `job` (on its current chain) in the
+  /// current-era ledger, appending the new entries' slots to `job.slots`.
+  void record(std::uint64_t jobId, LiveJob& job,
               const std::vector<sched::TaskPlacement>& placements,
               std::size_t firstTaskIndex = 0);
+  /// Re-reads every live job's ledger slots if a compaction moved entries
+  /// since they were taken.  Entries beginning before the clock are left
+  /// out: every annul starts at the clock, which never moves back.
+  void syncSlots();
 
   /// True when no placement of the job has started (all movable).
   [[nodiscard]] bool notStarted(const LiveJob& job) const;
@@ -320,10 +348,23 @@ class QoSArbitrator {
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::map<std::uint64_t, LiveJob> live_;
+  /// Ids of live, unpinned jobs below their admitted quality: the promotion
+  /// pass's candidates (ascending, as a walk of `live_` would list them).
+  std::set<std::uint64_t> demoted_;
+  /// Min-heap of (last placement end, job id).  An entry is stale once its
+  /// job left `live_` or moved to a different end; retireFinished skips it.
+  std::priority_queue<std::pair<Time, std::uint64_t>,
+                      std::vector<std::pair<Time, std::uint64_t>>,
+                      std::greater<>>
+      finishes_;
+  /// Ledger layout under which the live jobs' slots were taken.
+  std::uint64_t slotsLayout_ = 0;
   /// Open phase-1 gang reserve (see gangReserve); destruction rolls back.
   std::unique_ptr<resource::AvailabilityProfile::Trial> gangTrial_;
   obs::NegotiationMetrics* metrics_ = nullptr;  // nullable observation hook
   const ReshapePolicy* policy_ = nullptr;       // nullable elastic hook
+
+  friend struct ArbitratorIndexProbe;  // index-invariant tests
 };
 
 /// Per-application QoS agent: wraps a tunable program, negotiates with the

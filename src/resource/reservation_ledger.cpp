@@ -13,7 +13,7 @@ ReservationLedger::ReservationLedger(int totalProcessors)
   TPRM_CHECK(totalProcessors > 0, "machine needs at least one processor");
 }
 
-void ReservationLedger::add(const Reservation& r) {
+ReservationLedger::Slot ReservationLedger::add(const Reservation& r) {
   TPRM_CHECK(!r.interval.empty() || r.processors == 0,
              "reservation interval must be non-empty");
   TPRM_CHECK(r.processors >= 0 && r.processors <= total_,
@@ -21,29 +21,55 @@ void ReservationLedger::add(const Reservation& r) {
   entries_.push_back(r);
   totalArea_ += r.area();
   makespan_ = std::max(makespan_, r.interval.end);
+  return entries_.size() - 1;
 }
 
-std::size_t ReservationLedger::annul(std::uint64_t jobId, Time from) {
-  const auto first = std::remove_if(
-      entries_.begin(), entries_.end(), [&](const Reservation& r) {
-        return r.jobId == jobId && r.interval.begin >= from;
-      });
-  const auto removed = static_cast<std::size_t>(entries_.end() - first);
-  if (removed == 0) return 0;
-  entries_.erase(first, entries_.end());
-  totalArea_ = 0;
-  makespan_ = 0;
-  for (const auto& r : entries_) {
-    totalArea_ += r.area();
-    makespan_ = std::max(makespan_, r.interval.end);
+std::size_t ReservationLedger::annul(std::uint64_t jobId, Time from,
+                                     std::vector<Slot>& slots) {
+  std::size_t removed = 0;
+  std::size_t kept = 0;
+  for (const Slot slot : slots) {
+    TPRM_CHECK(slot < entries_.size(), "ledger slot out of range");
+    Reservation& r = entries_[slot];
+    TPRM_CHECK(!annulled(r) && r.jobId == jobId,
+               "ledger slot does not hold a live entry of the job");
+    if (r.interval.begin < from) {
+      slots[kept++] = slot;
+      continue;
+    }
+    totalArea_ -= r.area();
+    if (r.interval.end == makespan_) makespanStale_ = true;
+    r.processors = kAnnulled;
+    ++removed;
   }
+  slots.resize(kept);
+  dead_ += removed;
+  if (dead_ * 4 > entries_.size()) compact();
   return removed;
+}
+
+void ReservationLedger::compact() const {
+  std::erase_if(entries_, annulled);
+  dead_ = 0;
+  ++layout_;
+}
+
+Time ReservationLedger::makespan() const {
+  if (makespanStale_) {
+    makespan_ = 0;
+    for (const auto& r : entries_) {
+      if (!annulled(r)) makespan_ = std::max(makespan_, r.interval.end);
+    }
+    makespanStale_ = false;
+  }
+  return makespan_;
 }
 
 double ReservationLedger::utilization(Time horizon) const {
   TPRM_CHECK(horizon > 0, "utilization horizon must be positive");
   std::int64_t clipped = 0;
   for (const auto& r : entries_) {
+    if (annulled(r)) continue;
     const TimeInterval w = r.interval.intersect(TimeInterval{0, horizon});
     if (!w.empty()) {
       clipped += static_cast<std::int64_t>(r.processors) * w.length();
@@ -66,7 +92,7 @@ VerificationReport ReservationLedger::verify() const {
   // Capacity: sweep over +processors at begin, -processors at end events.
   std::map<Time, std::int64_t> delta;
   for (const auto& r : entries_) {
-    if (r.processors == 0) continue;
+    if (r.processors <= 0) continue;  // empty or annulled
     delta[r.interval.begin] += r.processors;
     delta[r.interval.end] -= r.processors;
   }
@@ -83,7 +109,7 @@ VerificationReport ReservationLedger::verify() const {
 
   // Deadlines.
   for (const auto& r : entries_) {
-    if (r.interval.end > r.deadline) {
+    if (!annulled(r) && r.interval.end > r.deadline) {
       std::ostringstream os;
       os << "job " << r.jobId << " task " << r.taskIndex << " ends at "
          << formatTime(r.interval.end) << " after deadline "
@@ -95,6 +121,7 @@ VerificationReport ReservationLedger::verify() const {
   // Precedence within each (job, chain).
   std::map<std::pair<std::uint64_t, int>, std::vector<const Reservation*>> byJob;
   for (const auto& r : entries_) {
+    if (annulled(r)) continue;
     byJob[{r.jobId, r.chainIndex}].push_back(&r);
   }
   for (auto& [key, tasks] : byJob) {

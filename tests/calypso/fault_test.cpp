@@ -2,31 +2,43 @@
 // Calypso tasks idempotent and the runtime robust (Section 2).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "calypso/runtime.h"
 
 namespace tprm::calypso {
 namespace {
 
+/// Holds the calling worker until `runtime` has lost one worker, for at
+/// most five seconds.  A task body that waits here keeps the live workers
+/// from draining a step before the doomed worker claims a task, which makes
+/// a planned death certain instead of a scheduling race; the bound turns a
+/// broken runtime into a failed assertion rather than a hang.
+void awaitOneDeath(const Runtime& runtime) {
+  const auto giveUp =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (runtime.deadWorkerCount() != 1 &&
+         std::chrono::steady_clock::now() < giveUp) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(FaultMasking, StepCompletesDespiteDeadWorker) {
   Runtime runtime(RuntimeOptions{.workers = 3, .seed = 5});
-  // Worker 0 dies on its first checkpoint, always.  Whether it claims a
-  // task before the others drain the step is a scheduling race, so run
-  // steps until the death is observed; every step must be correct either
-  // way.
+  // Worker 0 dies on its first checkpoint, always; the others wait in their
+  // first task for that death, so the step runs with a dead worker.
   runtime.setFaultPlan(0, FaultPlan{.deathProbability = 1.0});
-  bool sawDeath = false;
-  for (int round = 0; round < 50 && !sawDeath; ++round) {
-    SharedArray<int> out(32, 0);
-    ParallelStep step;
-    step.routine(32, [&](TaskContext& ctx) {
-      ctx.write(out, static_cast<std::size_t>(ctx.number()), 1);
-    });
-    const auto stats = runtime.run(step);
-    for (std::size_t i = 0; i < 32; ++i) ASSERT_EQ(out.read(i), 1);
-    ASSERT_EQ(stats.executionsCommitted, 32);
-    sawDeath = runtime.deadWorkerCount() == 1;
-  }
-  EXPECT_TRUE(sawDeath) << "worker 0 never claimed a task in 50 steps";
+  SharedArray<int> out(32, 0);
+  ParallelStep step;
+  step.routine(32, [&](TaskContext& ctx) {
+    awaitOneDeath(runtime);
+    ctx.write(out, static_cast<std::size_t>(ctx.number()), 1);
+  });
+  const auto stats = runtime.run(step);
+  for (std::size_t i = 0; i < 32; ++i) ASSERT_EQ(out.read(i), 1);
+  ASSERT_EQ(stats.executionsCommitted, 32);
+  EXPECT_EQ(runtime.deadWorkerCount(), 1) << "worker 0 never claimed a task";
 }
 
 TEST(FaultMasking, MidTaskDeathIsMasked) {
@@ -96,16 +108,17 @@ TEST(FaultMasking, ReviveRestoresDeadWorkers) {
   Runtime runtime(RuntimeOptions{.workers = 2, .seed = 17});
   runtime.setFaultPlan(0, FaultPlan{.deathProbability = 1.0});
   SharedVar<int> v(0);
+  // The first run waits for worker 0's death (worker 1 cannot drain the
+  // step alone); the run after reviveAll() does not.
+  bool awaitDeath = true;
   ParallelStep step;
   step.routine(4, [&](TaskContext& ctx) {
+    if (awaitDeath) awaitOneDeath(runtime);
     if (ctx.number() == 0) ctx.write(v, 1);
   });
-  // Whether worker 0 claims a task before worker 1 drains the step is a
-  // race: repeat until the planned death lands.
-  for (int round = 0; round < 50 && runtime.deadWorkerCount() == 0; ++round) {
-    runtime.run(step);
-  }
+  runtime.run(step);
   EXPECT_EQ(runtime.deadWorkerCount(), 1);
+  awaitDeath = false;
   runtime.reviveAll();
   EXPECT_EQ(runtime.deadWorkerCount(), 0);
   runtime.run(step);  // runs fine with both workers again

@@ -2,6 +2,9 @@
 // consumer claim so that other connections' commands for that shard queue
 // by construction instead of running inline.
 //
+// Declare `holder.releaseOnExit()` right after the server (see
+// ReleaseOnExit).
+//
 // The holder opens the server's first connection, so it lands on event
 // loop 0; connections opened after hold() returns land on loop 1 (the
 // default eventLoops == 2 hands connections out round-robin).  Its one
@@ -93,6 +96,16 @@ class ClaimHolder {
   [[nodiscard]] int shard() const { return state_->shard.load(); }
 
   void release() { state_->released.store(true); }
+
+  /// Releases the holder when it goes out of scope.  Declare it right after
+  /// the server, so it is destroyed first: a test that fails between hold()
+  /// and release() then unblocks the seam before ~NegotiationServer joins
+  /// the event loop, instead of waiting out the seam's deadline.
+  struct ReleaseOnExit {
+    ClaimHolder* holder;
+    ~ReleaseOnExit() { holder->release(); }
+  };
+  [[nodiscard]] ReleaseOnExit releaseOnExit() { return ReleaseOnExit{this}; }
 
   /// Reads the held command's response (after release()).
   [[nodiscard]] ResponseParseResult response() {

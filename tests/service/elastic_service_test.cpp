@@ -212,6 +212,7 @@ TEST(ElasticService, WorkerPushesPrecedeALaterInlineResponse) {
     }
   });
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_TRUE(holder.connect(server));  // loop 0
@@ -377,6 +378,7 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   config.commandQueueCapacity = 2;
   testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));

@@ -168,6 +168,7 @@ void runConcurrentClientsAgainstReplay(const ConcurrentRun& run) {
   config.queueKind = run.queueKind;
   testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   auto& depth = server.metricsRegistry()->gauge(
@@ -406,6 +407,7 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
   config.shards = 4;
   testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   Request cancel;  // job 1001 never exists; 1001 % 4 == 1
@@ -511,6 +513,7 @@ TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
   // queues (and keeps its slot) instead of running inline.
   testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
@@ -603,6 +606,7 @@ TEST(Service, TinyQueueBusyPreservesReplayEquivalence) {
   config.commandQueueCapacity = 1;
   testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   Request first;
@@ -811,6 +815,7 @@ TEST(Service, DisconnectMidNegotiationLeavesArbitratorClean) {
   config.eventLoops = 6;
   testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
@@ -835,7 +840,9 @@ TEST(Service, DisconnectMidNegotiationLeavesArbitratorClean) {
   for (int i = 0; i < 2500 && sessions.value() > 1; ++i) {
     std::this_thread::sleep_for(2ms);
   }
-  ASSERT_EQ(sessions.value(), 1);
+  ASSERT_EQ(sessions.value(), 1)
+      << "server.sessions_active read " << sessions.value()
+      << ": a closed client's session is still open";
   holder.release();
 
   // Wait until all five orphaned commands executed.
@@ -1145,6 +1152,7 @@ TEST(Service, QueueDepthGaugeSeesEveryPeakUnderBatching) {
   auto config = unixConfig(8);
   testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   auto* registry = server.metricsRegistry();
@@ -1215,6 +1223,7 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
     }
   });
   NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
   depth = &server.metricsRegistry()->gauge("server.queue_depth");
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -1292,6 +1301,7 @@ TEST(Service, WorkerParksWhileAnotherThreadHoldsTheClaim) {
     config.queueKind = kind;
     testutil::ClaimHolder holder(&config);
     NegotiationServer server(config);
+    const auto unblock = holder.releaseOnExit();
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
     ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
