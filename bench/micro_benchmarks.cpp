@@ -199,6 +199,35 @@ void BM_AdmitTunableJob(benchmark::State& state) {
 }
 BENCHMARK(BM_AdmitTunableJob);
 
+// One greedy admission of a 6-chain x 4-task tunable job (the shapes of
+// BM_AdmissionLoopFlat, no deadlines, so every chain is schedulable) against
+// a fragmented 64-processor profile.  The winner's placements are released
+// after each admission, so every iteration sees the same profile; the
+// figure is one admission plus that release.
+void BM_AdmitTunableJobFragmented(benchmark::State& state) {
+  resource::AvailabilityProfile profile(64);
+  fragmentProfile(profile, static_cast<std::size_t>(state.range(0)));
+  task::JobInstance job;
+  for (int c = 0; c < kBenchChains; ++c) {
+    task::Chain chain;
+    chain.name = "c" + std::to_string(c);
+    for (int k = 0; k < kBenchTasksPerChain; ++k) {
+      chain.tasks.push_back(task::TaskSpec::rigid(
+          "t" + std::to_string(k), 2 + (k % 3), 20 + 5 * c, kTimeInfinity));
+    }
+    job.spec.chains.push_back(std::move(chain));
+  }
+  sched::GreedyArbitrator arbitrator;
+  for (auto _ : state) {
+    const auto decision = arbitrator.admit(job, profile);
+    for (const auto& p : decision.schedule.placements) {
+      profile.release(p.interval, p.processors);
+    }
+    benchmark::DoNotOptimize(decision.schedule.chainIndex);
+  }
+}
+BENCHMARK(BM_AdmitTunableJobFragmented)->Arg(64)->Arg(256);
+
 // One elastic move's ledger bookkeeping — record a job's three entries, then
 // annul them — on a ledger already holding `range(0)` entries of other
 // jobs.  Annul visits only the job's own slots and compaction is amortized,

@@ -74,12 +74,15 @@ struct FitHint {
 ///  * beyond the last reservation the availability is `totalProcessors`
 ///    (reservations are finite).
 ///
-/// Trial placement: the arbitrator evaluates the OR-graph of a job's chains
-/// by reserving speculative placements directly into the shared profile
-/// under a `Trial` scope (an undo log of the applied operations).  Rolling
-/// back replays the inverse operations, which costs O(touched segments)
-/// instead of the O(profile) copy the previous copy-on-use scheme paid per
-/// candidate chain.
+/// Planning is read-only: the greedy arbitrator probes every chain of a
+/// job with `findEarliestFit` against the committed profile and reserves
+/// only the winner (a chain's tasks run back to back, so reserving one task
+/// never changes the probe for the next).  Speculation that must compose
+/// mutations uses a `Trial` scope, an undo log of the applied operations:
+/// an elastic victim shrink followed by a newcomer admission, a resize, a
+/// cross-shard gang fragment, and DAG placement (whose sibling tasks
+/// overlap in time).  Rolling back replays the inverse operations, which
+/// costs O(touched segments).
 class AvailabilityProfile {
  public:
   /// RAII undo-log scope for speculative placement.  While a Trial is open,

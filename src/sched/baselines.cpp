@@ -15,10 +15,10 @@ AdmissionDecision BestEffortArbitrator::admit(
   AdmissionDecision decision;
   decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
 
-  // Earliest-finishing chain, ignoring all deadlines.  Chains are placed
-  // speculatively under one undo-log trial scope (rolled back between
-  // candidates) instead of copying the profile per chain.
-  resource::AvailabilityProfile::Trial trial(profile);
+  // Earliest-finishing chain, ignoring all deadlines.  Each chain is planned
+  // read-only: its tasks run back to back, so a reservation for task k
+  // (which ends where task k+1's probe begins) could never change that
+  // probe.  Only the winner is reserved.
   std::optional<ChainSchedule> best;
   for (std::size_t c = 0; c < job.spec.chains.size(); ++c) {
     const task::Chain& chain = job.spec.chains[c];
@@ -36,13 +36,11 @@ AdmissionDecision BestEffortArbitrator::admit(
         break;
       }
       const TimeInterval iv{*start, *start + taskSpec.request.duration};
-      profile.reserve(iv, taskSpec.request.processors);
       // No guarantee attached: deadline recorded as infinity.
       schedule.placements.push_back(
           TaskPlacement{iv, taskSpec.request.processors, kTimeInfinity});
       earliest = iv.end;
     }
-    trial.rollback();
     if (!ok) continue;
     ++decision.chainsSchedulable;
     if (!best || schedule.finishTime() < best->finishTime()) {
@@ -54,7 +52,6 @@ AdmissionDecision BestEffortArbitrator::admit(
   for (const auto& p : best->placements) {
     profile.reserve(p.interval, p.processors);
   }
-  trial.commit();
   decision.admitted = true;
   decision.quality = job.spec.chains[best->chainIndex].quality(
       job.spec.qualityComposition);
@@ -66,6 +63,9 @@ AdmissionDecision BestEffortArbitrator::admit(
 // ConservativeArbitrator
 // ---------------------------------------------------------------------------
 
+// Conservative admission never speculates: each chain is probed with one
+// read-only minAvailable over its dedicated block, and only the chosen block
+// is reserved, so it needs neither a Trial nor the chain planner.
 AdmissionDecision ConservativeArbitrator::admit(
     const task::JobInstance& job, resource::AvailabilityProfile& profile) {
   AdmissionDecision decision;

@@ -91,7 +91,9 @@ DagAdmissionDecision DagArbitrator::admit(
   std::vector<Candidate> candidates;
 
   // One trial scope for the whole alternative set; rolled back between
-  // candidates, committed for the winner.
+  // candidates, committed for the winner.  Unlike a chain, an alternative
+  // cannot be planned read-only: sibling tasks overlap in time, so each
+  // placement must be reserved before the next sibling is probed.
   resource::AvailabilityProfile::Trial trial(profile);
 
   for (std::size_t a = 0; a < job.spec.alternatives.size(); ++a) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -103,14 +104,13 @@ std::optional<TaskPlacement> GreedyArbitrator::placeTask(
   return best;
 }
 
-std::optional<ChainSchedule> GreedyArbitrator::placeChain(
-    const task::JobInstance& job, std::size_t chainIndex,
-    resource::AvailabilityProfile& profile) const {
-  TPRM_CHECK(profile.inTrial(), "placeChain requires an open Trial scope");
+bool GreedyArbitrator::planChain(const task::JobInstance& job,
+                                 std::size_t chainIndex,
+                                 const resource::AvailabilityProfile& profile,
+                                 ChainSchedule& out) const {
   const task::Chain& chain = job.spec.chains[chainIndex];
-  ChainSchedule schedule;
-  schedule.chainIndex = chainIndex;
-  schedule.placements.reserve(chain.tasks.size());
+  out.chainIndex = chainIndex;
+  out.placements.clear();
 
   Time earliest = job.release;
   resource::FitHint hint;
@@ -118,153 +118,137 @@ std::optional<ChainSchedule> GreedyArbitrator::placeChain(
     const Time deadline = job.absoluteDeadline(chainIndex, k);
     const auto placement =
         placeTask(chain.tasks[k], earliest, deadline, profile, &hint);
-    if (!placement) return std::nullopt;
-    profile.reserve(placement->interval, placement->processors);
+    if (!placement) return false;
     earliest = placement->interval.end;
-    schedule.placements.push_back(*placement);
+    out.placements.push_back(*placement);
   }
-  return schedule;
+  return true;
 }
 
 std::optional<ChainSchedule> GreedyArbitrator::tryChain(
     const task::JobInstance& job, std::size_t chainIndex,
-    resource::AvailabilityProfile& profile) const {
-  resource::AvailabilityProfile::Trial trial(profile);
-  return placeChain(job, chainIndex, profile);
-  // ~Trial rolls the speculative reservations back.
+    const resource::AvailabilityProfile& profile) const {
+  ChainSchedule schedule;
+  if (!planChain(job, chainIndex, profile, schedule)) return std::nullopt;
+  return schedule;
 }
 
 AdmissionDecision GreedyArbitrator::admit(
     const task::JobInstance& job, resource::AvailabilityProfile& profile) {
-  // One trial scope serves the whole OR-graph of chains; the winner's
-  // reservations are left pending by admitInTrial and committed here.
-  resource::AvailabilityProfile::Trial trial(profile);
-  AdmissionDecision decision = admitInTrial(job, profile, trial);
-  if (decision.admitted) trial.commit();
+  AdmissionDecision decision = choose(job, profile);
+  if (decision.admitted) {
+    for (const auto& placement : decision.schedule.placements) {
+      profile.reserve(placement.interval, placement.processors);
+    }
+  }
   return decision;
 }
 
 AdmissionDecision GreedyArbitrator::admitInTrial(
     const task::JobInstance& job, resource::AvailabilityProfile& profile,
-    resource::AvailabilityProfile::Trial& trial) {
+    resource::AvailabilityProfile::Trial& /*trial*/) {
+  TPRM_CHECK(profile.inTrial(), "admitInTrial requires an open Trial scope");
+  // The winner's reservations land in the open trial's log.
+  return admit(job, profile);
+}
+
+AdmissionDecision GreedyArbitrator::choose(
+    const task::JobInstance& job, const resource::AvailabilityProfile& profile) {
   AdmissionDecision decision;
   decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
+  const auto& chains = job.spec.chains;
+  const auto composition = job.spec.qualityComposition;
 
+  // Per-candidate scalars; the placements live in plan_ / best_.
   struct Candidate {
-    ChainSchedule schedule;
-    Time finish;
-    std::int64_t busyWindowTicks;  // committed + this chain, over the window
-    std::vector<std::int64_t> prefixAreas;
-    double quality;
+    std::size_t chain = 0;
+    Time finish = 0;
+    std::int64_t area = 0;  // the chain's reserved processor-ticks
   };
-  std::vector<Candidate> candidates;
-
-  // Each candidate's speculative reservations are rolled back to the entry
-  // savepoint before the next is evaluated, and the winner is re-reserved at
-  // the end.  Anything logged before entry (e.g. a victim shrink) survives.
-  const auto base = trial.savepoint();
-
-  for (std::size_t c = 0; c < job.spec.chains.size(); ++c) {
-    if (metrics_ != nullptr) metrics_->chainsEvaluated->add();
-    auto schedule = placeChain(job, c, profile);
-    trial.rollbackTo(base);  // profile back to the entry state either way
-    if (!schedule) continue;
-    Candidate candidate;
-    candidate.finish = schedule->finishTime();
-    candidate.busyWindowTicks =
-        profile.busyProcessorTicks(TimeInterval{job.release, candidate.finish}) +
-        schedule->area();
-    candidate.prefixAreas = job.spec.chains[c].prefixAreas();
-    candidate.quality =
-        job.spec.chains[c].quality(job.spec.qualityComposition);
-    candidate.schedule = std::move(*schedule);
-    candidates.push_back(std::move(candidate));
-    if (options_.chainChoice == ChainChoice::FirstSchedulable) break;
-  }
-
-  decision.chainsSchedulable = static_cast<int>(candidates.size());
-  if (metrics_ != nullptr && !candidates.empty()) {
-    metrics_->chainsSchedulable->add(candidates.size());
-  }
-  if (candidates.empty()) {
-    if (metrics_ != nullptr) metrics_->jobsRejected->add();
-    return decision;
-  }
 
   // The paper's tie-break chain (earliest finish, densest window, smaller
-  // resource prefix), reused by the quality-maximizing policy.
-  auto paperBetter = [](const Candidate& a, const Candidate& b) {
+  // resource prefix), reused by the quality-maximizing policy.  Equal finish
+  // means an identical window [release, finish], whose committed busy ticks
+  // are the same for both candidates, so the denser window is the one with
+  // the larger area.
+  auto paperBetter = [&chains](const Candidate& a, const Candidate& b) {
     if (a.finish != b.finish) return a.finish < b.finish;
-    if (a.busyWindowTicks != b.busyWindowTicks) {
-      // Equal finish => identical window; denser window = higher system
-      // utilization.
-      return a.busyWindowTicks > b.busyWindowTicks;
-    }
-    // "Fewer total resources for some prefix of their tasks".
-    return std::lexicographical_compare(
-        a.prefixAreas.begin(), a.prefixAreas.end(), b.prefixAreas.begin(),
-        b.prefixAreas.end());
+    if (a.area != b.area) return a.area > b.area;
+    return task::prefixAreasLess(chains[a.chain], chains[b.chain]);
   };
-
-  std::size_t chosen = 0;
-  switch (options_.chainChoice) {
-    case ChainChoice::FirstSchedulable:
-      chosen = 0;
-      break;
-    case ChainChoice::Random:
-      if (!rng_) rng_.emplace(options_.seed);
-      chosen = static_cast<std::size_t>(
-          rng_->uniformBelow(static_cast<std::uint64_t>(candidates.size())));
-      break;
-    case ChainChoice::Paper: {
-      for (std::size_t i = 1; i < candidates.size(); ++i) {
-        if (paperBetter(candidates[i], candidates[chosen])) chosen = i;
-      }
-      break;
-    }
-    case ChainChoice::QualityFirst: {
-      auto better = [&paperBetter](const Candidate& a, const Candidate& b) {
-        if (a.quality != b.quality) return a.quality > b.quality;
+  // Busy ticks over [release, finish]: committed + this chain.
+  auto utilization = [&](const Candidate& c) {
+    const Time window = c.finish - job.release;
+    if (window <= 0) return 1.0;
+    const std::int64_t busy =
+        profile.busyProcessorTicks(TimeInterval{job.release, c.finish}) +
+        c.area;
+    return static_cast<double>(busy) / static_cast<double>(window);
+  };
+  auto better = [&](const Candidate& a, const Candidate& b) {
+    switch (options_.chainChoice) {
+      case ChainChoice::Paper:
         return paperBetter(a, b);
-      };
-      for (std::size_t i = 1; i < candidates.size(); ++i) {
-        if (better(candidates[i], candidates[chosen])) chosen = i;
+      case ChainChoice::QualityFirst: {
+        const double qa = chains[a.chain].quality(composition);
+        const double qb = chains[b.chain].quality(composition);
+        if (qa != qb) return qa > qb;
+        return paperBetter(a, b);
       }
-      break;
-    }
-    case ChainChoice::WindowUtilization: {
-      const auto release = job.release;
-      auto utilization = [release](const Candidate& c) {
-        const Time window = c.finish - release;
-        if (window <= 0) return 1.0;
-        return static_cast<double>(c.busyWindowTicks) /
-               static_cast<double>(window);
-      };
-      auto better = [&](const Candidate& a, const Candidate& b) {
+      case ChainChoice::WindowUtilization: {
         const double ua = utilization(a);
         const double ub = utilization(b);
         if (ua != ub) return ua > ub;
         if (a.finish != b.finish) return a.finish < b.finish;
-        return std::lexicographical_compare(
-            a.prefixAreas.begin(), a.prefixAreas.end(), b.prefixAreas.begin(),
-            b.prefixAreas.end());
-      };
-      for (std::size_t i = 1; i < candidates.size(); ++i) {
-        if (better(candidates[i], candidates[chosen])) chosen = i;
+        return task::prefixAreasLess(chains[a.chain], chains[b.chain]);
       }
-      break;
+      case ChainChoice::FirstSchedulable:
+      case ChainChoice::Random:
+        break;  // never compared
     }
+    return false;
+  };
+
+  // Random keeps only the indices of the schedulable chains and re-plans
+  // its pick (planning is deterministic).
+  std::vector<std::size_t> schedulable;
+  std::optional<Candidate> best;
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    if (metrics_ != nullptr) metrics_->chainsEvaluated->add();
+    if (!planChain(job, c, profile, plan_)) continue;
+    ++decision.chainsSchedulable;
+    if (options_.chainChoice == ChainChoice::Random) {
+      schedulable.push_back(c);
+      continue;
+    }
+    const Candidate candidate{c, plan_.finishTime(), plan_.area()};
+    if (!best || better(candidate, *best)) {
+      best = candidate;
+      std::swap(plan_, best_);
+    }
+    if (options_.chainChoice == ChainChoice::FirstSchedulable) break;
   }
 
-  Candidate& winner = candidates[chosen];
-  for (const auto& placement : winner.schedule.placements) {
-    profile.reserve(placement.interval, placement.processors);
+  if (metrics_ != nullptr && decision.chainsSchedulable > 0) {
+    metrics_->chainsSchedulable->add(
+        static_cast<std::uint64_t>(decision.chainsSchedulable));
   }
+  if (decision.chainsSchedulable == 0) {
+    if (metrics_ != nullptr) metrics_->jobsRejected->add();
+    return decision;
+  }
+  if (options_.chainChoice == ChainChoice::Random) {
+    if (!rng_) rng_.emplace(options_.seed);
+    const std::size_t pick = schedulable[static_cast<std::size_t>(
+        rng_->uniformBelow(static_cast<std::uint64_t>(schedulable.size())))];
+    const bool planned = planChain(job, pick, profile, best_);
+    TPRM_CHECK(planned, "re-planning a schedulable chain failed");
+  }
+
   if (metrics_ != nullptr) metrics_->jobsAdmitted->add();
   decision.admitted = true;
-  decision.quality = job.spec.chains[winner.schedule.chainIndex].quality(
-      job.spec.qualityComposition);
-  decision.schedule = std::move(winner.schedule);
+  decision.quality = chains[best_.chainIndex].quality(composition);
+  decision.schedule = best_;
   return decision;
 }
 

@@ -16,10 +16,15 @@
 // heuristic tries q from the highest value downward and keeps the placement
 // that finishes earliest (ties to more processors, i.e. the first tried).
 //
-// Candidate chains are evaluated with speculative reservations under one
-// AvailabilityProfile::Trial scope (undo log), rolled back between chains —
-// O(touched segments) per candidate instead of the former per-chain profile
-// copy.
+// Plan, then commit.  Each chain is planned read-only against the profile:
+// a chain's tasks run back to back (task k+1 starts no earlier than task k
+// ends), and a reservation over [begin_k, end_k) leaves the availability
+// from end_k onward untouched, so reserving task k could never change the
+// probe for task k+1.  Nothing is reserved until the winner is known, the
+// chain's probes share one FitHint that stays valid across them, and only
+// the winner is reserved.  AvailabilityProfile::Trial remains for composed
+// speculation (elastic shrink-then-admit, resize, gang, and DAG placement,
+// whose sibling tasks overlap in time).
 #pragma once
 
 #include <optional>
@@ -96,26 +101,25 @@ class GreedyArbitrator final : public Arbitrator {
   AdmissionDecision admit(const task::JobInstance& job,
                           resource::AvailabilityProfile& profile) override;
 
-  /// The admission heuristic run inside a caller-owned Trial scope: evaluates
-  /// every chain (rolling speculative placements back to a savepoint taken at
-  /// entry), and on success leaves the winner's reservations *pending in the
-  /// trial log* — the caller decides whether to commit.  On rejection the
-  /// profile is back at the entry savepoint.  This is the composition point
-  /// for elastic renegotiation, which stacks a victim shrink and a newcomer
-  /// admission inside one trial; `admit()` is exactly this plus commit.
+  /// The admission heuristic run inside a caller-owned Trial scope: plans
+  /// every chain read-only, and on success leaves the winner's reservations
+  /// *pending in the trial log* — the caller decides whether to commit.  On
+  /// rejection the profile is untouched.  This is the composition point for
+  /// elastic renegotiation, which stacks a victim shrink and a newcomer
+  /// admission inside one trial; `admit()` is the same walk with the winner
+  /// reserved directly.
   AdmissionDecision admitInTrial(const task::JobInstance& job,
                                  resource::AvailabilityProfile& profile,
                                  resource::AvailabilityProfile::Trial& trial);
 
   [[nodiscard]] std::string name() const override;
 
-  /// Places one chain speculatively (own Trial scope, rolled back before
-  /// returning, so `profile` is unchanged).  Returns the schedule iff every
-  /// task fits within its deadline.  Exposed for tests and for the ablation
-  /// benches.
+  /// Plans one chain read-only against `profile`.  Returns the schedule iff
+  /// every task fits within its deadline.  Exposed for tests and for the
+  /// ablation benches.
   [[nodiscard]] std::optional<ChainSchedule> tryChain(
       const task::JobInstance& job, std::size_t chainIndex,
-      resource::AvailabilityProfile& profile) const;
+      const resource::AvailabilityProfile& profile) const;
 
   /// Attaches (or with nullptr detaches) admission counters: chains
   /// evaluated/schedulable, jobs admitted/rejected.  Observation only —
@@ -124,15 +128,22 @@ class GreedyArbitrator final : public Arbitrator {
   [[nodiscard]] obs::ArbitratorMetrics* metrics() const { return metrics_; }
 
  private:
-  /// Places one chain, reserving each placement into `profile`.  REQUIRES an
-  /// open Trial scope on `profile`; the caller rolls back (or commits).
-  [[nodiscard]] std::optional<ChainSchedule> placeChain(
-      const task::JobInstance& job, std::size_t chainIndex,
-      resource::AvailabilityProfile& profile) const;
+  /// Picks the winning chain without touching `profile`; on admission the
+  /// decision's schedule is the winner's plan, not yet reserved.
+  [[nodiscard]] AdmissionDecision choose(
+      const task::JobInstance& job,
+      const resource::AvailabilityProfile& profile);
+
+  /// Plans chain `chainIndex` into `out` (placements replaced).  Returns
+  /// true iff every task fits within its deadline.  The chain's probes share
+  /// one FitHint: the profile does not change between them.
+  bool planChain(const task::JobInstance& job, std::size_t chainIndex,
+                 const resource::AvailabilityProfile& profile,
+                 ChainSchedule& out) const;
 
   /// Places a single task at/after `earliest`; returns placement or nullopt.
-  /// `hint` accelerates repeated first-fit probes (the malleable q-downward
-  /// search probes the same `earliest` up to degreeOfConcurrency times).
+  /// `hint` is the chain's shared FitHint (the malleable q-downward search
+  /// probes the same `earliest` up to degreeOfConcurrency times).
   [[nodiscard]] std::optional<TaskPlacement> placeTask(
       const task::TaskSpec& taskSpec, Time earliest, Time deadline,
       const resource::AvailabilityProfile& profile,
@@ -143,6 +154,10 @@ class GreedyArbitrator final : public Arbitrator {
   /// choices never construct (or reseed) it.
   std::optional<Rng> rng_;
   obs::ArbitratorMetrics* metrics_ = nullptr;  // nullable observation hook
+  /// Placement buffers reused across admissions: the chain being planned
+  /// and the best chain so far.
+  ChainSchedule plan_;
+  ChainSchedule best_;
 };
 
 }  // namespace tprm::sched

@@ -42,15 +42,17 @@ double Chain::quality(QualityComposition comp) const {
   return 0.0;
 }
 
-std::vector<std::int64_t> Chain::prefixAreas() const {
-  std::vector<std::int64_t> prefix;
-  prefix.reserve(tasks.size());
-  std::int64_t running = 0;
-  for (const auto& t : tasks) {
-    running += t.request.area();
-    prefix.push_back(running);
+bool prefixAreasLess(const Chain& a, const Chain& b) {
+  const std::size_t common = std::min(a.tasks.size(), b.tasks.size());
+  std::int64_t runningA = 0;
+  std::int64_t runningB = 0;
+  for (std::size_t k = 0; k < common; ++k) {
+    runningA += a.tasks[k].request.area();
+    runningB += b.tasks[k].request.area();
+    if (runningA != runningB) return runningA < runningB;
   }
-  return prefix;
+  // Equal common prefix: the shorter sequence orders first.
+  return a.tasks.size() < b.tasks.size();
 }
 
 Time JobInstance::absoluteDeadline(std::size_t chainIndex,

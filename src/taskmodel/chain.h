@@ -48,13 +48,15 @@ struct Chain {
   [[nodiscard]] double quality(
       QualityComposition comp = QualityComposition::Multiplicative) const;
 
-  /// Cumulative processor-tick prefix areas: prefix[k] = area of tasks
-  /// [0, k].  Used by the heuristic's "fewer total resources for some prefix"
-  /// tie-break (Section 5.2).
-  [[nodiscard]] std::vector<std::int64_t> prefixAreas() const;
-
   bool operator==(const Chain&) const = default;
 };
+
+/// The heuristic's "fewer total resources for some prefix of their tasks"
+/// tie-break (Section 5.2): true iff the cumulative processor-tick prefix
+/// areas of `a` (prefix[k] = area of tasks [0, k]) compare lexicographically
+/// less than those of `b`.  Walks both chains once without materialising
+/// the prefix sequences.
+[[nodiscard]] bool prefixAreasLess(const Chain& a, const Chain& b);
 
 /// A tunable job: one of `chains` will be selected and executed.  Non-tunable
 /// jobs are the single-chain special case.

@@ -8,11 +8,15 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 namespace tprm::service {
 namespace {
 
+// Per-process, so copies of the suite running at once do not share files.
 std::string tempPath(const std::string& name) {
-  return testing::TempDir() + "wiretrace_" + name;
+  return testing::TempDir() + "wiretrace_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 std::vector<WireTraceRecord> sampleRecords() {

@@ -21,11 +21,27 @@ TEST(Chain, Aggregates) {
 }
 
 TEST(Chain, PrefixAreas) {
+  // twoTaskChain's cumulative prefix areas are [400, 800].
   const auto chain = twoTaskChain();
-  const auto prefix = chain.prefixAreas();
-  ASSERT_EQ(prefix.size(), 2u);
-  EXPECT_EQ(prefix[0], 400);
-  EXPECT_EQ(prefix[1], 800);
+  EXPECT_FALSE(prefixAreasLess(chain, chain));
+
+  Chain leanerTail = twoTaskChain();  // [400, 700]
+  leanerTail.tasks[1].request.duration = 75;
+  EXPECT_TRUE(prefixAreasLess(leanerTail, chain));
+  EXPECT_FALSE(prefixAreasLess(chain, leanerTail));
+
+  // The first differing prefix decides, whatever follows it: [300, 1100].
+  Chain leanerHead = twoTaskChain();
+  leanerHead.tasks[0].request.processors = 12;
+  leanerHead.tasks[1].request.processors = 8;
+  EXPECT_TRUE(prefixAreasLess(leanerHead, chain));
+  EXPECT_FALSE(prefixAreasLess(chain, leanerHead));
+
+  // Equal common prefix: the shorter sequence orders first ([400]).
+  Chain shorter = twoTaskChain();
+  shorter.tasks.pop_back();
+  EXPECT_TRUE(prefixAreasLess(shorter, chain));
+  EXPECT_FALSE(prefixAreasLess(chain, shorter));
 }
 
 TEST(Chain, QualityComposition) {
