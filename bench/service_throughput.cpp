@@ -1,9 +1,9 @@
 // Loopback throughput microbench for the negotiation service.
 //
-//   service_throughput --clients=8 --requests=200 --procs=64 \
+//   service_throughput --clients=8 --requests=200 --procs=64
 //       --out=BENCH_service.json
 //   service_throughput --shards=4 --deep --cancel-every=3 ...
-//   service_throughput --sweep=1,2,4 --deep --cancel-every=3 \
+//   service_throughput --sweep=1,2,4 --deep --cancel-every=3
 //       --clients=8 --requests=3000 --out=BENCH_service.json
 //   service_throughput --shards=1 --replay-verify
 //
@@ -57,6 +57,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "common/flags.h"
@@ -150,6 +151,9 @@ struct LegResult {
          queueWaitMax = 0;
   double executeP50 = 0, executeP95 = 0, executeP99 = 0;
   double e2eP50 = 0, e2eP95 = 0, e2eP99 = 0, e2eMean = 0;
+  /// Voluntary context switches of the whole process (clients and the
+  /// in-process server) over the request storm, per completed request.
+  double voluntarySwitchesPerRequest = 0;
   std::uint64_t admitted = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t spills = 0;
@@ -161,6 +165,14 @@ struct LegResult {
   bool complete = false;
   bool replayOk = true;  // trivially true when --replay-verify is off
 };
+
+/// ru_nvcsw of the whole process: every blocking wait (futex, recv, poll)
+/// that gave up the CPU counts once.
+long voluntaryContextSwitches() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw;
+}
 
 struct ObservedNegotiation {
   int specIndex = 0;
@@ -252,6 +264,7 @@ LegResult runLeg(const BenchOptions& options,
   // histogram aggregates the end-to-end latency across all of them.
   obs::MetricsRegistry clientRegistry;
   std::vector<std::thread> threads;
+  const long switchesBefore = voluntaryContextSwitches();
   const auto begin = Clock::now();
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
@@ -397,6 +410,7 @@ LegResult runLeg(const BenchOptions& options,
   }
   for (auto& thread : threads) thread.join();
   leg.elapsedSec = std::chrono::duration<double>(Clock::now() - begin).count();
+  const long switches = voluntaryContextSwitches() - switchesBefore;
 
   // A VERIFY after the storm: the bench doubles as a stress check.
   service::ClientConfig verifyConfig;
@@ -443,6 +457,10 @@ LegResult runLeg(const BenchOptions& options,
   for (const auto count : cancelledPerClient) leg.cancelled += count;
   for (const auto count : busyRetriesPerClient) leg.busyRetries += count;
   leg.completed = static_cast<double>(all.size());
+  if (!all.empty()) {
+    leg.voluntarySwitchesPerRequest =
+        static_cast<double>(switches) / leg.completed;
+  }
   leg.requestsPerSecond = leg.completed / leg.elapsedSec;
   leg.p50 = percentile(all, 0.50);
   leg.p95 = percentile(all, 0.95);
@@ -480,6 +498,8 @@ LegResult runLeg(const BenchOptions& options,
               leg.queueWaitMax);
   std::printf("execute us: p50=%.1f p95=%.1f p99=%.1f\n", leg.executeP50,
               leg.executeP95, leg.executeP99);
+  std::printf("voluntary context switches per request: %.2f\n",
+              leg.voluntarySwitchesPerRequest);
   std::printf("admitted %llu / %.0f (cancelled %llu, spilled %llu), "
               "ledger %s\n",
               static_cast<unsigned long long>(leg.admitted), leg.completed,
@@ -513,6 +533,7 @@ void legToJson(const LegResult& leg, tprm::JsonValue::Object& doc) {
   doc["e2e_latency_us_p95"] = leg.e2eP95;
   doc["e2e_latency_us_p99"] = leg.e2eP99;
   doc["e2e_latency_us_mean"] = leg.e2eMean;
+  doc["voluntary_switches_per_request"] = leg.voluntarySwitchesPerRequest;
   doc["admitted"] = static_cast<std::int64_t>(leg.admitted);
   doc["cancelled"] = static_cast<std::int64_t>(leg.cancelled);
   doc["spilled"] = static_cast<std::int64_t>(leg.spills);

@@ -83,25 +83,12 @@ FrameReadResult readFrame(Socket& socket, const FrameLimits& limits,
 FrameWriteResult writeFrame(Socket& socket, std::string_view payload,
                             const FrameLimits& limits,
                             const Deadline& deadline) {
-  FrameWriteResult result;
-  if (payload.size() > limits.maxPayloadBytes) {
-    result.status = FrameStatus::TooLarge;
-    result.message = "refusing to send " + std::to_string(payload.size()) +
-                     " byte payload (limit " +
-                     std::to_string(limits.maxPayloadBytes) + ")";
-    return result;
-  }
-  const auto length = static_cast<std::uint32_t>(payload.size());
-  unsigned char prefix[4] = {static_cast<unsigned char>(length >> 24),
-                             static_cast<unsigned char>(length >> 16),
-                             static_cast<unsigned char>(length >> 8),
-                             static_cast<unsigned char>(length)};
   // One buffer, one writeAll: avoids a short TCP segment for the prefix and
   // keeps the write atomic with respect to the deadline.
   std::string wire;
-  wire.reserve(sizeof prefix + payload.size());
-  wire.append(reinterpret_cast<const char*>(prefix), sizeof prefix);
-  wire.append(payload.data(), payload.size());
+  wire.reserve(4 + payload.size());
+  FrameWriteResult result = appendFrame(wire, payload, limits);
+  if (!result.ok()) return result;
   const IoResult io = socket.writeAll(wire.data(), wire.size(), deadline);
   if (!io.ok()) {
     result.status = fromIo(io.status);
@@ -110,24 +97,49 @@ FrameWriteResult writeFrame(Socket& socket, std::string_view payload,
   return result;
 }
 
+namespace {
+
+FrameWriteResult refuseOversized(std::size_t payloadBytes,
+                                 const FrameLimits& limits) {
+  FrameWriteResult result;
+  result.status = FrameStatus::TooLarge;
+  result.message = "refusing to send " + std::to_string(payloadBytes) +
+                   " byte payload (limit " +
+                   std::to_string(limits.maxPayloadBytes) + ")";
+  return result;
+}
+
+void putPrefix(char* at, std::size_t payloadBytes) {
+  const auto length = static_cast<std::uint32_t>(payloadBytes);
+  at[0] = static_cast<char>(length >> 24);
+  at[1] = static_cast<char>(length >> 16);
+  at[2] = static_cast<char>(length >> 8);
+  at[3] = static_cast<char>(length);
+}
+
+}  // namespace
+
 FrameWriteResult appendFrame(std::string& out, std::string_view payload,
                              const FrameLimits& limits) {
-  FrameWriteResult result;
   if (payload.size() > limits.maxPayloadBytes) {
-    result.status = FrameStatus::TooLarge;
-    result.message = "refusing to send " + std::to_string(payload.size()) +
-                     " byte payload (limit " +
-                     std::to_string(limits.maxPayloadBytes) + ")";
-    return result;
+    return refuseOversized(payload.size(), limits);
   }
-  const auto length = static_cast<std::uint32_t>(payload.size());
-  const unsigned char prefix[4] = {static_cast<unsigned char>(length >> 24),
-                                   static_cast<unsigned char>(length >> 16),
-                                   static_cast<unsigned char>(length >> 8),
-                                   static_cast<unsigned char>(length)};
-  out.append(reinterpret_cast<const char*>(prefix), sizeof prefix);
+  char prefix[4];
+  putPrefix(prefix, payload.size());
+  out.append(prefix, sizeof prefix);
   out.append(payload.data(), payload.size());
-  return result;
+  return {};
+}
+
+FrameWriteResult sealFrame(std::string& out, std::size_t start,
+                           const FrameLimits& limits) {
+  const std::size_t payloadBytes = out.size() - start - 4;
+  if (payloadBytes > limits.maxPayloadBytes) {
+    out.resize(start);
+    return refuseOversized(payloadBytes, limits);
+  }
+  putPrefix(out.data() + start, payloadBytes);
+  return {};
 }
 
 void FrameDecoder::feed(const void* data, std::size_t n) {

@@ -75,6 +75,32 @@ struct FrameWriteResult {
                                            std::string_view payload,
                                            const FrameLimits& limits);
 
+/// Appends one frame whose payload `encode(out)` appends to `out` in place,
+/// behind a reserved length prefix that is patched afterwards: the same
+/// bytes as appendFrame(out, payload) without building the payload
+/// separately and copying it.  An oversized payload is rolled back (`out`
+/// is left as it was) and refused with TooLarge.
+template <typename Encode>
+[[nodiscard]] FrameWriteResult appendFrameInPlace(std::string& out,
+                                                  const FrameLimits& limits,
+                                                  Encode&& encode);
+
+/// appendFrameInPlace's second half: patches the prefix of the frame that
+/// starts at `start` (its payload runs to the end of `out`), or rolls `out`
+/// back to `start` when the payload is over the limit.
+[[nodiscard]] FrameWriteResult sealFrame(std::string& out, std::size_t start,
+                                         const FrameLimits& limits);
+
+template <typename Encode>
+FrameWriteResult appendFrameInPlace(std::string& out,
+                                    const FrameLimits& limits,
+                                    Encode&& encode) {
+  const std::size_t start = out.size();
+  out.append(4, '\0');
+  encode(out);
+  return sealFrame(out, start, limits);
+}
+
 /// Incremental frame decoder: feed it any number of bytes in any chunking
 /// (a single byte at a time works) and pull complete frames out.  The
 /// length prefix is validated against the limit as soon as its fourth byte

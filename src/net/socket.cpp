@@ -78,6 +78,10 @@ void Socket::close() {
   }
 }
 
+void Socket::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 IoResult Socket::waitReadable(const Deadline& deadline) {
   const IoStatus status = pollFor(fd_, POLLIN, deadline);
   if (status == IoStatus::Error) {
@@ -128,29 +132,30 @@ IoResult Socket::writeAll(const void* buffer, std::size_t n,
                           const Deadline& deadline) {
   const char* in = static_cast<const char*>(buffer);
   std::size_t done = 0;
-  while (done < n) {
-    const IoStatus ready = pollFor(fd_, POLLOUT, deadline);
-    if (ready != IoStatus::Ok) {
-      if (ready == IoStatus::Error) {
-        return {IoStatus::Error, errnoMessage("poll")};
-      }
-      return {ready, {}};
-    }
 #ifdef MSG_NOSIGNAL
-    const ssize_t rc = ::send(fd_, in + done, n - done, MSG_NOSIGNAL);
+  constexpr int kFlags = MSG_NOSIGNAL | MSG_DONTWAIT;
 #else
-    const ssize_t rc = ::send(fd_, in + done, n - done, 0);
+  constexpr int kFlags = MSG_DONTWAIT;
 #endif
+  while (done < n) {
+    const ssize_t rc = ::send(fd_, in + done, n - done, kFlags);
     if (rc >= 0) {
       done += static_cast<std::size_t>(rc);
       continue;
     }
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // re-poll
     if (errno == EPIPE || errno == ECONNRESET) {
       return {IoStatus::Closed, {}};
     }
-    return {IoStatus::Error, errnoMessage("send")};
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return {IoStatus::Error, errnoMessage("send")};
+    }
+    // Send buffer full: wait for room, then resume.
+    const IoStatus ready = pollFor(fd_, POLLOUT, deadline);
+    if (ready == IoStatus::Error) {
+      return {IoStatus::Error, errnoMessage("poll")};
+    }
+    if (ready != IoStatus::Ok) return {ready, {}};
   }
   return {IoStatus::Ok, {}};
 }
@@ -165,9 +170,11 @@ IoResult Socket::setNonBlocking(bool enabled) {
   return {IoStatus::Ok, {}};
 }
 
-IoChunk Socket::readSome(void* buffer, std::size_t n) {
+namespace {
+
+IoChunk recvOnce(int fd, void* buffer, std::size_t n, int flags) {
   for (;;) {
-    const ssize_t rc = ::recv(fd_, buffer, n, 0);
+    const ssize_t rc = ::recv(fd, buffer, n, flags);
     if (rc > 0) return {IoStatus::Ok, static_cast<std::size_t>(rc), {}};
     if (rc == 0) return {IoStatus::Closed, 0, {}};
     if (errno == EINTR) continue;
@@ -177,6 +184,16 @@ IoChunk Socket::readSome(void* buffer, std::size_t n) {
     if (errno == ECONNRESET) return {IoStatus::Closed, 0, {}};
     return {IoStatus::Error, 0, errnoMessage("recv")};
   }
+}
+
+}  // namespace
+
+IoChunk Socket::readSome(void* buffer, std::size_t n) {
+  return recvOnce(fd_, buffer, n, 0);
+}
+
+IoChunk Socket::readAvailable(void* buffer, std::size_t n) {
+  return recvOnce(fd_, buffer, n, MSG_DONTWAIT);
 }
 
 IoChunk Socket::writeSome(const void* buffer, std::size_t n) {

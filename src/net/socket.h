@@ -93,6 +93,12 @@ class Socket {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
   [[nodiscard]] int fd() const { return fd_; }
   void close();
+  /// shutdown(2) both directions: a thread blocked reading this socket
+  /// wakes with EOF and a blocked writer with an error, while the fd
+  /// number stays allocated until close().  That makes it the safe way for
+  /// one thread to stop another's blocking read: closing the fd instead
+  /// could hand its number to an unrelated open() mid-read.
+  void shutdown();
 
   /// Reads exactly `n` bytes into `buffer` before `deadline`.  Timeout after
   /// partial data still reports Timeout (the stream is then desynchronized;
@@ -112,7 +118,9 @@ class Socket {
   [[nodiscard]] IoResult waitWritable(const Deadline& deadline);
 
   /// Writes all `n` bytes before `deadline`.  Sends with SIGPIPE suppressed;
-  /// a vanished peer reports Closed, never kills the process.
+  /// a vanished peer reports Closed, never kills the process.  Tries the
+  /// send first and polls only when the send buffer is full, so a write
+  /// that fits costs one syscall.
   [[nodiscard]] IoResult writeAll(const void* buffer, std::size_t n,
                                   const Deadline& deadline);
 
@@ -124,6 +132,10 @@ class Socket {
   /// byte count (> 0); WouldBlock means no data is ready; Closed is orderly
   /// EOF.  Never polls — the caller's event loop decides when to retry.
   [[nodiscard]] IoChunk readSome(void* buffer, std::size_t n);
+
+  /// readSome that never blocks, even on a blocking fd (MSG_DONTWAIT):
+  /// WouldBlock when nothing is ready.
+  [[nodiscard]] IoChunk readAvailable(void* buffer, std::size_t n);
 
   /// Nonblocking write attempt: sends as much of `buffer` as the kernel
   /// accepts right now.  A full send buffer reports WouldBlock with

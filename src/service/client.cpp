@@ -1,6 +1,9 @@
 #include "service/client.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -217,14 +220,229 @@ ClientResult<ReshapesResult> QoSAgentClient::reshapes() {
 
 namespace {
 
-/// Reader poll granularity: how quickly close() is noticed while idle.
-constexpr std::chrono::milliseconds kReaderSlice{50};
-
 /// Corked-mode buffer level that forces a flush even while the window still
 /// has room: keeps the buffer bounded when frames are large.
 constexpr std::size_t kCorkFlushBytes = 128 * 1024;
 
+/// Bytes one read asks the socket for.
+constexpr std::size_t kReadChunk = 64 * 1024;
+
+ClientResult<Response> failed(ClientStatus status, std::string message) {
+  ClientResult<Response> out;
+  out.error = transportError(status, std::move(message));
+  return out;
+}
+
 }  // namespace
+
+/// One request's response, shared by its future and (until the response
+/// arrives) the connection's pending list.  Guarded by Connection::mu.
+struct PipelinedClient::Slot {
+  std::optional<ClientResult<Response>> result;
+};
+
+/// State of one connection, shared by the client and its futures.
+struct PipelinedClient::Connection {
+  Connection(net::Socket connected, net::FrameLimits frameLimits,
+             std::chrono::milliseconds deadline, std::uint32_t granted,
+             bool corkedWrites)
+      : socket(std::move(connected)),
+        limits(frameLimits),
+        writeDeadline(deadline),
+        grantedWindow(granted),
+        corked(corkedWrites),
+        window(granted),
+        decoder(frameLimits) {}
+
+  /// Takes the read role, reads once from the socket (blocking, or only
+  /// what is ready now), routes every whole frame, and gives the role back.
+  /// Requires `lock` held, the connection alive and neither closing nor
+  /// read by another thread; returns with `lock` held.
+  void readOnce(std::unique_lock<std::mutex>& lock, bool block);
+  /// Delivers one decoded frame.  Requires mu.
+  void route(Response& response);
+  /// Writes the send buffer out.  Requires mu; the caller must
+  /// failAllLocked() when this reports an error.
+  [[nodiscard]] std::optional<ClientError> flushLocked();
+  /// Marks the connection dead, fails every pending request with `error`
+  /// and wakes a blocked reader.  Requires mu; the first failure wins.
+  void failAllLocked(const ClientError& error);
+  void close();
+
+  // Fixed at connect.  The fd is closed only by close(), once nobody
+  // reads it; until then shutdown() is the only way to stop a reader.
+  net::Socket socket;
+  const net::FrameLimits limits;
+  const std::chrono::milliseconds writeDeadline;
+  const std::uint32_t grantedWindow;
+  const bool corked;
+
+  std::mutex mu;
+  /// Signalled when a slot fills, the read role frees, the window opens or
+  /// the connection dies.
+  std::condition_variable changed;
+  std::atomic<bool> alive{true};  // written under mu
+  bool closing = false;
+  bool reading = false;           // a thread holds the read role
+  std::uint32_t window;           // honoured window
+  std::uint64_t nextRequestId = 2;  // 1 was the HELLO
+  std::string outbuf;             // framed requests not yet written
+  std::vector<std::pair<std::uint64_t, std::shared_ptr<Slot>>> pending;
+  std::vector<ReshapeEvent> reshapes;
+
+  // Owned by the read-role holder, used without mu.
+  net::FrameDecoder decoder;
+  std::unique_ptr<char[]> readBuffer{new char[kReadChunk]};
+  std::string payload;
+  std::vector<Response> decoded;
+};
+
+void PipelinedClient::Connection::readOnce(std::unique_lock<std::mutex>& lock,
+                                           bool block) {
+  reading = true;
+  lock.unlock();
+  std::optional<ClientError> failure;
+  // Wait in poll(), not in a blocking recv: a Unix-socket recv sleeper is
+  // also woken each time the server consumes one of our requests (the
+  // kernel's write-space wakeup shares the socket's wait queue), which
+  // costs a spurious context switch per round trip; poll filters that
+  // wakeup out by its event mask.
+  const auto ready = block ? socket.waitReadable(net::Deadline::infinite())
+                           : net::IoResult{};
+  const auto chunk =
+      ready.ok() ? socket.readAvailable(readBuffer.get(), kReadChunk)
+                 : net::IoChunk{ready.status, 0, ready.message};
+  if (chunk.ok()) {
+    decoder.feed(readBuffer.get(), chunk.bytes);
+    while (decoder.next(&payload)) {
+      auto response = decodeResponse(payload);
+      if (!response.ok()) {
+        failure = transportError(ClientStatus::ProtocolError, response.error);
+        break;
+      }
+      decoded.push_back(std::move(*response.response));
+    }
+    if (decoder.failed()) {
+      failure = transportError(ClientStatus::ProtocolError, decoder.message());
+    }
+  } else if (chunk.status == net::IoStatus::Closed) {
+    failure = transportError(ClientStatus::Disconnected,
+                             "server closed the connection");
+  } else if (chunk.status == net::IoStatus::Error) {
+    failure = transportError(ClientStatus::Disconnected, chunk.message);
+  }
+  lock.lock();
+  reading = false;
+  for (auto& response : decoded) route(response);
+  decoded.clear();
+  // A read ended by close()'s shutdown is close()'s to report.
+  if (failure && !closing) failAllLocked(*failure);
+  changed.notify_all();
+}
+
+void PipelinedClient::Connection::route(Response& response) {
+  // Adaptive window: shrink to the server's re-advertisement; restore to
+  // the HELLO grant on the first unstamped frame.
+  window = response.advertisedWindow.has_value()
+               ? std::clamp<std::uint32_t>(*response.advertisedWindow, 1,
+                                           grantedWindow)
+               : grantedWindow;
+  if (response.ok) {
+    // Unsolicited RESHAPED push: it consumes no pending slot.
+    if (auto* reshaped = std::get_if<ReshapesResult>(&response.result);
+        reshaped != nullptr && reshaped->push) {
+      for (auto& event : reshaped->events) {
+        reshapes.push_back(std::move(event));
+      }
+      return;
+    }
+  }
+  const auto it = std::find_if(
+      pending.begin(), pending.end(),
+      [&](const auto& entry) { return entry.first == response.id; });
+  if (it == pending.end()) return;  // e.g. correlation id 0 after desync
+  auto& result = it->second->result.emplace();
+  if (response.ok) {
+    result.value = std::move(response);
+  } else {
+    result.error = fromServerError(response);
+  }
+  *it = std::move(pending.back());
+  pending.pop_back();
+}
+
+std::optional<ClientError> PipelinedClient::Connection::flushLocked() {
+  if (outbuf.empty()) return std::nullopt;
+  // A stall here means the server is wedged AND the pipe is full; the
+  // deadline converts that into a failed connection, not a hung client.
+  const auto written = socket.writeAll(outbuf.data(), outbuf.size(),
+                                       net::Deadline::after(writeDeadline));
+  outbuf.clear();
+  if (written.ok()) return std::nullopt;
+  return transportError(written.status == net::IoStatus::Timeout
+                            ? ClientStatus::Timeout
+                            : ClientStatus::Disconnected,
+                        written.message.empty()
+                            ? net::toString(written.status)
+                            : written.message);
+}
+
+void PipelinedClient::Connection::failAllLocked(const ClientError& error) {
+  if (!alive.load()) return;
+  alive.store(false);
+  socket.shutdown();
+  for (auto& [id, slot] : pending) {
+    slot->result.emplace().error = error;
+  }
+  pending.clear();
+  outbuf.clear();
+  changed.notify_all();
+}
+
+void PipelinedClient::Connection::close() {
+  std::unique_lock<std::mutex> lock(mu);
+  if (closing) return;
+  closing = true;
+  // Wake a reader blocked in poll, then wait for it to let go of the fd.
+  socket.shutdown();
+  changed.wait(lock, [this] { return !reading; });
+  failAllLocked(transportError(ClientStatus::Disconnected, "client closed"));
+  socket.close();
+}
+
+PipelinedClient::ResponseFuture::ResponseFuture(
+    std::shared_ptr<Connection> connection, std::shared_ptr<Slot> slot)
+    : connection_(std::move(connection)), slot_(std::move(slot)) {}
+
+ClientResult<Response> PipelinedClient::ResponseFuture::get() {
+  if (slot_ == nullptr) {
+    return failed(ClientStatus::Disconnected, "future holds no request");
+  }
+  const auto slot = std::move(slot_);
+  const auto connection = std::move(connection_);
+  if (connection == nullptr) return std::move(*slot->result);
+  Connection& c = *connection;
+  std::unique_lock<std::mutex> lock(c.mu);
+  while (!slot->result.has_value()) {
+    if (c.reading || c.closing) {  // close() fills the slot
+      c.changed.wait(lock);
+      continue;
+    }
+    if (!c.alive.load()) {  // unreachable: a dying connection fills slots
+      slot->result = failed(ClientStatus::Disconnected,
+                            "pipelined connection is down");
+      break;
+    }
+    // Our frame may still sit in a corked buffer: it must be on the wire
+    // before waiting for its answer.
+    if (auto error = c.flushLocked()) {
+      c.failAllLocked(*error);
+      break;
+    }
+    c.readOnce(lock, /*block=*/true);
+  }
+  return std::move(*slot->result);
+}
 
 PipelinedClient::PipelinedClient(ClientConfig config, std::uint32_t window,
                                  bool corked)
@@ -235,8 +453,14 @@ PipelinedClient::PipelinedClient(ClientConfig config, std::uint32_t window,
 
 PipelinedClient::~PipelinedClient() { close(); }
 
+bool PipelinedClient::connected() const {
+  return connection_ != nullptr && connection_->alive.load();
+}
+
 std::optional<ClientError> PipelinedClient::connect() {
-  if (alive_.load()) return std::nullopt;
+  if (connected()) return std::nullopt;
+  close();
+  net::Socket socket;
   std::string lastError;
   const auto plan = connectBackoffPlan(config_);
   for (std::size_t attempt = 0; attempt < plan.size(); ++attempt) {
@@ -247,12 +471,12 @@ std::optional<ClientError> PipelinedClient::connect() {
                                            deadline)
                          : net::connectUnix(config_.unixPath, deadline);
     if (connected.ok()) {
-      socket_ = std::move(connected.socket);
+      socket = std::move(connected.socket);
       break;
     }
     lastError = connected.error;
   }
-  if (!socket_.valid()) {
+  if (!socket.valid()) {
     return transportError(ClientStatus::ConnectFailed,
                           "after " + std::to_string(plan.size()) +
                               " attempts: " + lastError);
@@ -263,27 +487,23 @@ std::optional<ClientError> PipelinedClient::connect() {
   Request hello;
   hello.version = kProtocolVersionV2;
   hello.command = Command::Hello;
-  hello.id = nextRequestId_++;
+  hello.id = 1;
   hello.payload = HelloRequest{requestedWindow_};
   const auto deadline = net::Deadline::after(config_.requestDeadline);
   const auto written =
-      net::writeFrame(socket_, encodeRequest(hello), frameLimits_, deadline);
+      net::writeFrame(socket, encodeRequest(hello), frameLimits_, deadline);
   if (!written.ok()) {
-    socket_.close();
     return transportError(fromFrameStatus(written.status), written.message);
   }
-  auto frame = net::readFrame(socket_, frameLimits_, deadline, deadline);
+  auto frame = net::readFrame(socket, frameLimits_, deadline, deadline);
   if (!frame.ok()) {
-    socket_.close();
     return transportError(fromFrameStatus(frame.status), frame.message);
   }
   auto decoded = decodeResponse(frame.payload);
   if (!decoded.ok()) {
-    socket_.close();
     return transportError(ClientStatus::ProtocolError, decoded.error);
   }
   if (!decoded.response->ok) {
-    socket_.close();
     auto error = fromServerError(*decoded.response);
     // A v1-only server answers HELLO with bad_request: that is a protocol
     // mismatch, not a server-side failure.
@@ -295,209 +515,113 @@ std::optional<ClientError> PipelinedClient::connect() {
   const auto* granted = std::get_if<HelloResult>(&decoded.response->result);
   if (granted == nullptr || granted->version != kProtocolVersionV2 ||
       granted->window == 0) {
-    socket_.close();
     return transportError(ClientStatus::ProtocolError,
                           "HELLO response is not a v2 grant");
   }
   grantedWindow_ = granted->window;
-  window_ = granted->window;
-  stopping_.store(false);
-  alive_.store(true);
-  reader_ = std::thread([this] { readerMain(); });
+  connection_ = std::make_shared<Connection>(
+      std::move(socket), frameLimits_, config_.requestDeadline,
+      granted->window, corked_);
   return std::nullopt;
 }
 
 std::uint32_t PipelinedClient::currentWindow() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return window_;
+  if (connection_ == nullptr) return 0;
+  std::lock_guard<std::mutex> lock(connection_->mu);
+  return connection_->window;
 }
 
 std::vector<ReshapeEvent> PipelinedClient::drainReshapeEvents() {
   std::vector<ReshapeEvent> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  out.swap(reshapes_);
+  if (connection_ == nullptr) return out;
+  Connection& c = *connection_;
+  std::unique_lock<std::mutex> lock(c.mu);
+  if (c.alive.load() && !c.closing && !c.reading) {
+    c.readOnce(lock, /*block=*/false);
+  }
+  out.swap(c.reshapes);
   return out;
 }
 
 void PipelinedClient::close() {
-  stopping_.store(true);
-  if (reader_.joinable()) reader_.join();
-  failAll(transportError(ClientStatus::Disconnected, "client closed"));
-  socket_.close();
-  alive_.store(false);
+  if (connection_ != nullptr) connection_->close();
 }
 
-PipelinedClient::ResponseFuture PipelinedClient::submit(Request request) {
-  std::promise<ClientResult<Response>> promise;
-  auto future = promise.get_future();
-  std::unique_lock<std::mutex> lock(mu_);
-  windowOpen_.wait(lock, [this] {
-    return !alive_.load() || pending_.size() < window_;
-  });
-  if (!alive_.load()) {
-    ClientResult<Response> out;
-    out.error = transportError(ClientStatus::Disconnected,
-                               "pipelined connection is down");
-    promise.set_value(std::move(out));
-    return future;
+template <typename Encode>
+PipelinedClient::ResponseFuture PipelinedClient::submit(Encode&& encode) {
+  auto slot = std::make_shared<Slot>();
+  if (connection_ == nullptr) {
+    slot->result = failed(ClientStatus::Disconnected, "not connected");
+    return ResponseFuture(nullptr, std::move(slot));
   }
-  request.version = kProtocolVersionV2;
-  request.id = nextRequestId_++;
-  // Encode under mu_: submissions from multiple threads must not interleave
-  // frame bytes.  The frame lands in outbuf_ and reaches the wire either
-  // right away (uncorked) or on the next batch flush.
-  const auto appended =
-      net::appendFrame(outbuf_, encodeRequest(request), frameLimits_);
+  Connection& c = *connection_;
+  std::unique_lock<std::mutex> lock(c.mu);
+  // A full window waits on responses: make sure every buffered frame is on
+  // the wire, then read them (or let the thread that is reading do it).
+  while (c.alive.load() && c.pending.size() >= c.window) {
+    if (c.reading || c.closing) {
+      c.changed.wait(lock);
+    } else if (auto error = c.flushLocked()) {
+      c.failAllLocked(*error);
+    } else {
+      c.readOnce(lock, /*block=*/true);
+    }
+  }
+  if (!c.alive.load()) {
+    slot->result = failed(ClientStatus::Disconnected,
+                          "pipelined connection is down");
+    return ResponseFuture(nullptr, std::move(slot));
+  }
+  const std::uint64_t id = c.nextRequestId++;
+  // Encode under mu, straight into the send buffer: submissions from
+  // several threads must not interleave frame bytes.  The frame reaches the
+  // wire right away (uncorked) or on the next batch flush.
+  const auto appended = net::appendFrameInPlace(
+      c.outbuf, c.limits, [&](std::string& out) { encode(out, id); });
   if (!appended.ok()) {
-    // Local refusal (oversized payload): nothing touched the wire, so only
-    // this request fails and the connection stays healthy.
-    lock.unlock();
-    ClientResult<Response> out;
-    out.error =
-        transportError(fromFrameStatus(appended.status), appended.message);
-    promise.set_value(std::move(out));
-    return future;
+    // Local refusal (oversized payload): the frame was rolled back and
+    // nothing touched the wire, so only this request fails and the
+    // connection stays healthy.
+    slot->result =
+        failed(fromFrameStatus(appended.status), appended.message);
+    return ResponseFuture(nullptr, std::move(slot));
   }
-  pending_.emplace(request.id, std::move(promise));
+  c.pending.emplace_back(id, slot);
   // A full window means the caller is about to block on a response, so
   // every buffered frame must be on the wire — otherwise the responses it
   // waits for could never come.
-  const bool mustFlush = !corked_ || pending_.size() >= window_ ||
-                         outbuf_.size() >= kCorkFlushBytes;
+  const bool mustFlush = !c.corked || c.pending.size() >= c.window ||
+                         c.outbuf.size() >= kCorkFlushBytes;
   if (mustFlush) {
-    if (auto error = flushLocked()) {
-      lock.unlock();
-      stopping_.store(true);
-      failAll(*error);  // resolves this request's promise too
+    if (auto error = c.flushLocked()) {
+      c.failAllLocked(*error);  // resolves this request's slot too
     }
   }
-  return future;
+  return ResponseFuture(connection_, std::move(slot));
+}
+
+PipelinedClient::ResponseFuture PipelinedClient::submit(Request request) {
+  return submit([&request](std::string& out, std::uint64_t id) {
+    request.version = kProtocolVersionV2;
+    request.id = id;
+    appendRequest(out, request);
+  });
 }
 
 std::optional<ClientError> PipelinedClient::flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto error = flushLocked();
-  if (error.has_value()) {
-    lock.unlock();
-    stopping_.store(true);
-    failAll(*error);
-  }
+  if (connection_ == nullptr) return std::nullopt;
+  Connection& c = *connection_;
+  std::lock_guard<std::mutex> lock(c.mu);
+  auto error = c.flushLocked();
+  if (error.has_value()) c.failAllLocked(*error);
   return error;
-}
-
-std::optional<ClientError> PipelinedClient::flushLocked() {
-  if (outbuf_.empty()) return std::nullopt;
-  // A stall here means the server is wedged AND the pipe is full; the
-  // deadline converts that into a failed connection, not a hung client.
-  const auto written =
-      socket_.writeAll(outbuf_.data(), outbuf_.size(),
-                       net::Deadline::after(config_.requestDeadline));
-  outbuf_.clear();
-  if (written.ok()) return std::nullopt;
-  return transportError(written.status == net::IoStatus::Timeout
-                            ? ClientStatus::Timeout
-                            : ClientStatus::Disconnected,
-                        written.message.empty()
-                            ? net::toString(written.status)
-                            : written.message);
-}
-
-void PipelinedClient::readerMain() {
-  net::FrameDecoder decoder(frameLimits_);
-  char buffer[65536];
-  while (!stopping_.load()) {
-    const auto readable =
-        socket_.waitReadable(net::Deadline::after(kReaderSlice));
-    if (readable.status == net::IoStatus::Timeout) continue;
-    if (readable.status != net::IoStatus::Ok &&
-        readable.status != net::IoStatus::Closed) {
-      failAll(transportError(ClientStatus::Disconnected, readable.message));
-      return;
-    }
-    const auto chunk = socket_.readSome(buffer, sizeof buffer);
-    if (chunk.status == net::IoStatus::Closed) {
-      failAll(transportError(ClientStatus::Disconnected,
-                             "server closed the connection"));
-      return;
-    }
-    if (chunk.status == net::IoStatus::Error) {
-      failAll(transportError(ClientStatus::Disconnected, chunk.message));
-      return;
-    }
-    decoder.feed(buffer, chunk.bytes);
-    std::string payload;
-    while (decoder.next(&payload)) {
-      auto decoded = decodeResponse(payload);
-      if (!decoded.ok()) {
-        failAll(transportError(ClientStatus::ProtocolError, decoded.error));
-        return;
-      }
-      Response& response = *decoded.response;
-      // Adaptive window: shrink to the server's re-advertisement; restore
-      // to the HELLO grant on the first unstamped frame.
-      const std::uint32_t effective =
-          response.advertisedWindow.has_value()
-              ? std::clamp<std::uint32_t>(*response.advertisedWindow, 1,
-                                          grantedWindow_)
-              : grantedWindow_;
-      if (response.ok) {
-        // Unsolicited RESHAPED push: queue for drainReshapeEvents(); it
-        // consumes no pending slot.
-        if (auto* reshaped = std::get_if<ReshapesResult>(&response.result);
-            reshaped != nullptr && reshaped->push) {
-          std::unique_lock<std::mutex> lock(mu_);
-          window_ = effective;
-          for (auto& event : reshaped->events) {
-            reshapes_.push_back(std::move(event));
-          }
-          lock.unlock();
-          windowOpen_.notify_all();
-          continue;
-        }
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      window_ = effective;
-      auto node = pending_.extract(response.id);
-      lock.unlock();
-      windowOpen_.notify_all();
-      if (node.empty()) continue;  // e.g. correlation id 0 after desync
-      ClientResult<Response> out;
-      if (!response.ok) {
-        out.error = fromServerError(response);
-      } else {
-        out.value = std::move(response);
-      }
-      node.mapped().set_value(std::move(out));
-    }
-    if (decoder.failed()) {
-      failAll(transportError(ClientStatus::ProtocolError, decoder.message()));
-      return;
-    }
-  }
-}
-
-void PipelinedClient::failAll(const ClientError& error) {
-  std::unordered_map<std::uint64_t, std::promise<ClientResult<Response>>>
-      orphans;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    alive_.store(false);
-    orphans.swap(pending_);
-  }
-  windowOpen_.notify_all();
-  for (auto& [id, promise] : orphans) {
-    ClientResult<Response> out;
-    out.error = error;
-    promise.set_value(std::move(out));
-  }
 }
 
 PipelinedClient::ResponseFuture PipelinedClient::negotiateAsync(
     const task::TunableJobSpec& spec, Time release) {
-  Request request;
-  request.command = Command::Negotiate;
-  request.payload = NegotiateRequest{spec, release};
-  return submit(std::move(request));
+  return submit([&](std::string& out, std::uint64_t id) {
+    appendNegotiateRequest(out, id, kProtocolVersionV2, spec, release);
+  });
 }
 
 PipelinedClient::ResponseFuture PipelinedClient::cancelAsync(

@@ -7,16 +7,11 @@
 // ClientResult carrying either the typed result or a ClientError.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <future>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/frame.h"
@@ -174,21 +169,60 @@ class QoSAgentClient {
 /// triggers window `busy` errors.  Queue-full `busy` can still happen under
 /// load and surfaces as ClientStatus::Busy — retriable without reconnecting.
 ///
-/// Threading: any number of threads may submit; a dedicated reader thread
-/// decodes responses (incremental FrameDecoder) and fulfils the matching
-/// futures.  On disconnect every outstanding future fails with
-/// Disconnected.
+/// Threading: any number of threads may submit and wait.  There is no
+/// reader thread: a thread that needs bytes from the socket reads them
+/// itself, and one thread at a time holds the read role (leader/follower).
+/// Three kinds of thread read: ResponseFuture::get() while its response has
+/// not arrived, a submit blocked on a full window, and drainReshapeEvents()
+/// (one non-blocking pass).  The reader routes every frame it decodes — a
+/// response to its request's future, a RESHAPED push to the reshape queue,
+/// a re-advertised window to the window — then hands the role on; other
+/// waiters sleep until their response is in or the role is free.  So a
+/// round trip costs the caller a poll() and a recv() and no thread hop.
+/// On disconnect every outstanding future fails with Disconnected.
+///
+/// Pushes are read only while some thread reads: a client that makes no
+/// calls leaves its RESHAPED pushes in the socket until its next call or
+/// drainReshapeEvents().
 class PipelinedClient {
+  struct Connection;
+  struct Slot;
+
  public:
+  /// Handle to one submitted request's response.  Move-only; get() is
+  /// one-shot.  It shares the connection's state, not the client, so a
+  /// future read after close() or after the client is destroyed returns
+  /// Disconnected.
+  class ResponseFuture {
+   public:
+    ResponseFuture() = default;
+    ResponseFuture(ResponseFuture&&) noexcept = default;
+    ResponseFuture& operator=(ResponseFuture&&) noexcept = default;
+    ResponseFuture(const ResponseFuture&) = delete;
+    ResponseFuture& operator=(const ResponseFuture&) = delete;
+
+    /// Blocks until the response arrives, reading the connection itself
+    /// when no other thread is.  A default-constructed or already-read
+    /// future reports Disconnected.
+    ClientResult<Response> get();
+
+   private:
+    friend class PipelinedClient;
+    ResponseFuture(std::shared_ptr<Connection> connection,
+                   std::shared_ptr<Slot> slot);
+
+    std::shared_ptr<Connection> connection_;
+    std::shared_ptr<Slot> slot_;
+  };
+
   /// `window`: in-flight requests to ask for in the HELLO handshake.
   ///
   /// `corked`: defer writes — submitted frames accumulate in a buffer that
-  /// is flushed when the window fills, when the buffer passes ~128 KiB, or
-  /// on an explicit flush().  Batching turns one syscall per request into
-  /// one per batch (the big win on a busy pipe), but shifts a duty to the
-  /// caller: flush() before blocking on any future submitted since the
-  /// last flush, or its frame may never reach the server.  Leave corking
-  /// off (the default) to have every submission hit the wire immediately.
+  /// is flushed when the window fills, when the buffer passes ~128 KiB, on
+  /// an explicit flush(), or when a thread starts reading for a response.
+  /// Batching turns one syscall per request into one per batch (the big win
+  /// on a busy pipe).  Leave corking off (the default) to have every
+  /// submission hit the wire immediately.
   explicit PipelinedClient(ClientConfig config, std::uint32_t window = 32,
                            bool corked = false);
   ~PipelinedClient();
@@ -198,28 +232,30 @@ class PipelinedClient {
 
   /// Connects (with the ClientConfig retry plan) and runs the HELLO
   /// handshake.  Fails with ProtocolError against a server that does not
-  /// speak v2.
+  /// speak v2.  Starts no thread.
   [[nodiscard]] std::optional<ClientError> connect();
-  [[nodiscard]] bool connected() const { return alive_.load(); }
+  [[nodiscard]] bool connected() const;
   /// Window granted by the server's HELLO response (0 before connect()).
   [[nodiscard]] std::uint32_t grantedWindow() const { return grantedWindow_; }
   /// Window currently honoured: the HELLO grant shrunk by the server's
   /// latest adaptive re-advertisement (== grantedWindow() when the server
   /// is unpressured).
   [[nodiscard]] std::uint32_t currentWindow();
-  /// Fails all outstanding futures (Disconnected) and joins the reader.
+  /// Fails all outstanding futures (Disconnected) and closes the socket.
+  /// Safe to call while other threads wait: a thread blocked reading is
+  /// woken (the socket is shut down first) and the fd is closed only once
+  /// no thread reads it.
   void close();
 
-  /// Reshape events pushed by an elastic server (RESHAPED frames) since the
-  /// last drain, oldest first.  Pushes arrive on the reader thread for jobs
-  /// this connection negotiated.
+  /// Reshape events pushed by an elastic server (RESHAPED frames) for jobs
+  /// this connection negotiated, oldest first: those routed since the last
+  /// drain plus whatever one non-blocking read finds in the socket now.
   [[nodiscard]] std::vector<ReshapeEvent> drainReshapeEvents();
-
-  using ResponseFuture = std::future<ClientResult<Response>>;
 
   /// Submit one command; the future resolves when its response arrives.
   /// Blocks while the granted window is full.  Narrow results with
-  /// extractResult<NegotiateResult>(...) etc.
+  /// extractResult<NegotiateResult>(...) etc.  The spec is encoded straight
+  /// into the send buffer, not copied.
   [[nodiscard]] ResponseFuture negotiateAsync(const task::TunableJobSpec& spec,
                                               Time release);
   [[nodiscard]] ResponseFuture cancelAsync(std::uint64_t jobId);
@@ -232,32 +268,19 @@ class PipelinedClient {
   [[nodiscard]] std::optional<ClientError> flush();
 
  private:
-  ResponseFuture submit(Request request);
-  void readerMain();
-  /// Fails every pending future with `error` and marks the client dead.
-  void failAll(const ClientError& error);
-  /// Flushes outbuf_; requires mu_ held.  The caller must failAll() (after
-  /// unlocking) when this reports an error.
-  [[nodiscard]] std::optional<ClientError> flushLocked();
+  /// Appends `encode(out, requestId)`'s frame to the send buffer once the
+  /// window has room.
+  template <typename Encode>
+  ResponseFuture submit(Encode&& encode);
+  [[nodiscard]] ResponseFuture submit(Request request);
 
   ClientConfig config_;
   std::uint32_t requestedWindow_;
-  std::uint32_t grantedWindow_ = 0;  // HELLO grant (cap for window_)
-  std::uint32_t window_ = 0;         // honoured window; guarded by mu_
+  std::uint32_t grantedWindow_ = 0;  // HELLO grant (cap for the window)
   bool corked_;
   net::FrameLimits frameLimits_;
-  net::Socket socket_;
-  std::thread reader_;
-  std::atomic<bool> alive_{false};
-  std::atomic<bool> stopping_{false};
-
-  std::mutex mu_;
-  std::condition_variable windowOpen_;       // pending_.size() < window_
-  std::uint64_t nextRequestId_ = 1;          // guarded by mu_
-  std::string outbuf_;                       // guarded by mu_ (corked mode)
-  std::unordered_map<std::uint64_t, std::promise<ClientResult<Response>>>
-      pending_;                              // guarded by mu_
-  std::vector<ReshapeEvent> reshapes_;       // guarded by mu_
+  /// Set by connect(); shared with every future it issued.
+  std::shared_ptr<Connection> connection_;
 };
 
 }  // namespace tprm::service

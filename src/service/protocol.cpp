@@ -420,21 +420,32 @@ const char* toString(Command command) {
   return "UNKNOWN";
 }
 
-std::string encodeRequest(const Request& request) {
-  std::string out;
-  out.reserve(request.command == Command::Negotiate ? 2048 : 96);
+void appendNegotiateRequest(std::string& out, std::uint64_t id,
+                            std::uint32_t version,
+                            const task::TunableJobSpec& spec, Time release) {
+  JsonWriter w(out);
+  w.beginObject();
+  w.key("cmd").string(toString(Command::Negotiate));
+  w.key("id").integer(static_cast<std::int64_t>(id));
+  w.key("release").number(unitsFromTicks(release));
+  w.key("spec");
+  task::writeJobSpec(w, spec);
+  w.key("v").integer(version);
+  w.endObject();
+}
+
+void appendRequest(std::string& out, const Request& request) {
+  if (request.command == Command::Negotiate) {
+    const auto& p = std::get<NegotiateRequest>(request.payload);
+    appendNegotiateRequest(out, request.id, request.version, p.spec,
+                           p.release);
+    return;
+  }
   JsonWriter w(out);
   w.beginObject();
   w.key("cmd").string(toString(request.command));
   w.key("id").integer(static_cast<std::int64_t>(request.id));
   switch (request.command) {
-    case Command::Negotiate: {
-      const auto& p = std::get<NegotiateRequest>(request.payload);
-      w.key("release").number(unitsFromTicks(p.release));
-      w.key("spec");
-      task::writeJobSpec(w, p.spec);
-      break;
-    }
     case Command::Cancel:
       w.key("jobId");
       w.integer(static_cast<std::int64_t>(
@@ -444,6 +455,7 @@ std::string encodeRequest(const Request& request) {
       w.key("processors");
       w.integer(std::get<ResizeRequest>(request.payload).processors);
       break;
+    case Command::Negotiate:
     case Command::Hello:
     case Command::Stats:
     case Command::Verify:
@@ -458,6 +470,12 @@ std::string encodeRequest(const Request& request) {
     w.key("window").integer(std::get<HelloRequest>(request.payload).window);
   }
   w.endObject();
+}
+
+std::string encodeRequest(const Request& request) {
+  std::string out;
+  out.reserve(request.command == Command::Negotiate ? 2048 : 96);
+  appendRequest(out, request);
   return out;
 }
 

@@ -229,6 +229,13 @@ struct Response {
 // docs/wire_protocol.md section 2; no JSON tree is built.
 
 [[nodiscard]] std::string encodeRequest(const Request& request);
+/// Appends encodeRequest(request)'s bytes to `out`.
+void appendRequest(std::string& out, const Request& request);
+/// Appends the bytes encodeRequest would produce for a NEGOTIATE of `spec`,
+/// without building a Request (and copying the spec into it).
+void appendNegotiateRequest(std::string& out, std::uint64_t id,
+                            std::uint32_t version,
+                            const task::TunableJobSpec& spec, Time release);
 [[nodiscard]] std::string encodeResponse(const Response& response);
 
 struct RequestParseResult {

@@ -270,6 +270,30 @@ TEST(FrameDecoder, AppendFrameRefusesOversizedPayloadLocally) {
   EXPECT_EQ(wire, "prefix-preserved");  // nothing partial appended
 }
 
+TEST(FrameDecoder, AppendFrameInPlaceMatchesAppendFrame) {
+  const FrameLimits limits;
+  for (const std::string& payload :
+       {std::string(""), std::string("{}"), std::string(70'000, 'z')}) {
+    std::string expected = "head";
+    ASSERT_TRUE(appendFrame(expected, payload, limits).ok());
+    std::string wire = "head";
+    ASSERT_TRUE(appendFrameInPlace(wire, limits, [&](std::string& out) {
+                  out += payload;
+                }).ok());
+    EXPECT_EQ(wire, expected);
+  }
+}
+
+TEST(FrameDecoder, AppendFrameInPlaceRollsBackOversizedPayload) {
+  FrameLimits limits;
+  limits.maxPayloadBytes = 8;
+  std::string wire = "prefix-preserved";
+  const auto result = appendFrameInPlace(
+      wire, limits, [](std::string& out) { out.append(64, 'y'); });
+  EXPECT_EQ(result.status, FrameStatus::TooLarge);
+  EXPECT_EQ(wire, "prefix-preserved");
+}
+
 // --- Nonblocking socket primitives (the event-loop I/O path) ----------------
 
 TEST(Socket, ReadSomeReportsWouldBlockOnIdleNonblockingSocket) {
@@ -403,6 +427,34 @@ TEST(Socket, WritevSomeResumesMidIovecAfterShortWriteOnTinySendBuffer) {
   // The premise: the kernel buffer was too small to take 400 frames in one
   // writev, so partial acceptance (and mid-frame resumption) really ran.
   EXPECT_GT(shortWrites, 0u);
+}
+
+TEST(Socket, ReadAvailableNeverBlocksABlockingSocket) {
+  Pair pair;
+  char buffer[16];
+  EXPECT_EQ(pair.b.readAvailable(buffer, sizeof buffer).status,
+            IoStatus::WouldBlock);
+  ASSERT_TRUE(pair.a.writeAll("xy", 2, Deadline::after(1s)).ok());
+  const auto chunk = pair.b.readAvailable(buffer, sizeof buffer);
+  ASSERT_EQ(chunk.status, IoStatus::Ok);
+  EXPECT_EQ(chunk.bytes, 2u);
+}
+
+TEST(Socket, ShutdownWakesABlockedReader) {
+  Pair pair;
+  IoResult waited;
+  IoChunk chunk;
+  std::thread reader([&] {
+    char buffer[16];
+    waited = pair.b.waitReadable(Deadline::infinite());
+    chunk = pair.b.readAvailable(buffer, sizeof buffer);
+  });
+  std::this_thread::sleep_for(20ms);
+  pair.b.shutdown();
+  reader.join();
+  EXPECT_TRUE(waited.ok());
+  EXPECT_EQ(chunk.status, IoStatus::Closed);
+  EXPECT_TRUE(pair.b.valid());  // the fd stays open until close()
 }
 
 TEST(Socket, WriteToClosedPeerReportsClosedNotSigpipe) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <ostream>
+#include <string>
 
 #include "common/rng.h"
 #include "resource/reservation_ledger.h"
@@ -56,6 +58,22 @@ struct PropertyCase {
   bool malleable;
   ChainChoice choice;
 };
+
+/// "seed1_rigid_Paper": the test name suffix, and what gtest prints for the
+/// parameter instead of a byte dump (whose padding bytes vary by build).
+std::string caseName(const PropertyCase& c) {
+  const char* choice = "";
+  switch (c.choice) {
+    case ChainChoice::Paper: choice = "Paper"; break;
+    case ChainChoice::WindowUtilization: choice = "WindowUtilization"; break;
+    case ChainChoice::FirstSchedulable: choice = "FirstSchedulable"; break;
+    case ChainChoice::Random: choice = "Random"; break;
+  }
+  return "seed" + std::to_string(c.seed) +
+         (c.malleable ? "_malleable_" : "_rigid_") + choice;
+}
+
+void PrintTo(const PropertyCase& c, std::ostream* os) { *os << caseName(c); }
 
 class ArbitratorPropertyTest : public ::testing::TestWithParam<PropertyCase> {
 };
@@ -135,7 +153,10 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyCase{7, false, ChainChoice::Random},
         PropertyCase{8, true, ChainChoice::Random},
         PropertyCase{9, false, ChainChoice::WindowUtilization},
-        PropertyCase{10, true, ChainChoice::WindowUtilization}));
+        PropertyCase{10, true, ChainChoice::WindowUtilization}),
+    [](const ::testing::TestParamInfo<PropertyCase>& paramInfo) {
+      return caseName(paramInfo.param);
+    });
 
 /// One randomized-workload replication cell: a fresh job stream and engine
 /// per seed, full end-of-run verification (capacity, deadlines, precedence)

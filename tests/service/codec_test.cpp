@@ -666,6 +666,30 @@ TEST(Codec, ScenarioStreamsKeepTheirBytes) {
   }
 }
 
+// The client's send path encodes straight into its output buffer; those
+// entry points must produce the pinned bytes too.
+TEST(Codec, AppendedRequestsKeepTheirBytes) {
+  for (const auto& digest : kStreamDigests) {
+    const auto params =
+        workload::scenarioByName(digest.family, /*seed=*/1, kDigestJobs);
+    const auto scenario = workload::ScenarioGenerator(*params).generate();
+    std::vector<std::string> frames;
+    for (const auto& job : scenario.jobs) {
+      std::string frame = "kept";
+      appendNegotiateRequest(frame, job.id, kProtocolVersion, job.spec,
+                             job.release);
+      ASSERT_EQ(frame.substr(0, 4), "kept");
+      frames.push_back(frame.substr(4));
+    }
+    EXPECT_EQ(fnv1a(frames), digest.requests) << digest.family;
+  }
+  for (const auto& request : edgeRequests()) {
+    std::string frame;
+    appendRequest(frame, request);
+    EXPECT_EQ(frame, encodeRequest(request));
+  }
+}
+
 /// decode(encode(x)) == x, and the frame is its own canonical form:
 /// parsing it into a tree and dumping that tree gives the same bytes.
 void expectRoundTrip(const Request& request) {

@@ -178,6 +178,44 @@ TEST(ElasticService, V2ClientReceivesReshapedPushes) {
   server.stop();
 }
 
+// A push for a connection with nothing outstanding stays in its socket
+// (the client has no reader thread) until drainReshapeEvents() reads it.
+TEST(ElasticService, PushWithNoRequestOutstandingIsDrained) {
+  elastic::Reshaper reshaper;
+  NegotiationServer server(elasticConfig(8, &reshaper));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  PipelinedClient idle(clientFor(server), /*window=*/8);
+  auto connectError = idle.connect();
+  ASSERT_FALSE(connectError.has_value()) << connectError->message;
+  auto first = extractResult<NegotiateResult>(
+      idle.negotiateAsync(twoRungSpec(), 0).get());
+  ASSERT_TRUE(first.ok()) << first.error.message;
+  ASSERT_TRUE(first->admitted);
+
+  // Another connection's newcomer demotes the idle client's job.
+  QoSAgentClient other(clientFor(server));
+  auto second = other.negotiate(tightSpec(), 0);
+  ASSERT_TRUE(second.ok()) << second.error.message;
+  ASSERT_TRUE(second->admitted);
+
+  std::vector<ReshapeEvent> events;
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (events.empty()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "RESHAPED push never drained";
+    events = idle.drainReshapeEvents();
+    if (events.empty()) std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].jobId, first->jobId);
+  EXPECT_FALSE(events[0].promotion);
+  EXPECT_TRUE(idle.drainReshapeEvents().empty());
+  idle.close();
+  server.stop();
+}
+
 // Output ordering across the two execution paths.  A command a shard
 // worker ran reaches the client through the event loop's inbox, RESHAPED
 // pushes included; a later command the same loop runs inline must not
