@@ -28,19 +28,20 @@
 //
 // Modes:
 //  * --shards=K — serve through K arbitrator shards (default 1);
-//  * --pipeline=W — drive each connection with the wire-protocol-v2
-//    PipelinedClient holding up to W negotiations in flight (0, the
-//    default, is the classic blocking v1 client: one request per
-//    round-trip).  Typed BUSY rejections are retried with a short backoff
-//    and counted;
+//  * --pipeline=W — drive each connection with a PipelinedClient holding
+//    up to W negotiations in flight (0, the default, is the blocking
+//    QoSAgentClient: one request per round trip, a window of 1).  Typed
+//    BUSY rejections are retried with a short backoff and counted, on
+//    either kind of client;
 //  * --sweep=1,2,4 — run one leg per shard count over the same workload and
 //    emit a "sweep" array (plus the speedup over the 1-shard leg).  With
-//    --pipeline=W each shard count runs twice — a v1-compat leg and a
-//    v2-pipelined leg — and every v2 row carries speedup_vs_v1 against its
-//    same-shard v1 row;
+//    --pipeline=W each shard count runs twice — a blocking leg and a
+//    pipelined leg — and every pipelined row carries speedup_vs_blocking
+//    against its same-shard blocking row;
 //  * --require-speedup=X — with --sweep and --pipeline, exit nonzero
-//    unless the v2 leg at the last sweep point is at least X times its v1
-//    leg (the CI bench-smoke regression gate for the pipelined path);
+//    unless the pipelined leg at the last sweep point is at least X times
+//    its blocking leg (the CI bench-smoke regression gate for the
+//    pipelined path);
 //  * --replay-verify — record every negotiation and, after the run, replay
 //    each shard's jobs (jobId % K) in arrival order into a fresh in-process
 //    QoSArbitrator of the shard's size, requiring bit-identical decisions.
@@ -81,7 +82,7 @@ struct BenchOptions {
   bool deep = false;
   int cancelEvery = 0;  // 0 = never cancel
   bool replayVerify = false;
-  int pipeline = 0;  // 0 = blocking v1 client; W > 0 = v2 window W
+  int pipeline = 0;  // 0 = blocking client; W > 0 = pipelined window W
   tprm::qos::QueueKind queueKind = tprm::qos::QueueKind::Mutex;
 };
 
@@ -158,9 +159,9 @@ struct LegResult {
   std::uint64_t cancelled = 0;
   std::uint64_t spills = 0;
   std::uint64_t busyRetries = 0;
-  std::string wire = "v1";
+  std::string wire = "blocking";  // or "pipelined"
   std::string queue = "mutex";
-  int window = 0;  // in-flight window per connection (0 = blocking v1)
+  int window = 0;  // in-flight window per connection (0 = blocking)
   bool ledgerOk = false;
   bool complete = false;
   bool replayOk = true;  // trivially true when --replay-verify is off
@@ -230,7 +231,7 @@ LegResult runLeg(const BenchOptions& options,
   using namespace tprm;
   LegResult leg;
   leg.shards = options.shards;
-  leg.wire = options.pipeline > 0 ? "v2" : "v1";
+  leg.wire = options.pipeline > 0 ? "pipelined" : "blocking";
   leg.queue = qos::toString(options.queueKind);
   leg.window = options.pipeline;
 
@@ -275,7 +276,7 @@ LegResult runLeg(const BenchOptions& options,
       latencies.reserve(static_cast<std::size_t>(requests));
 
       if (options.pipeline > 0) {
-        // Wire-protocol-v2 leg: one PipelinedClient per connection with up
+        // Pipelined leg: one PipelinedClient per connection with up
         // to `pipeline` negotiations in flight.  Latency is measured from
         // submit to in-order harvest, so it includes pipeline queuing —
         // exactly what a windowed QoS agent observes end to end.
@@ -376,11 +377,18 @@ LegResult runLeg(const BenchOptions& options,
 
       service::QoSAgentClient client(clientConfig);
       std::uint64_t admitted = 0;
+      std::uint64_t busyRetries = 0;
       for (int r = 0; r < requests; ++r) {
         const int specIndex = c * requests + r;
         const auto spec = benchSpec(options, specIndex);
         const auto t0 = Clock::now();
-        const auto decision = client.negotiate(spec, /*release=*/0);
+        auto decision = client.negotiate(spec, /*release=*/0);
+        while (!decision.ok() &&
+               decision.error.status == service::ClientStatus::Busy) {
+          ++busyRetries;
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          decision = client.negotiate(spec, /*release=*/0);
+        }
         const auto t1 = Clock::now();
         if (!decision.ok()) {
           std::fprintf(stderr, "client %d: negotiate failed: %s\n", c,
@@ -406,6 +414,7 @@ LegResult runLeg(const BenchOptions& options,
         }
       }
       admittedPerClient[static_cast<std::size_t>(c)] = admitted;
+      busyRetriesPerClient[static_cast<std::size_t>(c)] = busyRetries;
     });
   }
   for (auto& thread : threads) thread.join();
@@ -616,9 +625,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "service_throughput: bad --sweep list\n");
       return 2;
     }
-    // With --pipeline, each shard count runs a v1-compat leg (blocking
-    // clients) and a v2-pipelined leg back to back over the same workload;
-    // without it the sweep is the classic v1-only shard scan.
+    // With --pipeline, each shard count runs a blocking leg and a pipelined
+    // leg back to back over the same workload; without it the sweep is a
+    // blocking-only shard scan.
     std::vector<LegResult> legs;
     bool ok = true;
     for (const int k : shardCounts) {
@@ -627,9 +636,9 @@ int main(int argc, char** argv) {
       // The per-leg metrics snapshot would only keep the last leg; emit the
       // sweep numbers instead and leave --metrics-out to single-run mode.
       if (options.pipeline > 0) {
-        auto v1Options = legOptions;
-        v1Options.pipeline = 0;
-        legs.push_back(runLeg(v1Options, ""));
+        auto blockingOptions = legOptions;
+        blockingOptions.pipeline = 0;
+        legs.push_back(runLeg(blockingOptions, ""));
         ok = ok && legs.back().ledgerOk && legs.back().complete &&
              legs.back().replayOk;
         std::printf("\n");
@@ -657,7 +666,7 @@ int main(int argc, char** argv) {
     doc["deep_workload"] = options.deep;
     doc["cancel_every"] = options.cancelEvery;
     doc["pipeline_window"] = options.pipeline;
-    double lastSpeedupVsV1 = 0;
+    double lastSpeedupVsBlocking = 0;
     JsonValue::Array sweepArray;
     for (const auto& leg : legs) {
       JsonValue::Object legDoc;
@@ -668,10 +677,11 @@ int main(int argc, char** argv) {
             leg.requestsPerSecond / base->requestsPerSecond;
       }
       if (leg.window > 0) {
-        const LegResult* v1 = findLeg(leg.shards, 0);
-        if (v1 != nullptr && v1->requestsPerSecond > 0) {
-          lastSpeedupVsV1 = leg.requestsPerSecond / v1->requestsPerSecond;
-          legDoc["speedup_vs_v1"] = lastSpeedupVsV1;
+        const LegResult* blocking = findLeg(leg.shards, 0);
+        if (blocking != nullptr && blocking->requestsPerSecond > 0) {
+          lastSpeedupVsBlocking =
+              leg.requestsPerSecond / blocking->requestsPerSecond;
+          legDoc["speedup_vs_blocking"] = lastSpeedupVsBlocking;
         }
       }
       sweepArray.push_back(JsonValue(std::move(legDoc)));
@@ -679,16 +689,17 @@ int main(int argc, char** argv) {
     doc["sweep"] = JsonValue(std::move(sweepArray));
     for (const auto& leg : legs) {
       const LegResult* base = findLeg(1, leg.window);
-      const LegResult* v1 = findLeg(leg.shards, 0);
+      const LegResult* blocking = findLeg(leg.shards, 0);
       std::printf("shards=%d wire=%s: %.0f req/s", leg.shards,
                   leg.wire.c_str(), leg.requestsPerSecond);
       if (base != nullptr && base->requestsPerSecond > 0) {
         std::printf(" (%.2fx vs 1 shard)",
                     leg.requestsPerSecond / base->requestsPerSecond);
       }
-      if (leg.window > 0 && v1 != nullptr && v1->requestsPerSecond > 0) {
-        std::printf(" (%.2fx vs v1)",
-                    leg.requestsPerSecond / v1->requestsPerSecond);
+      if (leg.window > 0 && blocking != nullptr &&
+          blocking->requestsPerSecond > 0) {
+        std::printf(" (%.2fx vs blocking)",
+                    leg.requestsPerSecond / blocking->requestsPerSecond);
       }
       std::printf("\n");
     }
@@ -697,11 +708,11 @@ int main(int argc, char** argv) {
       out << JsonValue(std::move(doc)).dump() << "\n";
       std::printf("wrote %s\n", outPath.c_str());
     }
-    if (requireSpeedup > 0 && lastSpeedupVsV1 < requireSpeedup) {
+    if (requireSpeedup > 0 && lastSpeedupVsBlocking < requireSpeedup) {
       std::fprintf(stderr,
                    "service_throughput: pipelined speedup %.2fx at the last "
                    "sweep point is below the required %.2fx\n",
-                   lastSpeedupVsV1, requireSpeedup);
+                   lastSpeedupVsBlocking, requireSpeedup);
       ok = false;
     }
     return ok ? 0 : 1;

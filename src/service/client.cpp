@@ -7,11 +7,14 @@
 #include <thread>
 #include <utility>
 
+#include "net/socket.h"
 #include "obs/trace.h"
 
 namespace tprm::service {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 ClientError transportError(ClientStatus status, std::string message) {
   ClientError error;
@@ -32,7 +35,7 @@ ClientStatus fromFrameStatus(net::FrameStatus status) {
 }
 
 /// Converts a decoded server error into the typed client error, mapping the
-/// v2 `busy` code onto its own retriable status.
+/// `busy` code onto its own retriable status.
 ClientError fromServerError(const Response& response) {
   ClientError error;
   error.status = response.error->code == "busy" ? ClientStatus::Busy
@@ -74,148 +77,6 @@ std::vector<std::chrono::milliseconds> connectBackoffPlan(
   return plan;
 }
 
-QoSAgentClient::QoSAgentClient(ClientConfig config)
-    : config_(std::move(config)), frameLimits_{config_.maxFrameBytes} {
-  if (config_.metrics != nullptr) {
-    connectAttempts_ = &config_.metrics->counter("client.connect_attempts");
-    connectFailures_ = &config_.metrics->counter("client.connect_failures");
-    requests_ = &config_.metrics->counter("client.requests");
-    requestErrors_ = &config_.metrics->counter("client.request_errors");
-    requestLatencyUs_ =
-        &obs::latencyHistogram(*config_.metrics, "client.request_us");
-  }
-}
-
-std::optional<ClientError> QoSAgentClient::connect() {
-  if (socket_.valid()) return std::nullopt;
-  std::string lastError;
-  const auto plan = connectBackoffPlan(config_);
-  for (std::size_t attempt = 0; attempt < plan.size(); ++attempt) {
-    if (plan[attempt].count() > 0) std::this_thread::sleep_for(plan[attempt]);
-    if (connectAttempts_ != nullptr) connectAttempts_->add();
-    const auto deadline = net::Deadline::after(config_.connectTimeout);
-    auto connected = config_.unixPath.empty()
-                         ? net::connectTcp(config_.tcpHost, config_.tcpPort,
-                                           deadline)
-                         : net::connectUnix(config_.unixPath, deadline);
-    if (connected.ok()) {
-      socket_ = std::move(connected.socket);
-      return std::nullopt;
-    }
-    lastError = connected.error;
-  }
-  if (connectFailures_ != nullptr) connectFailures_->add();
-  return transportError(ClientStatus::ConnectFailed,
-                        "after " + std::to_string(plan.size()) +
-                            " attempts: " + lastError);
-}
-
-ClientResult<Response> QoSAgentClient::call(Request request) {
-  if (requests_ != nullptr) requests_->add();
-  if (requestLatencyUs_ == nullptr) {
-    auto out = callImpl(std::move(request));
-    if (!out.ok() && requestErrors_ != nullptr) requestErrors_->add();
-    return out;
-  }
-  const std::int64_t start = obs::monotonicNanos();
-  auto out = callImpl(std::move(request));
-  requestLatencyUs_->record(
-      static_cast<double>(obs::monotonicNanos() - start) / 1'000.0);
-  if (!out.ok() && requestErrors_ != nullptr) requestErrors_->add();
-  return out;
-}
-
-ClientResult<Response> QoSAgentClient::callImpl(Request request) {
-  ClientResult<Response> out;
-  if (auto error = connect()) {
-    out.error = std::move(*error);
-    return out;
-  }
-  request.id = nextRequestId_++;
-  const auto deadline = net::Deadline::after(config_.requestDeadline);
-  const auto encoded = encodeRequest(request);
-  const auto written = net::writeFrame(socket_, encoded, frameLimits_,
-                                       deadline);
-  if (!written.ok()) {
-    socket_.close();
-    out.error = transportError(fromFrameStatus(written.status),
-                               written.message.empty()
-                                   ? net::toString(written.status)
-                                   : written.message);
-    return out;
-  }
-  auto frame = net::readFrame(socket_, frameLimits_, deadline, deadline);
-  if (!frame.ok()) {
-    socket_.close();
-    out.error = transportError(fromFrameStatus(frame.status),
-                               frame.message.empty()
-                                   ? net::toString(frame.status)
-                                   : frame.message);
-    return out;
-  }
-  auto decoded = decodeResponse(frame.payload);
-  if (!decoded.ok()) {
-    socket_.close();
-    out.error =
-        transportError(ClientStatus::ProtocolError, decoded.error);
-    return out;
-  }
-  // Undecodable requests are answered with correlation id 0; everything
-  // else must echo our id (one request in flight per connection).
-  if (decoded.response->id != request.id && decoded.response->id != 0) {
-    socket_.close();
-    out.error = transportError(ClientStatus::ProtocolError,
-                               "response id does not match request id");
-    return out;
-  }
-  if (!decoded.response->ok) {
-    out.error = fromServerError(*decoded.response);
-    return out;
-  }
-  out.value = std::move(*decoded.response);
-  return out;
-}
-
-ClientResult<NegotiateResult> QoSAgentClient::negotiate(
-    const task::TunableJobSpec& spec, Time release) {
-  Request request;
-  request.command = Command::Negotiate;
-  request.payload = NegotiateRequest{spec, release};
-  return extractResult<NegotiateResult>(call(std::move(request)));
-}
-
-ClientResult<CancelResult> QoSAgentClient::cancel(std::uint64_t jobId) {
-  Request request;
-  request.command = Command::Cancel;
-  request.payload = CancelRequest{jobId};
-  return extractResult<CancelResult>(call(std::move(request)));
-}
-
-ClientResult<ResizeResult> QoSAgentClient::resize(int processors, Time when) {
-  Request request;
-  request.command = Command::Resize;
-  request.payload = ResizeRequest{processors, when};
-  return extractResult<ResizeResult>(call(std::move(request)));
-}
-
-ClientResult<StatsResult> QoSAgentClient::stats() {
-  Request request;
-  request.command = Command::Stats;
-  return extractResult<StatsResult>(call(std::move(request)));
-}
-
-ClientResult<VerifyResult> QoSAgentClient::verify() {
-  Request request;
-  request.command = Command::Verify;
-  return extractResult<VerifyResult>(call(std::move(request)));
-}
-
-ClientResult<ReshapesResult> QoSAgentClient::reshapes() {
-  Request request;
-  request.command = Command::Reshapes;
-  return extractResult<ReshapesResult>(call(std::move(request)));
-}
-
 // --- PipelinedClient -------------------------------------------------------
 
 namespace {
@@ -233,6 +94,11 @@ ClientResult<Response> failed(ClientStatus status, std::string message) {
   return out;
 }
 
+ClientError deadlineExpired() {
+  return transportError(ClientStatus::Timeout,
+                        "no response within the request deadline");
+}
+
 }  // namespace
 
 /// One request's response, shared by its future and (until the response
@@ -248,17 +114,24 @@ struct PipelinedClient::Connection {
              bool corkedWrites)
       : socket(std::move(connected)),
         limits(frameLimits),
-        writeDeadline(deadline),
+        requestDeadline(deadline),
         grantedWindow(granted),
         corked(corkedWrites),
         window(granted),
         decoder(frameLimits) {}
 
-  /// Takes the read role, reads once from the socket (blocking, or only
-  /// what is ready now), routes every whole frame, and gives the role back.
-  /// Requires `lock` held, the connection alive and neither closing nor
-  /// read by another thread; returns with `lock` held.
-  void readOnce(std::unique_lock<std::mutex>& lock, bool block);
+  /// Waits until `done()` holds or the connection dies, reading the socket
+  /// itself whenever no other thread holds the read role.  Past `until`
+  /// the connection fails with Timeout.  Requires `lock` held.
+  template <typename Done>
+  void awaitLocked(std::unique_lock<std::mutex>& lock, Clock::time_point until,
+                   Done done);
+  /// Takes the read role, reads once from the socket (waiting for data
+  /// until `wait` expires, or, without `wait`, only what is ready now),
+  /// routes every whole frame, and gives the role back.  Requires `lock`
+  /// held, the connection alive and neither closing nor read by another
+  /// thread; returns with `lock` held.
+  void readOnce(std::unique_lock<std::mutex>& lock, const net::Deadline* wait);
   /// Delivers one decoded frame.  Requires mu.
   void route(Response& response);
   /// Writes the send buffer out.  Requires mu; the caller must
@@ -273,7 +146,7 @@ struct PipelinedClient::Connection {
   // reads it; until then shutdown() is the only way to stop a reader.
   net::Socket socket;
   const net::FrameLimits limits;
-  const std::chrono::milliseconds writeDeadline;
+  const std::chrono::milliseconds requestDeadline;
   const std::uint32_t grantedWindow;
   const bool corked;
 
@@ -297,8 +170,39 @@ struct PipelinedClient::Connection {
   std::vector<Response> decoded;
 };
 
+template <typename Done>
+void PipelinedClient::Connection::awaitLocked(std::unique_lock<std::mutex>& lock,
+                                              Clock::time_point until,
+                                              Done done) {
+  while (alive.load() && !done()) {
+    if (closing) {  // close() fails every pending request shortly
+      changed.wait(lock);
+      continue;
+    }
+    if (reading) {
+      if (changed.wait_until(lock, until) == std::cv_status::timeout &&
+          !done() && !closing) {
+        failAllLocked(deadlineExpired());
+      }
+      continue;
+    }
+    // Frames may still sit in a corked buffer: they must be on the wire
+    // before waiting for their answers.
+    if (auto error = flushLocked()) {
+      failAllLocked(*error);
+      return;
+    }
+    const auto wait = net::Deadline::after(
+        std::chrono::ceil<std::chrono::milliseconds>(until - Clock::now()));
+    readOnce(lock, &wait);
+    if (!done() && !closing && Clock::now() >= until) {
+      failAllLocked(deadlineExpired());
+    }
+  }
+}
+
 void PipelinedClient::Connection::readOnce(std::unique_lock<std::mutex>& lock,
-                                           bool block) {
+                                           const net::Deadline* wait) {
   reading = true;
   lock.unlock();
   std::optional<ClientError> failure;
@@ -307,8 +211,8 @@ void PipelinedClient::Connection::readOnce(std::unique_lock<std::mutex>& lock,
   // kernel's write-space wakeup shares the socket's wait queue), which
   // costs a spurious context switch per round trip; poll filters that
   // wakeup out by its event mask.
-  const auto ready = block ? socket.waitReadable(net::Deadline::infinite())
-                           : net::IoResult{};
+  const auto ready =
+      wait != nullptr ? socket.waitReadable(*wait) : net::IoResult{};
   const auto chunk =
       ready.ok() ? socket.readAvailable(readBuffer.get(), kReadChunk)
                  : net::IoChunk{ready.status, 0, ready.message};
@@ -330,7 +234,7 @@ void PipelinedClient::Connection::readOnce(std::unique_lock<std::mutex>& lock,
                              "server closed the connection");
   } else if (chunk.status == net::IoStatus::Error) {
     failure = transportError(ClientStatus::Disconnected, chunk.message);
-  }
+  }  // Timeout / WouldBlock: nothing to read yet; the caller decides.
   lock.lock();
   reading = false;
   for (auto& response : decoded) route(response);
@@ -347,15 +251,10 @@ void PipelinedClient::Connection::route(Response& response) {
                ? std::clamp<std::uint32_t>(*response.advertisedWindow, 1,
                                            grantedWindow)
                : grantedWindow;
-  if (response.ok) {
-    // Unsolicited RESHAPED push: it consumes no pending slot.
-    if (auto* reshaped = std::get_if<ReshapesResult>(&response.result);
-        reshaped != nullptr && reshaped->push) {
-      for (auto& event : reshaped->events) {
-        reshapes.push_back(std::move(event));
-      }
-      return;
-    }
+  // Unsolicited RESHAPED push: it consumes no pending slot.
+  if (auto* reshaped = std::get_if<ReshapedPush>(&response.result)) {
+    for (auto& event : reshaped->events) reshapes.push_back(std::move(event));
+    return;
   }
   const auto it = std::find_if(
       pending.begin(), pending.end(),
@@ -376,7 +275,7 @@ std::optional<ClientError> PipelinedClient::Connection::flushLocked() {
   // A stall here means the server is wedged AND the pipe is full; the
   // deadline converts that into a failed connection, not a hung client.
   const auto written = socket.writeAll(outbuf.data(), outbuf.size(),
-                                       net::Deadline::after(writeDeadline));
+                                       net::Deadline::after(requestDeadline));
   outbuf.clear();
   if (written.ok()) return std::nullopt;
   return transportError(written.status == net::IoStatus::Timeout
@@ -422,24 +321,13 @@ ClientResult<Response> PipelinedClient::ResponseFuture::get() {
   const auto connection = std::move(connection_);
   if (connection == nullptr) return std::move(*slot->result);
   Connection& c = *connection;
+  const auto until = Clock::now() + c.requestDeadline;
   std::unique_lock<std::mutex> lock(c.mu);
-  while (!slot->result.has_value()) {
-    if (c.reading || c.closing) {  // close() fills the slot
-      c.changed.wait(lock);
-      continue;
-    }
-    if (!c.alive.load()) {  // unreachable: a dying connection fills slots
-      slot->result = failed(ClientStatus::Disconnected,
-                            "pipelined connection is down");
-      break;
-    }
-    // Our frame may still sit in a corked buffer: it must be on the wire
-    // before waiting for its answer.
-    if (auto error = c.flushLocked()) {
-      c.failAllLocked(*error);
-      break;
-    }
-    c.readOnce(lock, /*block=*/true);
+  c.awaitLocked(lock, until, [&] { return slot->result.has_value(); });
+  // Unreachable: a connection that dies fills every pending slot.
+  if (!slot->result.has_value()) {
+    slot->result =
+        failed(ClientStatus::Disconnected, "pipelined connection is down");
   }
   return std::move(*slot->result);
 }
@@ -449,7 +337,12 @@ PipelinedClient::PipelinedClient(ClientConfig config, std::uint32_t window,
     : config_(std::move(config)),
       requestedWindow_(std::max<std::uint32_t>(window, 1)),
       corked_(corked),
-      frameLimits_{config_.maxFrameBytes} {}
+      frameLimits_{config_.maxFrameBytes} {
+  if (config_.metrics != nullptr) {
+    connectAttempts_ = &config_.metrics->counter("client.connect_attempts");
+    connectFailures_ = &config_.metrics->counter("client.connect_failures");
+  }
+}
 
 PipelinedClient::~PipelinedClient() { close(); }
 
@@ -460,11 +353,20 @@ bool PipelinedClient::connected() const {
 std::optional<ClientError> PipelinedClient::connect() {
   if (connected()) return std::nullopt;
   close();
+  auto error = handshake();
+  if (error.has_value() && connectFailures_ != nullptr) {
+    connectFailures_->add();
+  }
+  return error;
+}
+
+std::optional<ClientError> PipelinedClient::handshake() {
   net::Socket socket;
   std::string lastError;
   const auto plan = connectBackoffPlan(config_);
   for (std::size_t attempt = 0; attempt < plan.size(); ++attempt) {
     if (plan[attempt].count() > 0) std::this_thread::sleep_for(plan[attempt]);
+    if (connectAttempts_ != nullptr) connectAttempts_->add();
     const auto deadline = net::Deadline::after(config_.connectTimeout);
     auto connected = config_.unixPath.empty()
                          ? net::connectTcp(config_.tcpHost, config_.tcpPort,
@@ -482,8 +384,7 @@ std::optional<ClientError> PipelinedClient::connect() {
                               " attempts: " + lastError);
   }
 
-  // HELLO handshake, synchronous: until it succeeds the connection is v1
-  // and nothing may be pipelined on it.
+  // HELLO handshake, synchronous: nothing may be sent before the grant.
   Request hello;
   hello.version = kProtocolVersionV2;
   hello.command = Command::Hello;
@@ -505,8 +406,8 @@ std::optional<ClientError> PipelinedClient::connect() {
   }
   if (!decoded.response->ok) {
     auto error = fromServerError(*decoded.response);
-    // A v1-only server answers HELLO with bad_request: that is a protocol
-    // mismatch, not a server-side failure.
+    // A server that refuses the handshake (an old v1-only one answers
+    // bad_request) is a protocol mismatch, not a server-side failure.
     if (error.status == ClientStatus::ServerError) {
       error.status = ClientStatus::ProtocolError;
     }
@@ -537,7 +438,7 @@ std::vector<ReshapeEvent> PipelinedClient::drainReshapeEvents() {
   Connection& c = *connection_;
   std::unique_lock<std::mutex> lock(c.mu);
   if (c.alive.load() && !c.closing && !c.reading) {
-    c.readOnce(lock, /*block=*/false);
+    c.readOnce(lock, /*wait=*/nullptr);
   }
   out.swap(c.reshapes);
   return out;
@@ -555,18 +456,11 @@ PipelinedClient::ResponseFuture PipelinedClient::submit(Encode&& encode) {
     return ResponseFuture(nullptr, std::move(slot));
   }
   Connection& c = *connection_;
+  const auto until = Clock::now() + c.requestDeadline;
   std::unique_lock<std::mutex> lock(c.mu);
   // A full window waits on responses: make sure every buffered frame is on
   // the wire, then read them (or let the thread that is reading do it).
-  while (c.alive.load() && c.pending.size() >= c.window) {
-    if (c.reading || c.closing) {
-      c.changed.wait(lock);
-    } else if (auto error = c.flushLocked()) {
-      c.failAllLocked(*error);
-    } else {
-      c.readOnce(lock, /*block=*/true);
-    }
-  }
+  c.awaitLocked(lock, until, [&] { return c.pending.size() < c.window; });
   if (!c.alive.load()) {
     slot->result = failed(ClientStatus::Disconnected,
                           "pipelined connection is down");
@@ -632,6 +526,14 @@ PipelinedClient::ResponseFuture PipelinedClient::cancelAsync(
   return submit(std::move(request));
 }
 
+PipelinedClient::ResponseFuture PipelinedClient::resizeAsync(int processors,
+                                                             Time when) {
+  Request request;
+  request.command = Command::Resize;
+  request.payload = ResizeRequest{processors, when};
+  return submit(std::move(request));
+}
+
 PipelinedClient::ResponseFuture PipelinedClient::statsAsync() {
   Request request;
   request.command = Command::Stats;
@@ -642,6 +544,60 @@ PipelinedClient::ResponseFuture PipelinedClient::verifyAsync() {
   Request request;
   request.command = Command::Verify;
   return submit(std::move(request));
+}
+
+// --- QoSAgentClient --------------------------------------------------------
+
+QoSAgentClient::QoSAgentClient(ClientConfig config)
+    : pipe_(config, /*window=*/1) {
+  if (config.metrics != nullptr) {
+    requests_ = &config.metrics->counter("client.requests");
+    requestErrors_ = &config.metrics->counter("client.request_errors");
+    requestLatencyUs_ =
+        &obs::latencyHistogram(*config.metrics, "client.request_us");
+  }
+}
+
+template <typename T, typename Submit>
+ClientResult<T> QoSAgentClient::call(Submit&& submit) {
+  if (requests_ != nullptr) requests_->add();
+  const std::int64_t start =
+      requestLatencyUs_ != nullptr ? obs::monotonicNanos() : 0;
+  ClientResult<Response> response;
+  if (auto error = pipe_.connect()) {
+    response.error = std::move(*error);
+  } else {
+    response = submit().get();
+  }
+  if (requestLatencyUs_ != nullptr) {
+    requestLatencyUs_->record(
+        static_cast<double>(obs::monotonicNanos() - start) / 1'000.0);
+  }
+  if (!response.ok() && requestErrors_ != nullptr) requestErrors_->add();
+  return extractResult<T>(std::move(response));
+}
+
+ClientResult<NegotiateResult> QoSAgentClient::negotiate(
+    const task::TunableJobSpec& spec, Time release) {
+  return call<NegotiateResult>(
+      [&] { return pipe_.negotiateAsync(spec, release); });
+}
+
+ClientResult<CancelResult> QoSAgentClient::cancel(std::uint64_t jobId) {
+  return call<CancelResult>([&] { return pipe_.cancelAsync(jobId); });
+}
+
+ClientResult<ResizeResult> QoSAgentClient::resize(int processors, Time when) {
+  return call<ResizeResult>(
+      [&] { return pipe_.resizeAsync(processors, when); });
+}
+
+ClientResult<StatsResult> QoSAgentClient::stats() {
+  return call<StatsResult>([&] { return pipe_.statsAsync(); });
+}
+
+ClientResult<VerifyResult> QoSAgentClient::verify() {
+  return call<VerifyResult>([&] { return pipe_.verifyAsync(); });
 }
 
 }  // namespace tprm::service

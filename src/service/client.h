@@ -1,10 +1,12 @@
-// Blocking client for the tprmd negotiation service.
+// Clients for the tprmd negotiation service.
 //
-// The remote half of the paper's per-application QoS agent: it speaks the
-// wire protocol (service/protocol.h) over one connection, with a
-// configurable per-request deadline and retry-with-backoff on connect.
-// Nothing throws across the wire boundary: every call returns a
-// ClientResult carrying either the typed result or a ClientError.
+// The remote half of the paper's per-application QoS agent.  One transport,
+// PipelinedClient, speaks the wire protocol (service/protocol.h) over one
+// connection: HELLO handshake, many requests in flight, a per-request
+// deadline and retry-with-backoff on connect.  QoSAgentClient is the
+// blocking one-request-at-a-time agent, a façade over a PipelinedClient
+// with window 1.  Nothing throws across the wire boundary: every call
+// returns a ClientResult carrying either the typed result or a ClientError.
 #pragma once
 
 #include <chrono>
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "net/frame.h"
-#include "net/socket.h"
 #include "obs/metrics.h"
 #include "service/protocol.h"
 
@@ -28,7 +29,10 @@ struct ClientConfig {
   std::string tcpHost = "127.0.0.1";
   std::uint16_t tcpPort = 0;
 
-  /// Whole-call budget: connect (first call), send, and receive.
+  /// Per-request budget: the HELLO round trip at connect, each send, and
+  /// each wait for a response (a submit blocked on a full window, or
+  /// ResponseFuture::get()).  A response that does not come in time fails
+  /// the connection with ClientStatus::Timeout; the next call reconnects.
   std::chrono::milliseconds requestDeadline{5'000};
   /// Budget for one connect attempt.
   std::chrono::milliseconds connectTimeout{1'000};
@@ -44,8 +48,10 @@ struct ClientConfig {
 
   std::size_t maxFrameBytes = 1 << 20;
 
-  /// Optional caller-owned registry.  When set, the client records connect
-  /// attempts/failures and an end-to-end request latency histogram
+  /// Optional caller-owned registry.  When set, connect() records
+  /// "client.connect_attempts" and "client.connect_failures"; the blocking
+  /// QoSAgentClient also records "client.requests",
+  /// "client.request_errors" and an end-to-end latency histogram
   /// ("client.request_us": connect + send + receive as the caller sees it).
   /// Must outlive the client.
   obs::MetricsRegistry* metrics = nullptr;
@@ -64,7 +70,7 @@ enum class ClientStatus {
   Disconnected,    // server closed the connection mid-call
   ProtocolError,   // malformed/oversized frame or undecodable response
   ServerError,     // server answered with an error (code/message carried)
-  Busy,            // typed v2 backpressure: window exceeded or queue full —
+  Busy,            // typed backpressure: window exceeded or queue full —
                    // retriable, the connection stays healthy
 };
 
@@ -108,59 +114,8 @@ template <typename T>
   return out;
 }
 
-class QoSAgentClient {
- public:
-  explicit QoSAgentClient(ClientConfig config);
-  ~QoSAgentClient() = default;
-
-  QoSAgentClient(const QoSAgentClient&) = delete;
-  QoSAgentClient& operator=(const QoSAgentClient&) = delete;
-
-  /// Connects eagerly (calls also connect lazily).  Useful to surface
-  /// endpoint problems before the first negotiation.
-  [[nodiscard]] std::optional<ClientError> connect();
-
-  [[nodiscard]] bool connected() const { return socket_.valid(); }
-  void close() { socket_.close(); }
-
-  /// Static negotiation (Section 3.1) across the wire: sends every chain of
-  /// `spec`, receives the decision.  `release` is clamped forward to the
-  /// arbitrator's clock server-side.
-  [[nodiscard]] ClientResult<NegotiateResult> negotiate(
-      const task::TunableJobSpec& spec, Time release);
-
-  [[nodiscard]] ClientResult<CancelResult> cancel(std::uint64_t jobId);
-  [[nodiscard]] ClientResult<ResizeResult> resize(int processors, Time when);
-  [[nodiscard]] ClientResult<StatsResult> stats();
-  [[nodiscard]] ClientResult<VerifyResult> verify();
-  /// Drains reshape events the server buffered for this connection's jobs
-  /// (elastic mode): v1 connections poll; v2 connections get pushes instead
-  /// (PipelinedClient::drainReshapeEvents).
-  [[nodiscard]] ClientResult<ReshapesResult> reshapes();
-
- private:
-  /// Sends `request` and reads the matching response.  On transport failure
-  /// the connection is closed so the next call reconnects.
-  ClientResult<Response> call(Request request);
-
-  /// Transport + decode; call() wraps it with the latency histogram.
-  ClientResult<Response> callImpl(Request request);
-
-  ClientConfig config_;
-  net::FrameLimits frameLimits_;
-  net::Socket socket_;
-  std::uint64_t nextRequestId_ = 1;
-  // Cached registry lookups (null when config_.metrics is null).
-  obs::Counter* connectAttempts_ = nullptr;
-  obs::Counter* connectFailures_ = nullptr;
-  obs::Counter* requests_ = nullptr;
-  obs::Counter* requestErrors_ = nullptr;
-  obs::HistogramMetric* requestLatencyUs_ = nullptr;
-};
-
-/// Pipelined wire-protocol-v2 client: many in-flight requests on one
-/// connection, responses correlated by requestId (and therefore allowed to
-/// arrive out of order).
+/// Pipelined client: many in-flight requests on one connection, responses
+/// correlated by requestId (and therefore allowed to arrive out of order).
 ///
 /// connect() performs the HELLO handshake, requesting `window` concurrent
 /// requests; the server grants min(requested, its own cap) and the granted
@@ -179,7 +134,9 @@ class QoSAgentClient {
 /// a re-advertised window to the window — then hands the role on; other
 /// waiters sleep until their response is in or the role is free.  So a
 /// round trip costs the caller a poll() and a recv() and no thread hop.
-/// On disconnect every outstanding future fails with Disconnected.
+/// On disconnect every outstanding future fails with Disconnected.  A wait
+/// that outlasts ClientConfig::requestDeadline fails the connection, and
+/// every outstanding future, with Timeout.
 ///
 /// Pushes are read only while some thread reads: a client that makes no
 /// calls leaves its RESHAPED pushes in the socket until its next call or
@@ -202,8 +159,9 @@ class PipelinedClient {
     ResponseFuture& operator=(const ResponseFuture&) = delete;
 
     /// Blocks until the response arrives, reading the connection itself
-    /// when no other thread is.  A default-constructed or already-read
-    /// future reports Disconnected.
+    /// when no other thread is; gives up after the request deadline (see
+    /// ClientConfig::requestDeadline).  A default-constructed or
+    /// already-read future reports Disconnected.
     ClientResult<Response> get();
 
    private:
@@ -231,8 +189,8 @@ class PipelinedClient {
   PipelinedClient& operator=(const PipelinedClient&) = delete;
 
   /// Connects (with the ClientConfig retry plan) and runs the HELLO
-  /// handshake.  Fails with ProtocolError against a server that does not
-  /// speak v2.  Starts no thread.
+  /// handshake; a no-op while connected.  Fails with ProtocolError against
+  /// a server that does not grant the handshake.  Starts no thread.
   [[nodiscard]] std::optional<ClientError> connect();
   [[nodiscard]] bool connected() const;
   /// Window granted by the server's HELLO response (0 before connect()).
@@ -259,6 +217,7 @@ class PipelinedClient {
   [[nodiscard]] ResponseFuture negotiateAsync(const task::TunableJobSpec& spec,
                                               Time release);
   [[nodiscard]] ResponseFuture cancelAsync(std::uint64_t jobId);
+  [[nodiscard]] ResponseFuture resizeAsync(int processors, Time when);
   [[nodiscard]] ResponseFuture statsAsync();
   [[nodiscard]] ResponseFuture verifyAsync();
 
@@ -272,15 +231,71 @@ class PipelinedClient {
   /// window has room.
   template <typename Encode>
   ResponseFuture submit(Encode&& encode);
+  /// connect()'s body: socket with retries, then the HELLO round trip.
+  [[nodiscard]] std::optional<ClientError> handshake();
   [[nodiscard]] ResponseFuture submit(Request request);
 
   ClientConfig config_;
+  // Cached registry lookups (null when config_.metrics is null).
+  obs::Counter* connectAttempts_ = nullptr;
+  obs::Counter* connectFailures_ = nullptr;
   std::uint32_t requestedWindow_;
   std::uint32_t grantedWindow_ = 0;  // HELLO grant (cap for the window)
   bool corked_;
   net::FrameLimits frameLimits_;
   /// Set by connect(); shared with every future it issued.
   std::shared_ptr<Connection> connection_;
+};
+
+/// Blocking QoS agent: one request at a time over a PipelinedClient with
+/// window 1.  Every call connects first when the client is not connected
+/// (before the first call, and after a transport failure, a timeout or
+/// close()), so a failed call is followed by a reconnect, not an error.
+/// Not thread-safe: one caller at a time.
+class QoSAgentClient {
+ public:
+  explicit QoSAgentClient(ClientConfig config);
+
+  QoSAgentClient(const QoSAgentClient&) = delete;
+  QoSAgentClient& operator=(const QoSAgentClient&) = delete;
+
+  /// Connects eagerly (calls also connect lazily).  Useful to surface
+  /// endpoint problems before the first negotiation.
+  [[nodiscard]] std::optional<ClientError> connect() {
+    return pipe_.connect();
+  }
+  [[nodiscard]] bool connected() const { return pipe_.connected(); }
+  void close() { pipe_.close(); }
+
+  /// Static negotiation (Section 3.1) across the wire: sends every chain of
+  /// `spec`, receives the decision.  `release` is clamped forward to the
+  /// arbitrator's clock server-side.
+  [[nodiscard]] ClientResult<NegotiateResult> negotiate(
+      const task::TunableJobSpec& spec, Time release);
+
+  [[nodiscard]] ClientResult<CancelResult> cancel(std::uint64_t jobId);
+  [[nodiscard]] ClientResult<ResizeResult> resize(int processors, Time when);
+  [[nodiscard]] ClientResult<StatsResult> stats();
+  [[nodiscard]] ClientResult<VerifyResult> verify();
+  /// Reshape events pushed for jobs this connection negotiated (elastic
+  /// mode); see PipelinedClient::drainReshapeEvents.  A push is written
+  /// before any later response on the connection, so after one more call
+  /// (a STATS, say) every move of the earlier calls is in.
+  [[nodiscard]] std::vector<ReshapeEvent> drainReshapeEvents() {
+    return pipe_.drainReshapeEvents();
+  }
+
+ private:
+  /// Connects if needed, submits through `submit`, waits for the response
+  /// and narrows it to T, recording the request metrics.
+  template <typename T, typename Submit>
+  ClientResult<T> call(Submit&& submit);
+
+  PipelinedClient pipe_;
+  // Cached registry lookups (null when no registry is configured).
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* requestErrors_ = nullptr;
+  obs::HistogramMetric* requestLatencyUs_ = nullptr;
 };
 
 }  // namespace tprm::service

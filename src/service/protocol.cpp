@@ -291,7 +291,7 @@ struct BindingsField {
   }
 };
 
-/// A captured "events" array of a RESHAPES / RESHAPED result.
+/// A captured "events" array of a RESHAPED push.
 struct EventsField {
   bool present = false;
   bool isArray = false;
@@ -415,7 +415,6 @@ const char* toString(Command command) {
     case Command::Stats: return "STATS";
     case Command::Verify: return "VERIFY";
     case Command::Hello: return "HELLO";
-    case Command::Reshapes: return "RESHAPES";
   }
   return "UNKNOWN";
 }
@@ -459,7 +458,6 @@ void appendRequest(std::string& out, const Request& request) {
     case Command::Hello:
     case Command::Stats:
     case Command::Verify:
-    case Command::Reshapes:
       break;
   }
   w.key("v").integer(request.version);
@@ -555,8 +553,6 @@ RequestParseResult decodeRequest(const std::string& text) {
     request.command = Command::Stats;
   } else if (cmd == "VERIFY") {
     request.command = Command::Verify;
-  } else if (cmd == "RESHAPES") {
-    request.command = Command::Reshapes;
   } else if (cmd == "HELLO") {
     if (request.version < kProtocolVersionV2) {
       result.error = "HELLO requires protocol version 2";
@@ -642,9 +638,9 @@ void writeResult(JsonWriter& w, const HelloResult& hello) {
   w.key("window").integer(hello.window);
 }
 
-void writeResult(JsonWriter& w, const ReshapesResult& reshapes) {
+void writeResult(JsonWriter& w, const ReshapedPush& push) {
   w.key("events").beginArray();
-  for (const auto& event : reshapes.events) {
+  for (const auto& event : push.events) {
     w.beginObject();
     w.key("fromChain").integer(static_cast<std::int64_t>(event.fromChain));
     w.key("fromQuality").number(event.fromQuality);
@@ -678,9 +674,7 @@ const char* resultCommand(const Response::Result& result) {
   if (std::holds_alternative<HelloResult>(result)) {
     return toString(Command::Hello);
   }
-  if (const auto* reshapes = std::get_if<ReshapesResult>(&result)) {
-    return reshapes->push ? "RESHAPED" : toString(Command::Reshapes);
-  }
+  if (std::holds_alternative<ReshapedPush>(result)) return "RESHAPED";
   TPRM_CHECK(false, "ok response without a result payload");
   return nullptr;
 }
@@ -916,9 +910,7 @@ ResponseParseResult decodeResponse(const std::string& text) {
       return out;
     }
     response.result = hello;
-  } else if (cmd == "RESHAPES" || cmd == "RESHAPED") {
-    ReshapesResult reshapes;
-    reshapes.push = cmd == "RESHAPED";
+  } else if (cmd == "RESHAPED") {
     if (!res.events.present || !res.events.isArray) {
       out.error = "'events' must be an array";
       return out;
@@ -927,8 +919,7 @@ ResponseParseResult decodeResponse(const std::string& text) {
       out.error = std::move(res.events.error);
       return out;
     }
-    reshapes.events = std::move(res.events.events);
-    response.result = std::move(reshapes);
+    response.result = ReshapedPush{std::move(res.events.events)};
   } else {
     out.error = "unknown response command '" + cmd + "'";
     return out;

@@ -9,7 +9,6 @@
 //   {"v": 1, "id": 9, "cmd": "RESIZE", "processors": 48, "when": 125.0}
 //   {"v": 1, "id": 10, "cmd": "STATS"}
 //   {"v": 1, "id": 11, "cmd": "VERIFY"}
-//   {"v": 1, "id": 12, "cmd": "RESHAPES"}   // drain buffered reshape events
 //
 // Responses echo the request id:
 //
@@ -17,9 +16,8 @@
 //   {"id": 7, "ok": false,
 //    "error": {"code": "bad_request", "message": "..."}}
 //
-// Protocol v2 (docs/wire_protocol.md is the normative spec) keeps the same
-// frame layout and JSON shapes but starts with a handshake and allows
-// pipelining:
+// Every connection starts with a HELLO handshake (docs/wire_protocol.md is
+// the normative spec):
 //
 //   {"v": 2, "id": 1, "cmd": "HELLO", "window": 32}
 //   -> {"id": 1, "ok": true, "cmd": "HELLO",
@@ -27,17 +25,19 @@
 //
 // After HELLO the connection may carry many in-flight requests (up to the
 // negotiated window), each tagged with a client-chosen `id` (requestId);
-// responses may arrive in any order and are correlated by that id.  A v1
-// connection is simply one whose first frame is not HELLO: it keeps the
-// strict one-request-one-response ordering, unchanged.
+// responses may arrive in any order and are correlated by that id.  A
+// server answers a first frame that is not HELLO with `unsupported_version`
+// and closes the connection: the v1 protocol, one request at a time with
+// no handshake, is retired.  The request envelope still accepts "v": 1,
+// which recorded wire traces carry.
 //
 // All times cross the wire in paper units (doubles), matching spec_io;
 // ticksFromUnits(unitsFromTicks(t)) == t for every time this service
 // produces, so decisions survive the trip exactly.  Infinite deadlines are
 // omitted.  Error codes are stable strings: bad_request, bad_spec,
-// unknown_command, shutting_down, busy, internal.  `busy` is v2-only
-// backpressure: the request was not executed (window exceeded or shard
-// queue full) and may be retried.
+// unknown_command, shutting_down, busy, unsupported_version, internal.
+// `busy` is backpressure: the request was not executed (window exceeded or
+// shard queue full) and may be retried.
 #pragma once
 
 #include <cstdint>
@@ -53,12 +53,14 @@
 
 namespace tprm::service {
 
+/// Envelope version of the retired one-request-at-a-time protocol; still
+/// accepted in a request's "v" field (recorded traces carry it).
 inline constexpr std::uint32_t kProtocolVersion = 1;
-/// Pipelined protocol: HELLO handshake, requestId-correlated out-of-order
-/// responses, typed `busy` backpressure.
+/// The protocol every connection speaks: HELLO handshake, requestId-
+/// correlated out-of-order responses, typed `busy` backpressure.
 inline constexpr std::uint32_t kProtocolVersionV2 = 2;
 
-enum class Command { Negotiate, Cancel, Resize, Stats, Verify, Hello, Reshapes };
+enum class Command { Negotiate, Cancel, Resize, Stats, Verify, Hello };
 
 [[nodiscard]] const char* toString(Command command);
 
@@ -79,9 +81,9 @@ struct ResizeRequest {
 
   bool operator==(const ResizeRequest&) const = default;
 };
-/// v2 handshake: must be the first frame on a connection that wants
-/// pipelining.  `window` is the in-flight cap the client asks for; the
-/// server grants min(window, its per-connection cap) in HelloResult.
+/// Handshake: must be the first frame on every connection.  `window` is the
+/// in-flight cap the client asks for; the server grants min(window, its
+/// per-connection cap) in HelloResult.
 struct HelloRequest {
   std::uint32_t window = 1;
 
@@ -90,8 +92,9 @@ struct HelloRequest {
 
 struct Request {
   std::uint64_t id = 0;  // client-chosen correlation id, echoed verbatim
-  /// Wire version this request was (or will be) encoded with.  v1 and v2
-  /// frames are shape-identical apart from HELLO; servers accept both.
+  /// Envelope version this request was (or will be) encoded with.  v1 and
+  /// v2 frames are shape-identical apart from HELLO (v2 only); servers
+  /// accept both, so recorded v1 traces still decode.
   std::uint32_t version = kProtocolVersion;
   Command command = Command::Stats;
   /// Payload; monostate for the parameterless commands (STATS, VERIFY).
@@ -161,7 +164,7 @@ struct VerifyResult {
   bool operator==(const VerifyResult&) const = default;
 };
 
-/// Server's half of the v2 handshake: the granted protocol version and the
+/// Server's half of the handshake: the granted protocol version and the
 /// per-connection in-flight window actually in force.
 struct HelloResult {
   std::uint32_t version = kProtocolVersionV2;
@@ -172,9 +175,8 @@ struct HelloResult {
 
 /// One committed elastic quality move (arbitrator-initiated renegotiation):
 /// the job identified by `jobId` now runs chain `toChain` at `toQuality`.
-/// Delivered to the connection that negotiated the job — as an unsolicited
-/// RESHAPED push frame on v2 connections, or buffered until the next
-/// RESHAPES poll on v1 connections.
+/// Delivered to the connection that negotiated the job as an unsolicited
+/// RESHAPED push frame.
 struct ReshapeEvent {
   std::uint64_t jobId = 0;
   bool promotion = false;  // false = demotion
@@ -188,13 +190,11 @@ struct ReshapeEvent {
   bool operator==(const ReshapeEvent&) const = default;
 };
 
-/// Reply to a RESHAPES poll (push == false) or an unsolicited RESHAPED
-/// server push (push == true, v2 only, correlation id 0).
-struct ReshapesResult {
-  bool push = false;
+/// An unsolicited RESHAPED server push (correlation id 0).
+struct ReshapedPush {
   std::vector<ReshapeEvent> events;
 
-  bool operator==(const ReshapesResult&) const = default;
+  bool operator==(const ReshapedPush&) const = default;
 };
 
 struct ErrorInfo {
@@ -210,13 +210,13 @@ struct Response {
   std::optional<ErrorInfo> error;  // set iff !ok
   /// Adaptive-window re-advertisement (top-level "window"): when the server
   /// is under queue pressure it stamps the in-flight window it currently
-  /// honours on v2 responses and busy errors; clients shrink to
+  /// honours on responses and busy errors; clients shrink to
   /// min(granted, advertised) and restore on the first unstamped response.
   std::optional<std::uint32_t> advertisedWindow;
   using Result =
       std::variant<std::monostate, NegotiateResult, CancelResult,
                    ResizeResult, StatsResult, VerifyResult, HelloResult,
-                   ReshapesResult>;
+                   ReshapedPush>;
   Result result;
 
   bool operator==(const Response&) const = default;

@@ -20,10 +20,6 @@ namespace {
 /// idle sweeps and shutdown flags are honoured promptly.
 constexpr std::chrono::milliseconds kPollSlice{50};
 
-/// deliverSeq sentinel for responses exempt from v1 submit-order delivery
-/// (all v2 traffic, plus desynced-stream errors).
-constexpr std::uint64_t kUnordered = ~std::uint64_t{0};
-
 /// iovec entries per sendmsg in the scatter-gather flush.  Comfortably
 /// below IOV_MAX (1024 on Linux); a busy batch rarely exceeds a few dozen
 /// frames per connection.
@@ -68,12 +64,10 @@ struct NegotiationServer::PendingCommand {
   std::optional<std::uint64_t> presetJobId;
   /// Stamped at enqueue when observability is on (0 otherwise).
   std::int64_t enqueuedNs = 0;
-  /// Where the response goes: the loop that owns the connection, the
-  /// connection itself, and (v1 only) the submit-order slot the response
-  /// must be delivered in.  kUnordered for v2.
+  /// Where the response goes: the loop that owns the connection, and the
+  /// connection itself.
   int loopIndex = 0;
   std::uint64_t connId = 0;
-  std::uint64_t deliverSeq = 0;
 };
 
 /// A finished command's encoded response — or a batch of reshape push
@@ -83,11 +77,9 @@ struct NegotiationServer::ResponseMsg {
   /// originByJob_ rather than the command.
   int loopIndex = 0;
   std::uint64_t connId = 0;
-  std::uint64_t deliverSeq = 0;
   std::string payload;  // encoded response JSON (empty for push batches)
-  /// Unsolicited reshape notification: does not consume an in-flight slot.
-  /// The loop routes it by connection version — encoded as a RESHAPED push
-  /// frame (v2) or buffered for the next RESHAPES poll (v1).
+  /// Unsolicited reshape notification: does not consume an in-flight slot;
+  /// the loop encodes it as a RESHAPED push frame.
   bool push = false;
   std::vector<ReshapeEvent> events;  // push batches only
 };
@@ -103,30 +95,19 @@ struct NegotiationServer::Connection {
   std::deque<std::string> outq;
   std::size_t outOff = 0;
   std::size_t outBytes = 0;  // total unwritten bytes across outq
-  bool wantWrite = false;   // EPOLLOUT armed
-  bool readPaused = false;  // EPOLLIN disarmed (v1 queue backpressure)
-  bool closing = false;     // close once every pending response has flushed
-  bool closed = false;      // socket gone; awaiting reap
-  bool v2 = false;          // HELLO handshake completed
-  bool sawFrame = false;    // first non-HELLO frame locks the connection v1
-  std::uint32_t window = 1;    // negotiated v2 in-flight cap
+  bool wantWrite = false;  // EPOLLOUT armed
+  bool closing = false;    // close once every pending response has flushed
+  bool closed = false;     // socket gone; awaiting reap
+  bool helloDone = false;  // HELLO handshake completed
+  std::uint32_t window = 1;    // negotiated in-flight cap
   std::uint32_t inFlight = 0;  // commands enqueued, response not delivered
-  /// v1 ordering: every inbound frame consumes one submit slot; responses
-  /// are written strictly in slot order even when sharded execution
-  /// completes out of order (held parks early completions).
-  std::uint64_t nextSubmitSeq = 0;
-  std::uint64_t nextDeliverSeq = 0;
-  std::map<std::uint64_t, std::string> held;
-  /// v1 only: reshape events awaiting a RESHAPES poll (bounded by
-  /// config.reshapeEventBuffer; oldest dropped).
-  std::deque<ReshapeEvent> reshapes;
   Clock::time_point lastActivity{};
 };
 
 /// One event loop: epoll set, eventfd wakeup, and the MPSC inbox other
 /// threads use to hand it work (new connections from the acceptors,
-/// responses and resume signals from the shard workers, shutdown phases
-/// from stop()).
+/// responses and pushes from the shard workers, shutdown phases from
+/// stop()).
 struct NegotiationServer::Loop {
   int index = 0;
   net::Epoll epoll;
@@ -136,7 +117,6 @@ struct NegotiationServer::Loop {
   std::mutex inboxMu;
   std::vector<net::Socket> pendingConns;       // guarded by inboxMu
   std::vector<ResponseMsg> pendingResponses;   // guarded by inboxMu
-  std::vector<std::uint64_t> pendingResumes;   // guarded by inboxMu
   bool drainRequested = false;                 // guarded by inboxMu
   bool finishRequested = false;                // guarded by inboxMu
 
@@ -161,16 +141,11 @@ struct NegotiationServer::Loop {
 /// One shard's command queue and the worker draining it.  The queue itself
 /// is pluggable (config.queueKind, qos/command_queue.h); every kind is
 /// soft-bounded from the server's point of view: producers never block (the
-/// loop threads must not stall); at/above commandQueueCapacity v1 producers
-/// pause reading and v2 producers get `busy` instead.
+/// loop threads must not stall); at/above commandQueueCapacity a command is
+/// refused with `busy` instead.
 struct NegotiationServer::ShardQueue {
   int index = 0;
   std::unique_ptr<qos::CommandQueue<std::shared_ptr<PendingCommand>>> impl;
-  /// (loopIndex, connId) of v1 connections paused on this queue's
-  /// backpressure; whoever drains the queue below capacity (its worker or,
-  /// in steal mode, a thief) flushes the list.
-  std::mutex throttledMu;
-  std::vector<std::pair<int, std::uint64_t>> throttled;  // guarded by ^
   /// "server.queue_depth" (shards == 1) / "server.queue_depth.shard<k>".
   /// Sampled at enqueue from the depth the push itself observed, so the
   /// high-water mark catches every peak even when the worker drains whole
@@ -185,8 +160,6 @@ NegotiationServer::NegotiationServer(ServerConfig config)
       arbitrator_(config_.processors, shardedOptions(config_)) {
   config_.eventLoops = std::max(config_.eventLoops, 1);
   config_.workerBatch = std::max<std::size_t>(config_.workerBatch, 1);
-  config_.reshapeEventBuffer =
-      std::max<std::size_t>(config_.reshapeEventBuffer, 1);
   if (config_.reshapePolicy != nullptr) {
     arbitrator_.attachReshapePolicy(config_.reshapePolicy);
   }
@@ -514,13 +487,11 @@ void NegotiationServer::loopMain(Loop* loop) {
 
 void NegotiationServer::processInbox(Loop* loop) {
   std::vector<net::Socket> conns;
-  std::vector<std::uint64_t> resumes;
   bool drainRequested = false;
   bool finishRequested = false;
   {
     std::lock_guard<std::mutex> lock(loop->inboxMu);
     conns.swap(loop->pendingConns);
-    resumes.swap(loop->pendingResumes);
     drainRequested = loop->drainRequested;
     finishRequested = loop->finishRequested;
   }
@@ -530,17 +501,6 @@ void NegotiationServer::processInbox(Loop* loop) {
   // connection per batch instead of one per response.
   deliverPosted(loop);
   finishBatch(loop);
-  for (const auto connId : resumes) {
-    const auto it = loop->conns.find(connId);
-    if (it == loop->conns.end() || it->second->closed) continue;
-    Connection* conn = it->second.get();
-    if (!conn->readPaused || loop->draining) continue;
-    conn->readPaused = false;
-    updateInterest(loop, conn);
-    // Frames decoded before the pause are still buffered; process them
-    // first — the level-triggered read interest covers the rest.
-    processDecodedFrames(loop, conn);
-  }
   if (drainRequested && !loop->draining) {
     loop->draining = true;
     for (auto& [id, conn] : loop->conns) {
@@ -581,29 +541,15 @@ void NegotiationServer::deliverMsg(Loop* loop, ResponseMsg& msg) {
   }
   Connection* conn = it->second.get();
   if (msg.push) {
-    // Unsolicited notification: consumes no in-flight slot.  v2 peers
-    // get a RESHAPED push frame; v1 peers buffer until a RESHAPES poll.
-    if (conn->v2) {
-      Response response;
-      response.ok = true;
-      ReshapesResult result;
-      result.push = true;
-      result.events = std::move(msg.events);
-      response.result = std::move(result);
-      stampWindow(&response);
-      deliverResponse(loop, conn, kUnordered, encodeResponse(response));
-    } else {
-      for (auto& event : msg.events) {
-        if (conn->reshapes.size() >= config_.reshapeEventBuffer) {
-          conn->reshapes.pop_front();
-          reshapeEventsDropped_.fetch_add(1);
-        }
-        conn->reshapes.push_back(std::move(event));
-      }
-    }
+    // Unsolicited notification: consumes no in-flight slot.
+    Response response;
+    response.ok = true;
+    response.result = ReshapedPush{std::move(msg.events)};
+    stampWindow(&response);
+    deliverResponse(loop, conn, encodeResponse(response));
   } else {
     if (conn->inFlight > 0) --conn->inFlight;
-    deliverResponse(loop, conn, msg.deliverSeq, msg.payload);
+    deliverResponse(loop, conn, msg.payload);
   }
   if (std::find(loop->touched.begin(), loop->touched.end(), conn) ==
       loop->touched.end()) {
@@ -633,7 +579,7 @@ void NegotiationServer::executeInline(Loop* loop, Connection* conn, int shard,
   pushes.clear();
   const std::string payload = runCommand(shard, command, &pushes);
   commandsInline_.fetch_add(1, std::memory_order_relaxed);
-  deliverResponse(loop, conn, command.deliverSeq, payload);
+  deliverResponse(loop, conn, payload);
   // Pushes follow the response: ours straight into the output buffers,
   // other loops' through their inboxes.
   for (auto& msg : pushes) {
@@ -679,7 +625,7 @@ void NegotiationServer::handleReadable(Loop* loop, Connection* conn) {
   // Read until WouldBlock, bounded per event so one firehose connection
   // cannot starve the rest of the loop (level-triggered epoll re-fires).
   for (int round = 0; round < 8; ++round) {
-    if (conn->closed || conn->closing || conn->readPaused || loop->draining) {
+    if (conn->closed || conn->closing || loop->draining) {
       return;
     }
     const auto chunk = conn->socket.readSome(buffer, sizeof buffer);
@@ -707,8 +653,7 @@ void NegotiationServer::handleReadable(Loop* loop, Connection* conn) {
 
 void NegotiationServer::processDecodedFrames(Loop* loop, Connection* conn) {
   std::string payload;
-  while (!conn->closed && !conn->closing && !conn->readPaused &&
-         conn->decoder.next(&payload)) {
+  while (!conn->closed && !conn->closing && conn->decoder.next(&payload)) {
     handleFrame(loop, conn, payload);
   }
   if (!conn->closed && !conn->closing && conn->decoder.failed()) {
@@ -718,7 +663,7 @@ void NegotiationServer::processDecodedFrames(Loop* loop, Connection* conn) {
     conn->closing = true;
     updateInterest(loop, conn);
     deliverResponse(
-        loop, conn, kUnordered,
+        loop, conn,
         encodeResponse(
             makeError(0, "frame_too_large", conn->decoder.message())));
   }
@@ -735,40 +680,45 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
     // The stream itself is intact (whole frame consumed): report and keep
     // the connection.  Correlation id 0 marks an undecodable request.
     framesMalformed_.fetch_add(1);
-    const auto response =
-        encodeResponse(makeError(0, "bad_request", decoded.error));
     deliverResponse(loop, conn,
-                    conn->v2 ? kUnordered : conn->nextSubmitSeq++, response);
+                    encodeResponse(makeError(0, "bad_request", decoded.error)));
     return;
   }
   Request request = std::move(*decoded.request);
 
-  if (request.command == Command::Hello) {
-    Response response;
-    if (conn->sawFrame) {
-      response = makeError(request.id, "bad_request",
-                           "HELLO must be the first frame on a connection");
-    } else {
-      conn->sawFrame = true;
-      conn->v2 = true;
-      const auto& hello = std::get<HelloRequest>(request.payload);
-      const auto cap = static_cast<std::uint32_t>(std::min<std::size_t>(
-          std::max<std::size_t>(config_.maxInFlightPerConnection, 1),
-          ~std::uint32_t{0}));
-      conn->window = std::max<std::uint32_t>(
-          1, std::min<std::uint32_t>(hello.window, cap));
-      helloHandshakes_.fetch_add(1);
-      response.id = request.id;
-      response.ok = true;
-      response.result = HelloResult{kProtocolVersionV2, conn->window};
+  if (!conn->helloDone) {
+    if (request.command != Command::Hello) {
+      // A client of the retired v1 protocol.  Nothing is stamped (no
+      // sequence number, job id or trace record); the connection closes
+      // once the error has flushed.
+      deliverResponse(loop, conn,
+                      encodeResponse(makeError(
+                          request.id, "unsupported_version",
+                          "wire protocol v1 is retired; send HELLO first")));
+      conn->closing = true;
+      updateInterest(loop, conn);
+      return;
     }
+    conn->helloDone = true;
+    const auto& hello = std::get<HelloRequest>(request.payload);
+    conn->window = std::max<std::uint32_t>(
+        1, std::min<std::uint32_t>(hello.window, fullWindow()));
+    helloHandshakes_.fetch_add(1);
+    Response response;
+    response.id = request.id;
+    response.ok = true;
+    response.result = HelloResult{kProtocolVersionV2, conn->window};
+    deliverResponse(loop, conn, encodeResponse(response));
+    return;
+  }
+  if (request.command == Command::Hello) {
     deliverResponse(loop, conn,
-                    conn->v2 ? kUnordered : conn->nextSubmitSeq++,
-                    encodeResponse(response));
+                    encodeResponse(makeError(
+                        request.id, "bad_request",
+                        "HELLO must be the first frame on a connection")));
     return;
   }
 
-  conn->sawFrame = true;
   if (const auto* negotiate = std::get_if<NegotiateRequest>(&request.payload)) {
     // Admission bound: a frame can be well-formed with every number in
     // range and still ask for more processor-ticks than the arbitrator's
@@ -777,129 +727,77 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
         task::admissionBoundError(negotiate->spec, negotiate->release);
     if (!bound.empty()) {
       deliverResponse(loop, conn,
-                      conn->v2 ? kUnordered : conn->nextSubmitSeq++,
                       encodeResponse(makeError(request.id, "bad_request",
                                                "bad spec: " + bound)));
       return;
     }
   }
-  if (request.command == Command::Reshapes) {
-    // Answered inline on the loop thread — the buffered events live in
-    // loop-owned connection state.  Consumes no in-flight slot.
-    Response response;
-    response.id = request.id;
-    response.ok = true;
-    ReshapesResult result;
-    result.events.assign(std::make_move_iterator(conn->reshapes.begin()),
-                         std::make_move_iterator(conn->reshapes.end()));
-    conn->reshapes.clear();
-    response.result = std::move(result);
-    stampWindow(&response);
-    deliverResponse(loop, conn,
-                    conn->v2 ? kUnordered : conn->nextSubmitSeq++,
-                    encodeResponse(response));
+  // The honoured window shrinks with shard-queue pressure so pipelined
+  // clients throttle before the queues actually fill.
+  const std::uint32_t effective = std::min(conn->window, dynamicWindowNow());
+  if (conn->inFlight >= effective) {
+    busyRejections_.fetch_add(1);
+    Response busy =
+        makeError(request.id, "busy", "in-flight window exceeded; retry");
+    busy.advertisedWindow = effective;
+    deliverResponse(loop, conn, encodeResponse(busy));
     return;
-  }
-  if (conn->v2) {
-    // The honoured window shrinks with shard-queue pressure so pipelined
-    // clients throttle before the queues actually fill.
-    const std::uint32_t effective =
-        std::min(conn->window, dynamicWindowNow());
-    if (conn->inFlight >= effective) {
-      busyRejections_.fetch_add(1);
-      Response busy = makeError(request.id, "busy",
-                                "in-flight window exceeded; retry");
-      busy.advertisedWindow = effective;
-      deliverResponse(loop, conn, kUnordered, encodeResponse(busy));
-      return;
-    }
   }
 
   PendingCommand command;
   command.request = std::move(request);
   command.loopIndex = loop->index;
   command.connId = conn->id;
-  command.deliverSeq = conn->v2 ? kUnordered : conn->nextSubmitSeq;
   int shard = 0;
-  switch (enqueue(loop, command, conn->v2, &shard)) {
+  switch (enqueue(loop, command, &shard)) {
     case EnqueueStatus::Inline:
       executeInline(loop, conn, shard, command);
-      if (!conn->v2) ++conn->nextSubmitSeq;
       return;
     case EnqueueStatus::Busy: {
       busyRejections_.fetch_add(1);
       Response busy = makeError(command.request.id, "busy",
                                 "command queue full; retry");
       busy.advertisedWindow = std::min(conn->window, dynamicWindowNow());
-      deliverResponse(loop, conn, kUnordered, encodeResponse(busy));
+      deliverResponse(loop, conn, encodeResponse(busy));
       return;
     }
-    case EnqueueStatus::Closed: {
-      const auto response = encodeResponse(
-          makeError(command.request.id, "shutting_down",
-                    "server is draining; retry elsewhere"));
+    case EnqueueStatus::Closed:
       deliverResponse(loop, conn,
-                      conn->v2 ? kUnordered : conn->nextSubmitSeq++,
-                      response);
+                      encodeResponse(makeError(
+                          command.request.id, "shutting_down",
+                          "server is draining; retry elsewhere")));
       conn->closing = true;
       updateInterest(loop, conn);
       flushOut(loop, conn);
       return;
-    }
-    case EnqueueStatus::OkThrottle:
-      conn->readPaused = true;
-      updateInterest(loop, conn);
-      [[fallthrough]];
     case EnqueueStatus::Ok:
-      if (!conn->v2) ++conn->nextSubmitSeq;
       ++conn->inFlight;
       return;
   }
 }
 
 void NegotiationServer::deliverResponse(Loop* loop, Connection* conn,
-                                        std::uint64_t deliverSeq,
                                         const std::string& payload) {
   if (conn->closed) return;
-  auto append = [&](const std::string& encoded) {
-    std::string framed;
-    const auto wrote = net::appendFrame(framed, encoded, frameLimits_);
-    if (!wrote.ok()) {
-      // A response over the frame limit cannot be sent; the stream would
-      // desync if we dropped it silently mid-sequence, so drop the
-      // connection (mirrors the blocking server's failed writeFrame).
-      if (conn->inFlight == 0) disconnectsMidRequest_.fetch_add(1);
-      closeConnection(loop, conn);
-      return false;
-    }
-    conn->outBytes += framed.size();
-    conn->outq.push_back(std::move(framed));
-    return true;
-  };
-  if (deliverSeq == kUnordered) {
-    if (!append(payload)) return;
-  } else if (deliverSeq == conn->nextDeliverSeq) {
-    if (!append(payload)) return;
-    ++conn->nextDeliverSeq;
-    auto it = conn->held.find(conn->nextDeliverSeq);
-    while (it != conn->held.end()) {
-      if (!append(it->second)) return;
-      conn->held.erase(it);
-      ++conn->nextDeliverSeq;
-      it = conn->held.find(conn->nextDeliverSeq);
-    }
-  } else {
-    // Out-of-order completion on a v1 connection: park until the earlier
-    // responses have been written.
-    conn->held[deliverSeq] = payload;
+  std::string framed;
+  const auto wrote = net::appendFrame(framed, payload, frameLimits_);
+  if (!wrote.ok()) {
+    // A response over the frame limit cannot be sent; the stream would
+    // desync if we dropped it silently mid-sequence, so drop the
+    // connection (mirrors the blocking server's failed writeFrame).
+    if (conn->inFlight == 0) disconnectsMidRequest_.fetch_add(1);
+    closeConnection(loop, conn);
+    return;
   }
+  conn->outBytes += framed.size();
+  conn->outq.push_back(std::move(framed));
   // No flush here: callers batch — appends accumulate and the caller
   // flushes each touched connection once per event/inbox batch.
 }
 
 void NegotiationServer::flushOut(Loop* loop, Connection* conn) {
   if (conn->closed) return;
-  const bool drained = conn->inFlight == 0 && conn->held.empty();
+  const bool drained = conn->inFlight == 0;
   while (conn->outBytes > 0) {
     // Scatter-gather over the queued frames: one sendmsg covers up to
     // kMaxIov frames with no coalescing copy.
@@ -956,7 +854,7 @@ void NegotiationServer::flushOut(Loop* loop, Connection* conn) {
 void NegotiationServer::updateInterest(Loop* loop, Connection* conn) {
   if (conn->closed) return;
   std::uint32_t interest = 0;
-  if (!conn->readPaused && !conn->closing && !loop->draining) {
+  if (!conn->closing && !loop->draining) {
     interest |= net::Epoll::kRead;
   }
   if (conn->wantWrite) interest |= net::Epoll::kWrite;
@@ -981,7 +879,7 @@ void NegotiationServer::sweepIdle(Loop* loop) {
   const auto now = Clock::now();
   for (auto& [id, conn] : loop->conns) {
     Connection* c = conn.get();
-    if (c->closed || c->closing || c->readPaused) continue;
+    if (c->closed || c->closing) continue;
     if (c->inFlight > 0 || c->outBytes > 0) continue;
     if (now - c->lastActivity > config_.idleTimeout) {
       closeConnection(loop, c);
@@ -992,7 +890,7 @@ void NegotiationServer::sweepIdle(Loop* loop) {
 // --- Queue handoff ---------------------------------------------------------
 
 NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
-    Loop* loop, PendingCommand& command, bool allowBusy, int* shard) {
+    Loop* loop, PendingCommand& command, int* shard) {
   std::lock_guard<std::mutex> seqLock(seqMutex_);
   if (queueClosed_.load()) return EnqueueStatus::Closed;
   // Route before committing anything: a negotiation's job id — the next to
@@ -1027,13 +925,12 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
       return EnqueueStatus::Inline;
     }
   }
-  if (allowBusy && depth >= config_.commandQueueCapacity) {
-    // v2 backpressure: refuse before drawing a sequence number or job id,
-    // so the wire trace and the replayed id stream only ever contain
-    // commands that executed.
+  if (depth >= config_.commandQueueCapacity) {
+    // Backpressure: refuse before drawing a sequence number or job id, so
+    // the wire trace and the replayed id stream only ever contain commands
+    // that executed.
     return EnqueueStatus::Busy;
   }
-  const auto entry = std::make_pair(command.loopIndex, command.connId);
   auto queued = std::make_shared<PendingCommand>(std::move(command));
   stampCommand(queued.get());
   const auto pushed =
@@ -1049,33 +946,7 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
     // whole batch before the next enqueue (the undercount bugfix).
     queue.depth->set(static_cast<std::int64_t>(pushed.depth));
   }
-  EnqueueStatus status = EnqueueStatus::Ok;
-  if (!allowBusy && pushed.status == qos::QueuePush::OkAtCapacity) {
-    // v1 backpressure: the command is in (order preserved), but the
-    // connection must stop producing until the worker drains the queue.
-    {
-      std::lock_guard<std::mutex> lock(queue.throttledMu);
-      queue.throttled.push_back(entry);
-    }
-    status = EnqueueStatus::OkThrottle;
-    // Lost-resume closure: the worker flushes `throttled` only on drains
-    // that leave the queue under capacity, and it may have drained this
-    // very command before the registration above landed — then nothing
-    // would ever resume the connection.  Each side writes before it reads
-    // (we publish the entry, then re-read depth; the worker drains, then
-    // reads the list), so at least one observes the other: either the
-    // worker saw our entry and resumes, or we see the drained queue here
-    // and retract the pause before it starts.  A resume racing this
-    // retraction is discarded by the loop's !readPaused guard.
-    if (queue.impl->approxDepth() < config_.commandQueueCapacity) {
-      std::lock_guard<std::mutex> lock(queue.throttledMu);
-      const auto it = std::find(queue.throttled.begin(),
-                                queue.throttled.end(), entry);
-      if (it != queue.throttled.end()) queue.throttled.erase(it);
-      status = EnqueueStatus::Ok;
-    }
-  }
-  return status;
+  return EnqueueStatus::Ok;
 }
 
 void NegotiationServer::stampCommand(PendingCommand* command) {
@@ -1119,7 +990,6 @@ void NegotiationServer::stampCommand(PendingCommand* command) {
 void NegotiationServer::workerLoop(int shard) {
   auto& own = *queues_[static_cast<std::size_t>(shard)];
   std::vector<std::shared_ptr<PendingCommand>> batch;
-  std::vector<std::pair<int, std::uint64_t>> resumes;
   std::vector<ResponseMsg> pushes;
   // Sized on the first drained batch: a worker whose shard only ever runs
   // inline touches no heap, and so never takes a malloc arena of its own.
@@ -1127,7 +997,7 @@ void NegotiationServer::workerLoop(int shard) {
   const bool stealing =
       config_.queueKind == qos::QueueKind::Steal && queues_.size() > 1;
   for (;;) {
-    if (drainAndExecute(&own, &batch, &resumes, &pushes, &perLoop)) continue;
+    if (drainAndExecute(&own, &batch, &pushes, &perLoop)) continue;
     if (stealing) {
       // Idle: help the deepest sibling instead of sleeping.  Claiming its
       // consumer token — and holding it across execution — keeps that
@@ -1146,7 +1016,7 @@ void NegotiationServer::workerLoop(int shard) {
       }
       if (victim >= 0 &&
           drainAndExecute(queues_[static_cast<std::size_t>(victim)].get(),
-                          &batch, &resumes, &pushes, &perLoop)) {
+                          &batch, &pushes, &perLoop)) {
         batchesStolen_.fetch_add(1);
         continue;
       }
@@ -1170,11 +1040,9 @@ void NegotiationServer::workerLoop(int shard) {
 
 bool NegotiationServer::drainAndExecute(
     ShardQueue* queue, std::vector<std::shared_ptr<PendingCommand>>* batchPtr,
-    std::vector<std::pair<int, std::uint64_t>>* resumesPtr,
     std::vector<ResponseMsg>* pushesPtr,
     std::vector<std::vector<ResponseMsg>>* perLoopPtr) {
   auto& batch = *batchPtr;
-  auto& resumes = *resumesPtr;
   auto& pushes = *pushesPtr;
   auto& perLoop = *perLoopPtr;
   // Empty queues are not claimed at all: a speculative claim would only
@@ -1183,7 +1051,6 @@ bool NegotiationServer::drainAndExecute(
     return false;
   }
   batch.clear();
-  resumes.clear();
   if (perLoop.empty()) perLoop.resize(loops_.size());
   // Batched handoff: one claim drains up to workerBatch commands (FIFO, so
   // drain order == arrivalSeq order per shard).
@@ -1192,28 +1059,13 @@ bool NegotiationServer::drainAndExecute(
     queue->impl->releaseConsumer();
     return false;
   }
-  const std::size_t depthNow = queue->impl->approxDepth();
   if (queue->depth != nullptr) {
-    queue->depth->set(static_cast<std::int64_t>(depthNow));
-  }
-  if (depthNow < config_.commandQueueCapacity) {
-    std::lock_guard<std::mutex> lock(queue->throttledMu);
-    if (!queue->throttled.empty()) resumes.swap(queue->throttled);
-  }
-  // Wake paused readers before the (comparatively slow) execution pass.
-  for (const auto& [loopIndex, connId] : resumes) {
-    auto& loop = *loops_[static_cast<std::size_t>(loopIndex)];
-    {
-      std::lock_guard<std::mutex> lock(loop.inboxMu);
-      loop.pendingResumes.push_back(connId);
-    }
-    loop.wakeup.signal();
+    queue->depth->set(static_cast<std::int64_t>(queue->impl->approxDepth()));
   }
   for (const auto& command : batch) {
     pushes.clear();
     ResponseMsg msg;
     msg.connId = command->connId;
-    msg.deliverSeq = command->deliverSeq;
     msg.payload = runCommand(queue->index, *command, &pushes);
     perLoop[static_cast<std::size_t>(command->loopIndex)].push_back(
         std::move(msg));
@@ -1281,7 +1133,6 @@ std::string NegotiationServer::runCommand(int shard,
     ResponseMsg pushMsg;
     pushMsg.loopIndex = origin.first;
     pushMsg.connId = origin.second;
-    pushMsg.deliverSeq = kUnordered;
     pushMsg.push = true;
     pushMsg.events.push_back(std::move(event));
     reshapeEventsDispatched_.fetch_add(1);
@@ -1331,26 +1182,26 @@ void NegotiationServer::recordSpan(const PendingCommand& command,
   trace_->record(std::move(span));
 }
 
+std::uint32_t NegotiationServer::fullWindow() const {
+  return static_cast<std::uint32_t>(std::min<std::size_t>(
+      std::max<std::size_t>(config_.maxInFlightPerConnection, 1),
+      ~std::uint32_t{0}));
+}
+
 std::uint32_t NegotiationServer::dynamicWindowNow() const {
   std::size_t depth = 0;
   for (const auto& queue : queues_) {
     depth = std::max(depth, queue->impl->approxDepth());
   }
-  const auto full = static_cast<std::uint32_t>(std::min<std::size_t>(
-      std::max<std::size_t>(config_.maxInFlightPerConnection, 1),
-      ~std::uint32_t{0}));
-  return adaptiveWindow(depth, config_.commandQueueCapacity, full);
+  return adaptiveWindow(depth, config_.commandQueueCapacity, fullWindow());
 }
 
 void NegotiationServer::stampWindow(Response* response) const {
-  const auto full = static_cast<std::uint32_t>(std::min<std::size_t>(
-      std::max<std::size_t>(config_.maxInFlightPerConnection, 1),
-      ~std::uint32_t{0}));
   const std::uint32_t dynamic = dynamicWindowNow();
   // Stamp only under pressure: unpressured responses stay byte-identical
   // to pre-adaptive servers, and clients restore their granted window on
   // the first unstamped response.
-  if (dynamic < full) response->advertisedWindow = dynamic;
+  if (dynamic < fullWindow()) response->advertisedWindow = dynamic;
 }
 
 Response NegotiationServer::execute(
@@ -1439,13 +1290,7 @@ Response NegotiationServer::execute(
       return response;
     }
     case Command::Hello:
-      // Handshakes are handled on the loop thread and never enqueued.
-      return makeError(request.id, "internal",
-                       "HELLO reached the command queue");
-    case Command::Reshapes:
-      // Polls drain loop-owned buffers and are answered inline, like HELLO.
-      return makeError(request.id, "internal",
-                       "RESHAPES reached the command queue");
+      break;  // answered on the event loop, never enqueued
   }
   return makeError(request.id, "internal", "unhandled command");
 }

@@ -18,8 +18,8 @@
 //             │ yes: run to completion              │ no: queue it
 //             ▼                                     ▼
 //   the loop executes the command          K command queues (backpressure:
-//   itself, under the claim, and           v1 connections pause reads, v2
-//   appends the response (and any          connections get a typed `busy`)
+//   itself, under the claim, and           a full queue answers a typed
+//   appends the response (and any          `busy` instead)
 //   RESHAPED pushes for its own                     │
 //   connections) to the outputs;                    ▼
 //   the claim is released after            K worker threads drain up to
@@ -30,7 +30,7 @@
 //             │                            owning loop (eventfd MPSC inbox)
 //             ▼                                     ▼
 //          one flush per connection per read batch / inbox batch; responses
-//          correlated by requestId (v2) or delivered in submit order (v1)
+//          correlated by requestId, in completion order
 //
 // Both paths run one function per command (execute, window stamp, counters,
 // trace span, quality-move routing), so the path a command takes changes
@@ -39,12 +39,11 @@
 // the worker holds the claim, or earlier commands are still queued).  A
 // worker that finds the claim taken parks until it is released.
 //
-// A connection speaks wire protocol v1 unless its first frame is HELLO
-// (docs/wire_protocol.md).  v1 keeps the classic one-request-one-response
-// contract: even though sharded execution can finish out of order, the loop
-// holds completed responses until all earlier ones on that connection have
-// been written.  v2 connections carry up to a negotiated window of
-// in-flight requests and receive responses in completion order.
+// Every connection starts with HELLO (docs/wire_protocol.md), which grants
+// it a window of in-flight requests; responses go out in completion order,
+// correlated by requestId.  A first frame that decodes but is not HELLO (a
+// client of the retired v1 protocol) is answered `unsupported_version` and
+// the connection closes once that error has flushed; nothing is stamped.
 //
 // With shards == 1 this degenerates to the classic single-writer design:
 // total arrivalSeq order, and (the replay tests pin this) decisions
@@ -77,7 +76,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -129,10 +127,9 @@ struct ServerConfig {
   /// Per-frame payload cap for both directions.
   std::size_t maxFrameBytes = 1 << 20;
   /// Commands admitted but not yet executed, per shard queue.  At or above
-  /// this threshold v1 connections stop being read (resumed when the worker
-  /// drains below it) and v2 enqueues are refused with a `busy` error.
+  /// this threshold commands are refused with a `busy` error.
   std::size_t commandQueueCapacity = 256;
-  /// Server-side cap on the v2 per-connection in-flight window; HELLO
+  /// Server-side cap on the per-connection in-flight window; HELLO
   /// grants min(requested, this).  Requests beyond the granted window get
   /// a `busy` error instead of stalling the loop.
   std::size_t maxInFlightPerConnection = 64;
@@ -163,12 +160,9 @@ struct ServerConfig {
   /// must outlive the server.  When set, a rejected NEGOTIATE may demote
   /// admitted-but-not-started jobs to make room, and freed capacity
   /// promotes demoted jobs back up their ladders; every committed move is
-  /// reported to the connection that negotiated the moved job (RESHAPED
-  /// push on v2, buffered for the next RESHAPES poll on v1).
+  /// reported to the connection that negotiated the moved job as a
+  /// RESHAPED push.
   const qos::ReshapePolicy* reshapePolicy = nullptr;
-  /// Per-connection cap on reshape events buffered for v1 RESHAPES polls;
-  /// oldest events are dropped (and counted) beyond it.
-  std::size_t reshapeEventBuffer = 256;
   /// Server→shard handoff queue implementation (qos/command_queue.h).
   /// Mutex is the decision-identical baseline; Mpsc swaps in the lock-free
   /// linked intake; Steal additionally lets idle shard workers drain (and
@@ -185,7 +179,7 @@ struct ServerConfig {
   std::function<void(int shard)> executeSeamForTest;
 };
 
-/// Adaptive pipeline window (pure, exposed for tests): the v2 in-flight
+/// Adaptive pipeline window (pure, exposed for tests): the in-flight
 /// window the server honours and re-advertises given the deepest shard
 /// queue.  Full window below a quarter of queue capacity, half up to half
 /// capacity, an eighth (>= 1) beyond — backpressure arrives before the
@@ -208,19 +202,17 @@ struct ServerCounters {
   /// taken.  A worker parks after a miss, so this stays small.
   std::uint64_t claimMisses = 0;
   std::uint64_t disconnectsMidRequest = 0;
-  /// v2 backpressure: requests refused with a `busy` error (window
-  /// exceeded or shard queue full).  Never counts executed work.
+  /// Backpressure: requests refused with a `busy` error (window exceeded
+  /// or shard queue full).  Never counts executed work.
   std::uint64_t busyRejections = 0;
-  /// Successful HELLO handshakes (connections upgraded to v2).
+  /// Successful HELLO handshakes.
   std::uint64_t helloHandshakes = 0;
   /// Steal-mode only: batches a shard worker drained from a sibling's
   /// queue instead of its own.
   std::uint64_t batchesStolen = 0;
-  /// Elastic reshape events delivered toward a client (pushed on v2 or
-  /// buffered for a v1 poll).
+  /// Elastic reshape events routed toward a client as RESHAPED pushes.
   std::uint64_t reshapeEventsDispatched = 0;
-  /// Reshape events with no reachable owner (connection gone, or a v1
-  /// buffer overflow evicted the oldest event).
+  /// Reshape events with no reachable owner (connection gone).
   std::uint64_t reshapeEventsDropped = 0;
 };
 
@@ -284,9 +276,7 @@ class NegotiationServer {
     Inline,      // stamped, and the loop holds the shard's claim: the caller
                  // executes the command now (executeInline)
     Ok,          // queued; response will arrive via the loop inbox
-    OkThrottle,  // queued, but the target queue is at capacity — pause
-                 // reading this (v1) connection until the worker drains
-    Busy,        // refused (v2 + queue full); nothing was committed
+    Busy,        // refused (queue full); nothing was committed
     Closed,      // server draining; nothing was committed
   };
 
@@ -296,13 +286,11 @@ class NegotiationServer {
   /// Claims `queue`'s consumer token, drains up to workerBatch commands
   /// and executes them with the token still held (so per-shard commands
   /// execute in arrivalSeq order no matter which worker drains), posts
-  /// responses and throttle resumes, then releases the token.  Returns
-  /// false — with nothing drained — when the queue is empty or the token
-  /// is taken.  `batch`/`resumes`/`pushes`/`perLoop` are caller-owned
-  /// scratch.
+  /// responses, then releases the token.  Returns false — with nothing
+  /// drained — when the queue is empty or the token is taken.
+  /// `batch`/`pushes`/`perLoop` are caller-owned scratch.
   bool drainAndExecute(ShardQueue* queue,
                        std::vector<std::shared_ptr<PendingCommand>>* batch,
-                       std::vector<std::pair<int, std::uint64_t>>* resumes,
                        std::vector<ResponseMsg>* pushes,
                        std::vector<std::vector<ResponseMsg>>* perLoop);
 
@@ -319,7 +307,7 @@ class NegotiationServer {
   // --- Loop-thread helpers (each touches only `loop`-owned state). ---
   void processInbox(Loop* loop);
   /// Delivers the responses and pushes workers have posted to `loop` so
-  /// far (not connections, resumes or shutdown phases); the connections
+  /// far (not connections or shutdown phases); the connections
   /// they touch are flushed with the rest of the batch.
   void deliverPosted(Loop* loop);
   /// Routes one posted or inline message to its connection (or counts it
@@ -337,10 +325,9 @@ class NegotiationServer {
   void handleReadable(Loop* loop, Connection* conn);
   void processDecodedFrames(Loop* loop, Connection* conn);
   void handleFrame(Loop* loop, Connection* conn, const std::string& payload);
-  /// Queues `payload` (already-encoded response JSON) for delivery.  For v1
-  /// connections `deliverSeq` enforces submit-order delivery; v2 responses
-  /// pass kUnordered and go out immediately.
-  void deliverResponse(Loop* loop, Connection* conn, std::uint64_t deliverSeq,
+  /// Appends `payload` (already-encoded response JSON) to the connection's
+  /// output; the caller flushes.
+  void deliverResponse(Loop* loop, Connection* conn,
                        const std::string& payload);
   void flushOut(Loop* loop, Connection* conn);
   void updateInterest(Loop* loop, Connection* conn);
@@ -351,12 +338,10 @@ class NegotiationServer {
   /// target shard's queue is empty and `loop` holds or wins its consumer
   /// claim, returns Inline with the shard in *shard: the caller executes
   /// the command now.  Otherwise moves it into the shard's queue.  Never
-  /// blocks: a full queue either throttles the connection (v1) or refuses
-  /// with Busy (v2, `allowBusy`).  On Busy/Closed nothing was committed —
-  /// no sequence number, no job id, no trace record — and `command` is left
-  /// intact.
-  EnqueueStatus enqueue(Loop* loop, PendingCommand& command, bool allowBusy,
-                        int* shard);
+  /// blocks: a full queue refuses with Busy.  On Busy/Closed nothing was
+  /// committed — no sequence number, no job id, no trace record — and
+  /// `command` is left intact.
+  EnqueueStatus enqueue(Loop* loop, PendingCommand& command, int* shard);
 
   /// The stamping both paths share; caller holds seqMutex_.  Draws the
   /// arrival sequence (and, for NEGOTIATE, reserves the job id), remembers
@@ -368,7 +353,10 @@ class NegotiationServer {
                    const std::optional<std::uint64_t>& presetJobId,
                    std::vector<qos::QualityMove>* moves);
 
-  /// Current adaptive v2 window: adaptiveWindow() over the deepest shard
+  /// The HELLO grant cap: maxInFlightPerConnection clamped to [1, 2^32).
+  [[nodiscard]] std::uint32_t fullWindow() const;
+
+  /// Current adaptive window: adaptiveWindow() over the deepest shard
   /// queue.  Cheap (K relaxed atomic loads); called per frame and per
   /// worker response.
   [[nodiscard]] std::uint32_t dynamicWindowNow() const;

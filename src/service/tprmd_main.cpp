@@ -9,9 +9,11 @@
 //
 // Event loop:
 //   Connections are served by --event-loops nonblocking epoll threads
-//   (default 2); --max-inflight caps the per-connection window a pipelined
-//   (wire protocol v2) client can negotiate via HELLO, and --worker-batch
-//   sets how many queued commands a shard worker drains per wakeup.
+//   (default 2); --max-inflight caps the per-connection window a client
+//   can negotiate via HELLO, and --worker-batch sets how many queued
+//   commands a shard worker drains per wakeup.  Every connection must open
+//   with HELLO (docs/wire_protocol.md): a first frame of the retired v1
+//   protocol is answered `unsupported_version` and the connection closed.
 //
 // Sharding:
 //   --shards=K partitions the machine across K arbitrator shards with
@@ -27,8 +29,9 @@
 //   failure the arbitrator demotes admitted-but-not-yet-started malleable
 //   jobs down their own offered chains to make room, and promotes them
 //   back when load drops.  POLICY is the victim order — min-quality-loss
-//   (default), most-recent-first, or proportional-share.  Wire protocol v2
-//   clients receive RESHAPED push frames; v1 clients poll with RESHAPES.
+//   (default), most-recent-first, or proportional-share.  Each move is
+//   pushed to the connection that negotiated the moved job as a RESHAPED
+//   frame.
 //
 // Recording:
 //   --record-out=FILE appends every decoded request frame (arrival order,

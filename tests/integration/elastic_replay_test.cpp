@@ -146,6 +146,14 @@ void replayIntoFreshDaemon(const std::vector<Request>& requests, int shards,
   ClientConfig clientConfig;
   clientConfig.unixPath = config.unixPath;
   QoSAgentClient client(clientConfig);
+  // Moves arrive as RESHAPED pushes; draining after every mutation keeps
+  // the collected stream in submission order.
+  const auto drain = [&] {
+    for (const auto& event : client.drainReshapeEvents()) {
+      moves->push_back({event.jobId, event.promotion, event.fromChain,
+                        event.toChain, event.fromQuality, event.toQuality});
+    }
+  };
   for (const auto& request : requests) {
     if (request.command != Command::Negotiate) continue;
     const auto& payload = std::get<NegotiateRequest>(request.payload);
@@ -158,15 +166,12 @@ void replayIntoFreshDaemon(const std::vector<Request>& requests, int shards,
     decision.quality = result->quality;
     decision.release = result->release;
     decisions->push_back(decision);
-    // v1 polling keeps the collected move stream in submission order: the
-    // server buffers this mutation's events before its response flushes.
-    const auto polled = client.reshapes();
-    ASSERT_TRUE(polled.ok()) << polled.error.message;
-    for (const auto& event : polled->events) {
-      moves->push_back({event.jobId, event.promotion, event.fromChain,
-                        event.toChain, event.fromQuality, event.toQuality});
-    }
+    drain();
   }
+  // Pushes precede any later response on the connection, so after one
+  // more round trip every move is in.
+  ASSERT_TRUE(client.stats().ok());
+  drain();
   client.close();
   server.stop();
 }
@@ -253,6 +258,18 @@ TEST(ElasticFloor, MultiTenantFloorsSurviveElasticReshaping) {
   std::map<std::uint64_t, double> floorByJob;     // admitted jobs only
   std::map<std::uint64_t, double> qualityByJob;   // tracked through events
   std::size_t demotions = 0;
+  const auto track = [&](const std::vector<ReshapeEvent>& events) {
+    for (const auto& event : events) {
+      ASSERT_TRUE(qualityByJob.contains(event.jobId)) << event.jobId;
+      EXPECT_EQ(qualityByJob[event.jobId], event.fromQuality);
+      qualityByJob[event.jobId] = event.toQuality;
+      if (!event.promotion) ++demotions;
+      // THE pin: no arbitrator-initiated move breaks a tenant contract.
+      ASSERT_GE(event.toQuality, floorByJob[event.jobId])
+          << (event.promotion ? "promotion" : "demotion") << " of job "
+          << event.jobId;
+    }
+  };
   for (const auto& job : scenario.jobs) {
     const auto result = client.negotiate(job.spec, job.release);
     ASSERT_TRUE(result.ok()) << result.error.message;
@@ -268,26 +285,18 @@ TEST(ElasticFloor, MultiTenantFloorsSurviveElasticReshaping) {
       // offers chains at or above it).
       ASSERT_GE(result->quality, floor) << "job " << result->jobId;
     }
-    const auto polled = client.reshapes();
-    ASSERT_TRUE(polled.ok()) << polled.error.message;
-    for (const auto& event : polled->events) {
-      ASSERT_TRUE(qualityByJob.contains(event.jobId)) << event.jobId;
-      EXPECT_EQ(qualityByJob[event.jobId], event.fromQuality);
-      qualityByJob[event.jobId] = event.toQuality;
-      if (!event.promotion) ++demotions;
-      // THE pin: no arbitrator-initiated move breaks a tenant contract.
-      ASSERT_GE(event.toQuality, floorByJob[event.jobId])
-          << (event.promotion ? "promotion" : "demotion") << " of job "
-          << event.jobId;
-    }
+    track(client.drainReshapeEvents());
+    if (testing::Test::HasFatalFailure()) return;
   }
-
-  // Non-vacuous: the undersized machine forced real quality trades.
-  EXPECT_GT(demotions, 0u);
-
+  // The VERIFY round trip is also the barrier after which every push of
+  // the stream has been read.
   const auto verify = client.verify();
   ASSERT_TRUE(verify.ok());
   EXPECT_TRUE(verify->ok) << verify->firstViolation;
+  track(client.drainReshapeEvents());
+
+  // Non-vacuous: the undersized machine forced real quality trades.
+  EXPECT_GT(demotions, 0u);
   client.close();
   server.stop();
 }

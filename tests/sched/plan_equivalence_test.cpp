@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -474,10 +475,18 @@ TEST_P(PlanEquivalence, AdmitInTrialAfterVictimShrinkMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(
     AllOptions, PlanEquivalence, ::testing::ValuesIn(allOptions()),
     [](const ::testing::TestParamInfo<GreedyOptions>& paramInfo) {
-      std::string name = GreedyArbitrator(paramInfo.param).name();
+      std::string name = label(paramInfo.param);
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
 
 }  // namespace
+
+// gtest prints a parameter without a printer as a byte dump, padding
+// included, which made the test names differ between builds.  Found by
+// argument-dependent lookup, so it lives in GreedyOptions' namespace.
+void PrintTo(const GreedyOptions& options, std::ostream* os) {
+  *os << label(options);
+}
+
 }  // namespace tprm::sched

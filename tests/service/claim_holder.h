@@ -21,6 +21,7 @@
 #include <thread>
 #include <utility>
 
+#include "hello_connection.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "service/protocol.h"
@@ -55,20 +56,13 @@ class ClaimHolder {
   ClaimHolder& operator=(const ClaimHolder&) = delete;
   ~ClaimHolder() { release(); }
 
-  /// Opens the holder's connection now, so that it takes loop 0 even when
-  /// the test runs other commands before hold().
+  /// Opens the holder's connection (HELLO included) now, so that it takes
+  /// loop 0 even when the test runs other commands before hold().
   ::testing::AssertionResult connect(const NegotiationServer& server) {
-    using namespace std::chrono_literals;
-    auto connected =
-        net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-    if (!connected.ok()) {
-      return ::testing::AssertionFailure() << connected.error;
-    }
-    socket_ = std::move(connected.socket);
-    return ::testing::AssertionSuccess();
+    return helloConnection(server, &socket_);
   }
 
-  /// Sends `request` as a v1 frame (connecting first unless connect() ran)
+  /// Sends `request` (connecting first unless connect() ran)
   /// and waits until its execution is blocked in the seam.  Without
   /// connect(), call before the test opens any connection.
   ::testing::AssertionResult hold(const NegotiationServer& server,

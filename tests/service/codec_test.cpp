@@ -64,8 +64,7 @@ std::vector<Request> edgeRequests() {
   resize.payload = ResizeRequest{48, ticksFromUnits(125.5)};
   out.push_back(resize);
 
-  for (const Command command :
-       {Command::Stats, Command::Verify, Command::Reshapes}) {
+  for (const Command command : {Command::Stats, Command::Verify}) {
     Request plain;
     plain.id = 10 + static_cast<std::uint64_t>(command);
     plain.command = command;
@@ -170,16 +169,10 @@ std::vector<Response> edgeResponses() {
   promotion.toQuality = 1.0;
   promotion.placements = {};
 
-  Response poll;
-  poll.id = 14;
-  poll.ok = true;
-  poll.result = ReshapesResult{false, {}};
-  out.push_back(poll);
-
   Response push;
   push.id = 0;
   push.ok = true;
-  push.result = ReshapesResult{true, {demotion, promotion}};
+  push.result = ReshapedPush{{demotion, promotion}};
   out.push_back(push);
 
   out.push_back(makeError(15, "bad_request", "field 'when' is \"out\" of range\t"));
@@ -262,7 +255,7 @@ std::vector<Response> scenarioResponses(const std::string& name,
           spec.chains[event.toChain].quality(spec.qualityComposition);
       event.placements = placements;
       response.id = 0;
-      response.result = ReshapesResult{true, {event}};
+      response.result = ReshapedPush{{event}};
       out.push_back(response);
       continue;
     }
@@ -361,12 +354,6 @@ const char* const kGoldenRequests[] = {
     R"json({
   "cmd": "VERIFY",
   "id": 14,
-  "v": 1
-})json",
-    // reshapes
-    R"json({
-  "cmd": "RESHAPES",
-  "id": 16,
   "v": 1
 })json",
     // hello
@@ -499,15 +486,6 @@ const char* const kGoldenResponses[] = {
   "result": {
     "version": 2,
     "window": 32
-  }
-})json",
-    // reshapes poll
-    R"json({
-  "cmd": "RESHAPES",
-  "id": 14,
-  "ok": true,
-  "result": {
-    "events": []
   }
 })json",
     // reshaped push

@@ -1,8 +1,7 @@
 // Elastic mode across the wire: a real NegotiationServer with an
-// elastic::Reshaper attached, real client connections.  Pins the two
-// delivery paths for arbitrator-initiated quality moves — RESHAPED pushes
-// on wire protocol v2, buffered RESHAPES polls on v1 — plus the adaptive
-// pipeline window the v2 server re-advertises under queue pressure.
+// elastic::Reshaper attached, real client connections.  Pins the delivery
+// of arbitrator-initiated quality moves as RESHAPED pushes, plus the
+// adaptive pipeline window the server re-advertises under queue pressure.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -79,60 +78,10 @@ task::TunableJobSpec tightSpec() {
   return spec;
 }
 
-// v1 path: the server buffers this connection's reshape events; an explicit
-// RESHAPES poll drains them in order, and a second poll comes back empty.
-TEST(ElasticService, V1ClientPollsBufferedReshapeEvents) {
-  elastic::Reshaper reshaper;
-  NegotiationServer server(elasticConfig(8, &reshaper));
-  std::string error;
-  ASSERT_TRUE(server.start(&error)) << error;
-
-  QoSAgentClient client(clientFor(server));
-  const auto first = client.negotiate(twoRungSpec(), /*release=*/0);
-  ASSERT_TRUE(first.ok()) << first.error.message;
-  ASSERT_TRUE(first->admitted);
-  EXPECT_EQ(first->quality, 1.0);
-
-  const auto second = client.negotiate(tightSpec(), /*release=*/0);
-  ASSERT_TRUE(second.ok()) << second.error.message;
-  // Statically impossible; elastic admission demoted the first job.
-  ASSERT_TRUE(second->admitted);
-
-  const auto polled = client.reshapes();
-  ASSERT_TRUE(polled.ok()) << polled.error.message;
-  ASSERT_EQ(polled->events.size(), 1u);
-  const auto& demotion = polled->events[0];
-  EXPECT_EQ(demotion.jobId, first->jobId);
-  EXPECT_FALSE(demotion.promotion);
-  EXPECT_EQ(demotion.fromQuality, 1.0);
-  EXPECT_EQ(demotion.toQuality, 0.5);
-  EXPECT_FALSE(demotion.placements.empty());
-
-  // The poll drained the buffer.
-  const auto again = client.reshapes();
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->events.empty());
-
-  // Cancelling the newcomer frees the machine; the promotion pass walks the
-  // demoted job back to its full-quality rung and the event is buffered for
-  // the same connection.
-  ASSERT_TRUE(client.cancel(second->jobId).ok());
-  const auto promoted = client.reshapes();
-  ASSERT_TRUE(promoted.ok());
-  ASSERT_EQ(promoted->events.size(), 1u);
-  EXPECT_EQ(promoted->events[0].jobId, first->jobId);
-  EXPECT_TRUE(promoted->events[0].promotion);
-  EXPECT_EQ(promoted->events[0].toQuality, 1.0);
-
-  const auto verify = client.verify();
-  ASSERT_TRUE(verify.ok());
-  EXPECT_TRUE(verify->ok) << verify->firstViolation;
-  EXPECT_GE(server.counters().reshapeEventsDispatched, 2u);
-  server.stop();
-}
-
-// v2 path: the same trade arrives as an unsolicited RESHAPED push on the
-// connection that negotiated the demoted job — no polling.
+// A newcomer that is statically impossible is admitted by demoting an
+// earlier job; the trade arrives as an unsolicited RESHAPED push on the
+// connection that negotiated the demoted job.  Cancelling the newcomer
+// promotes the job back, again as a push.
 TEST(ElasticService, V2ClientReceivesReshapedPushes) {
   elastic::Reshaper reshaper;
   NegotiationServer server(elasticConfig(8, &reshaper));
@@ -172,9 +121,24 @@ TEST(ElasticService, V2ClientReceivesReshapedPushes) {
   EXPECT_EQ(events[0].fromQuality, 1.0);
   EXPECT_EQ(events[0].toQuality, 0.5);
   EXPECT_FALSE(events[0].placements.empty());
+  // The drain took the event.
+  EXPECT_TRUE(client.drainReshapeEvents().empty());
+
+  // Cancelling the newcomer frees the machine; the promotion pass walks the
+  // demoted job back to its full-quality rung.  A push is written before
+  // any later response, so after the STATS round trip it is in.
+  ASSERT_TRUE(extractResult<CancelResult>(
+                  client.cancelAsync(second->jobId).get())
+                  .ok());
+  ASSERT_TRUE(client.statsAsync().get().ok());
+  const auto promoted = client.drainReshapeEvents();
+  ASSERT_EQ(promoted.size(), 1u);
+  EXPECT_EQ(promoted[0].jobId, first->jobId);
+  EXPECT_TRUE(promoted[0].promotion);
+  EXPECT_EQ(promoted[0].toQuality, 1.0);
   client.close();
 
-  EXPECT_GE(server.counters().reshapeEventsDispatched, 1u);
+  EXPECT_EQ(server.counters().reshapeEventsDispatched, 2u);
   server.stop();
 }
 
@@ -255,9 +219,8 @@ TEST(ElasticService, WorkerPushesPrecedeALaterInlineResponse) {
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_TRUE(holder.connect(server));  // loop 0
 
-  auto connected =  // loop 1
-      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-  ASSERT_TRUE(connected.ok()) << connected.error;
+  net::Socket socket;  // loop 1
+  ASSERT_TRUE(testutil::helloConnection(server, &socket));
   const net::FrameLimits limits;
   const auto send = [&](std::vector<Request> requests) {
     std::string wire;
@@ -265,14 +228,12 @@ TEST(ElasticService, WorkerPushesPrecedeALaterInlineResponse) {
       request.version = kProtocolVersionV2;
       EXPECT_TRUE(net::appendFrame(wire, encodeRequest(request), limits).ok());
     }
-    EXPECT_TRUE(connected.socket
-                    .writeAll(wire.data(), wire.size(),
-                              net::Deadline::after(1s))
-                    .ok());
+    EXPECT_TRUE(
+        socket.writeAll(wire.data(), wire.size(), net::Deadline::after(1s))
+            .ok());
   };
   const auto receive = [&] {
-    auto frame = net::readFrame(connected.socket, limits,
-                                net::Deadline::after(10s),
+    auto frame = net::readFrame(socket, limits, net::Deadline::after(10s),
                                 net::Deadline::after(10s));
     EXPECT_TRUE(frame.ok()) << frame.message;
     auto decoded = decodeResponse(frame.payload);
@@ -294,12 +255,6 @@ TEST(ElasticService, WorkerPushesPrecedeALaterInlineResponse) {
     return request;
   };
 
-  Request hello;
-  hello.command = Command::Hello;
-  hello.id = 1;
-  hello.payload = HelloRequest{8};
-  send({hello});
-  ASSERT_TRUE(receive().ok);
   // Job 0 (shard 0) takes the whole shard at full quality; job 1 fills
   // shard 1's id slot, so the next negotiation is job 2, on shard 0.
   send({negotiate(10, twoRungSpec())});
@@ -334,8 +289,7 @@ TEST(ElasticService, WorkerPushesPrecedeALaterInlineResponse) {
   while (order.empty() || order.back() != "15") {
     const Response response = receive();
     ASSERT_TRUE(response.ok);
-    const auto* pushed = std::get_if<ReshapesResult>(&response.result);
-    if (pushed != nullptr && pushed->push) {
+    if (const auto* pushed = std::get_if<ReshapedPush>(&response.result)) {
       ASSERT_EQ(pushed->events.size(), 1u);
       EXPECT_EQ(pushed->events[0].jobId, 0u);
       EXPECT_FALSE(pushed->events[0].promotion);
@@ -374,11 +328,10 @@ TEST(ElasticService, StaticServerRejectsWhatElasticAdmits) {
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second->admitted);
 
-  // RESHAPES is a valid command on a static server; it just never has
-  // anything to report.
-  const auto polled = client.reshapes();
-  ASSERT_TRUE(polled.ok()) << polled.error.message;
-  EXPECT_TRUE(polled->events.empty());
+  // A static server never pushes a move.  Pushes precede any later
+  // response, so after one more round trip every push would be in.
+  ASSERT_TRUE(client.stats().ok());
+  EXPECT_TRUE(client.drainReshapeEvents().empty());
   server.stop();
 }
 
@@ -421,30 +374,11 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
 
-  auto connected =
-      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-  ASSERT_TRUE(connected.ok()) << connected.error;
-  const net::FrameLimits limits;
-
-  Request hello;
-  hello.version = kProtocolVersionV2;
-  hello.command = Command::Hello;
-  hello.id = 1;
-  hello.payload = HelloRequest{64};
-  ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(hello), limits,
-                              net::Deadline::after(1s))
-                  .ok());
-  auto helloFrame =
-      net::readFrame(connected.socket, limits, net::Deadline::after(1s),
-                     net::Deadline::after(1s));
-  ASSERT_TRUE(helloFrame.ok());
-  auto helloDecoded = decodeResponse(helloFrame.payload);
-  ASSERT_TRUE(helloDecoded.ok());
-  ASSERT_TRUE(helloDecoded.response->ok);
-  const auto* grant = std::get_if<HelloResult>(&helloDecoded.response->result);
-  ASSERT_NE(grant, nullptr);
-  const std::uint32_t granted = grant->window;
+  net::Socket socket;
+  std::uint32_t granted = 0;
+  ASSERT_TRUE(testutil::helloConnection(server, &socket, 64, &granted));
   ASSERT_GE(granted, 2u);
+  const net::FrameLimits limits;
 
   // Heavy NEGOTIATEs (dozens of chains each) keep the two-slot queue full
   // while the burst drains, so busy responses and window re-advertisements
@@ -463,7 +397,7 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
     negotiate.payload = NegotiateRequest{std::move(heavy), 0};
     ASSERT_TRUE(net::appendFrame(wire, encodeRequest(negotiate), limits).ok());
   }
-  ASSERT_TRUE(connected.socket
+  ASSERT_TRUE(socket
                   .writeAll(wire.data(), wire.size(), net::Deadline::after(5s))
                   .ok());
 
@@ -472,7 +406,7 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   std::uint32_t minAdvertised = granted;
   for (int i = 0; i < kBurst; ++i) {
     auto frame =
-        net::readFrame(connected.socket, limits, net::Deadline::after(10s),
+        net::readFrame(socket, limits, net::Deadline::after(10s),
                        net::Deadline::after(10s));
     ASSERT_TRUE(frame.ok()) << frame.message;
     auto decoded = decodeResponse(frame.payload);
@@ -499,11 +433,11 @@ TEST(AdaptiveWindow, TinyQueueBurstLosesNothingAndShrinksTheWindow) {
   Request stats;
   stats.command = Command::Stats;
   stats.id = 9999;
-  ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(stats), limits,
+  ASSERT_TRUE(net::writeFrame(socket, encodeRequest(stats), limits,
                               net::Deadline::after(1s))
                   .ok());
   auto frame =
-      net::readFrame(connected.socket, limits, net::Deadline::after(5s),
+      net::readFrame(socket, limits, net::Deadline::after(5s),
                      net::Deadline::after(5s));
   ASSERT_TRUE(frame.ok());
   auto decoded = decodeResponse(frame.payload);

@@ -1,6 +1,6 @@
 // Loopback integration tests for the negotiation service: a real
 // NegotiationServer on a private Unix socket (or TCP loopback), real
-// QoSAgentClient connections, real frames.
+// client connections, real frames.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "service/wiretrace.h"
 #include "taskmodel/spec_io.h"
 
 namespace tprm::service {
@@ -417,31 +419,11 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
   ASSERT_TRUE(holder.hold(server, cancel));
   ASSERT_EQ(holder.shard(), 1);
 
-  auto connected =
-      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-  ASSERT_TRUE(connected.ok()) << connected.error;
+  net::Socket socket;
+  std::uint32_t granted = 0;
+  ASSERT_TRUE(testutil::helloConnection(server, &socket, 64, &granted));
+  EXPECT_EQ(granted, 64u);
   const net::FrameLimits limits;
-
-  Request hello;
-  hello.version = kProtocolVersionV2;
-  hello.command = Command::Hello;
-  hello.id = 1;
-  hello.payload = HelloRequest{64};
-  ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(hello), limits,
-                              net::Deadline::after(1s))
-                  .ok());
-  auto helloFrame = net::readFrame(connected.socket, limits,
-                                   net::Deadline::after(1s),
-                                   net::Deadline::after(1s));
-  ASSERT_TRUE(helloFrame.ok()) << helloFrame.message;
-  auto helloDecoded = decodeResponse(helloFrame.payload);
-  ASSERT_TRUE(helloDecoded.ok()) << helloDecoded.error;
-  ASSERT_TRUE(helloDecoded.response->ok);
-  const auto* grant =
-      std::get_if<HelloResult>(&helloDecoded.response->result);
-  ASSERT_NE(grant, nullptr);
-  EXPECT_EQ(grant->version, kProtocolVersionV2);
-  EXPECT_EQ(grant->window, 64u);
 
   // One pair at a time: a NEGOTIATE carrying dozens of chains (deliberately
   // expensive to schedule, routed to its home shard) followed in the same
@@ -467,15 +449,13 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
     std::string wire;
     ASSERT_TRUE(net::appendFrame(wire, encodeRequest(negotiate), limits).ok());
     ASSERT_TRUE(net::appendFrame(wire, encodeRequest(stats), limits).ok());
-    ASSERT_TRUE(connected.socket
-                    .writeAll(wire.data(), wire.size(),
-                              net::Deadline::after(5s))
-                    .ok());
+    ASSERT_TRUE(
+        socket.writeAll(wire.data(), wire.size(), net::Deadline::after(5s))
+            .ok());
     std::vector<std::uint64_t> order;
     for (int r = 0; r < 2; ++r) {
-      auto frame =
-          net::readFrame(connected.socket, limits, net::Deadline::after(5s),
-                         net::Deadline::after(5s));
+      auto frame = net::readFrame(socket, limits, net::Deadline::after(5s),
+                                  net::Deadline::after(5s));
       ASSERT_TRUE(frame.ok()) << frame.message;
       auto decoded = decodeResponse(frame.payload);
       ASSERT_TRUE(decoded.ok()) << decoded.error;
@@ -493,8 +473,8 @@ TEST(Service, V2ResponsesInterleaveOutOfOrderOnOneConnection) {
     }
     if (order[0] == stats.id) ++inversions;
   }
-  // A v1 stream would force all ten pairs into submit order; v2 lets the
-  // cheap command win whenever the heavy one queued (pair 1 at least).
+  // Completion-order delivery lets the cheap command win whenever the heavy
+  // one queued (pair 1 at least).
   EXPECT_GT(inversions, 0u);
 
   QoSAgentClient client(clientFor(server));
@@ -518,26 +498,10 @@ TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
 
-  auto connected =
-      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-  ASSERT_TRUE(connected.ok()) << connected.error;
+  net::Socket socket;
+  // A deliberately tiny window.
+  ASSERT_TRUE(testutil::helloConnection(server, &socket, /*window=*/1));
   const net::FrameLimits limits;
-
-  Request hello;
-  hello.version = kProtocolVersionV2;
-  hello.command = Command::Hello;
-  hello.id = 1;
-  hello.payload = HelloRequest{1};  // deliberately tiny window
-  ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(hello), limits,
-                              net::Deadline::after(1s))
-                  .ok());
-  auto helloFrame = net::readFrame(connected.socket, limits,
-                                   net::Deadline::after(1s),
-                                   net::Deadline::after(1s));
-  ASSERT_TRUE(helloFrame.ok());
-  auto helloDecoded = decodeResponse(helloFrame.payload);
-  ASSERT_TRUE(helloDecoded.ok());
-  ASSERT_TRUE(helloDecoded.response->ok);
 
   // 20 STATS frames in a single write: the in-window head queues behind
   // the held claim, so every later frame must bounce busy.
@@ -549,17 +513,15 @@ TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
     stats.id = 100 + static_cast<std::uint64_t>(i);
     ASSERT_TRUE(net::appendFrame(wire, encodeRequest(stats), limits).ok());
   }
-  ASSERT_TRUE(connected.socket
-                  .writeAll(wire.data(), wire.size(),
-                            net::Deadline::after(1s))
-                  .ok());
+  ASSERT_TRUE(
+      socket.writeAll(wire.data(), wire.size(), net::Deadline::after(1s))
+          .ok());
 
   int ok = 0;
   int busy = 0;
   for (int i = 0; i < kBurst; ++i) {
-    auto frame =
-        net::readFrame(connected.socket, limits, net::Deadline::after(5s),
-                       net::Deadline::after(5s));
+    auto frame = net::readFrame(socket, limits, net::Deadline::after(5s),
+                                net::Deadline::after(5s));
     ASSERT_TRUE(frame.ok()) << frame.message;
     auto decoded = decodeResponse(frame.payload);
     ASSERT_TRUE(decoded.ok()) << decoded.error;
@@ -581,12 +543,11 @@ TEST(Service, WindowExceededGetsTypedBusyAndConnectionSurvives) {
   Request again;
   again.command = Command::Stats;
   again.id = 999;
-  ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(again), limits,
+  ASSERT_TRUE(net::writeFrame(socket, encodeRequest(again), limits,
                               net::Deadline::after(1s))
                   .ok());
-  auto frame =
-      net::readFrame(connected.socket, limits, net::Deadline::after(5s),
-                     net::Deadline::after(5s));
+  auto frame = net::readFrame(socket, limits, net::Deadline::after(5s),
+                              net::Deadline::after(5s));
   ASSERT_TRUE(frame.ok());
   auto decoded = decodeResponse(frame.payload);
   ASSERT_TRUE(decoded.ok());
@@ -822,18 +783,17 @@ TEST(Service, DisconnectMidNegotiationLeavesArbitratorClean) {
   auto& sessions = server.metricsRegistry()->gauge("server.sessions_active");
 
   for (int i = 0; i < 5; ++i) {
-    auto connected =
-        net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-    ASSERT_TRUE(connected.ok()) << connected.error;
+    net::Socket socket;
+    ASSERT_TRUE(testutil::helloConnection(server, &socket));
     Request request;
     request.id = 42;
     request.command = Command::Negotiate;
     request.payload = NegotiateRequest{makeSpec(i), 0};
     const net::FrameLimits limits;
-    ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(request),
-                                limits, net::Deadline::after(1s))
+    ASSERT_TRUE(net::writeFrame(socket, encodeRequest(request), limits,
+                                net::Deadline::after(1s))
                     .ok());
-    connected.socket.close();  // vanish without reading the decision
+    socket.close();  // vanish without reading the decision
   }
   // Every client is gone (only the holder's session remains) before any
   // of their commands runs.
@@ -862,6 +822,133 @@ TEST(Service, DisconnectMidNegotiationLeavesArbitratorClean) {
   EXPECT_TRUE(verify->ok) << verify->firstViolation;
   server.stop();
   EXPECT_EQ(server.counters().disconnectsMidRequest, 5u);
+}
+
+// Wire protocol v1 is retired: a connection whose first frame decodes but
+// is not HELLO gets a typed unsupported_version error and then EOF, and
+// nothing of the frame is committed — no execution, no trace record.
+TEST(Service, FirstFrameOtherThanHelloGetsUnsupportedVersionThenEof) {
+  auto config = unixConfig(8);
+  config.recordPath = testing::TempDir() + "v1_refused_" +
+                      std::to_string(::getpid()) + ".trace";
+  NegotiationServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Request negotiate;
+  negotiate.id = 7;
+  negotiate.command = Command::Negotiate;
+  negotiate.payload = NegotiateRequest{makeSpec(1), 0};
+  for (const Request& request : {negotiate, testutil::statsRequest(8)}) {
+    SCOPED_TRACE(toString(request.command));
+    auto connected =
+        net::connectUnix(server.unixPath(), net::Deadline::after(1s));
+    ASSERT_TRUE(connected.ok()) << connected.error;
+    const net::FrameLimits limits;
+    ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(request),
+                                limits, net::Deadline::after(1s))
+                    .ok());
+    auto frame = net::readFrame(connected.socket, limits,
+                                net::Deadline::after(5s),
+                                net::Deadline::after(5s));
+    ASSERT_TRUE(frame.ok()) << frame.message;
+    const auto decoded = decodeResponse(frame.payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.error;
+    ASSERT_FALSE(decoded.response->ok);
+    EXPECT_EQ(decoded.response->error->code, "unsupported_version");
+    EXPECT_EQ(decoded.response->id, request.id);
+    const auto next = net::readFrame(connected.socket, limits,
+                                     net::Deadline::after(5s),
+                                     net::Deadline::after(5s));
+    EXPECT_EQ(next.status, net::FrameStatus::Closed) << next.message;
+  }
+
+  QoSAgentClient client(clientFor(server));
+  const auto stats = client.stats();
+  ASSERT_TRUE(stats.ok()) << stats.error.message;
+  EXPECT_EQ(stats->commandsExecuted, 1u);  // this STATS alone
+  EXPECT_EQ(stats->admitted + stats->rejected, 0u);
+  server.stop();
+
+  const auto trace = loadWireTrace(config.recordPath);
+  ASSERT_TRUE(trace.ok()) << trace.message;
+  ASSERT_EQ(trace.records.size(), 1u);
+  const auto recorded = decodeRequest(trace.records[0].payload);
+  ASSERT_TRUE(recorded.ok()) << recorded.error;
+  EXPECT_EQ(recorded.request->command, Command::Stats);
+  std::remove(config.recordPath.c_str());
+}
+
+// HELLO is only valid as the first frame: a second one is a bad request,
+// and the connection keeps serving.
+TEST(Service, SecondHelloIsBadRequestAndConnectionSurvives) {
+  NegotiationServer server(unixConfig(8));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  net::Socket socket;
+  ASSERT_TRUE(testutil::helloConnection(server, &socket));
+  const net::FrameLimits limits;
+  const auto roundTrip = [&](const Request& request) {
+    EXPECT_TRUE(net::writeFrame(socket, encodeRequest(request), limits,
+                                net::Deadline::after(1s))
+                    .ok());
+    auto frame = net::readFrame(socket, limits, net::Deadline::after(5s),
+                                net::Deadline::after(5s));
+    EXPECT_TRUE(frame.ok()) << frame.message;
+    return decodeResponse(frame.payload);
+  };
+
+  Request hello;
+  hello.version = kProtocolVersionV2;
+  hello.command = Command::Hello;
+  hello.id = 2;
+  hello.payload = HelloRequest{8};
+  const auto again = roundTrip(hello);
+  ASSERT_TRUE(again.ok()) << again.error;
+  ASSERT_FALSE(again.response->ok);
+  EXPECT_EQ(again.response->error->code, "bad_request");
+  EXPECT_EQ(again.response->id, 2u);
+
+  const auto stats = roundTrip(testutil::statsRequest(3));
+  ASSERT_TRUE(stats.ok()) << stats.error;
+  EXPECT_TRUE(stats.response->ok);
+  EXPECT_EQ(stats.response->id, 3u);
+  server.stop();
+  EXPECT_EQ(server.counters().helloHandshakes, 1u);
+}
+
+// The blocking client's request deadline: a call the server does not
+// answer in time (its shard's claim is held) fails with Timeout instead of
+// hanging, and the next call reconnects and succeeds.
+TEST(Service, BlockingClientTimesOutThenReconnects) {
+  auto config = unixConfig(8);
+  testutil::ClaimHolder holder(&config);
+  NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
+
+  auto clientConfig = clientFor(server);
+  clientConfig.requestDeadline = 200ms;
+  QoSAgentClient client(clientConfig);
+  const auto begin = std::chrono::steady_clock::now();
+  const auto stalled = client.stats();
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  ASSERT_FALSE(stalled.ok());
+  EXPECT_EQ(stalled.error.status, ClientStatus::Timeout)
+      << stalled.error.message;
+  EXPECT_GE(waited, 200ms);
+  EXPECT_LT(waited, 5s);
+  EXPECT_FALSE(client.connected());
+
+  holder.release();
+  const auto stats = client.stats();
+  ASSERT_TRUE(stats.ok()) << stats.error.message;
+  EXPECT_TRUE(client.connected());
+  // The holder, the timed-out connection and the fresh one.
+  EXPECT_EQ(server.counters().connectionsAccepted, 3u);
+  server.stop();
 }
 
 // A partial frame followed by a hangup must not wedge or down the server.
@@ -909,17 +996,16 @@ TEST(Service, MalformedJsonGetsErrorResponseAndConnectionSurvives) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  auto connected =
-      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-  ASSERT_TRUE(connected.ok()) << connected.error;
+  net::Socket socket;
+  ASSERT_TRUE(testutil::helloConnection(server, &socket));
   const net::FrameLimits limits;
   for (const std::string& bad :
        {std::string("this is not json"), std::string("{\"v\":1}"),
         std::string("{\"v\":1,\"id\":2,\"cmd\":\"FROB\"}")}) {
-    ASSERT_TRUE(net::writeFrame(connected.socket, bad, limits,
+    ASSERT_TRUE(net::writeFrame(socket, bad, limits,
                                 net::Deadline::after(1s))
                     .ok());
-    auto frame = net::readFrame(connected.socket, limits,
+    auto frame = net::readFrame(socket, limits,
                                 net::Deadline::after(1s),
                                 net::Deadline::after(1s));
     ASSERT_TRUE(frame.ok()) << net::toString(frame.status);
@@ -933,11 +1019,11 @@ TEST(Service, MalformedJsonGetsErrorResponseAndConnectionSurvives) {
   Request request;
   request.id = 7;
   request.command = Command::Stats;
-  ASSERT_TRUE(net::writeFrame(connected.socket, encodeRequest(request),
+  ASSERT_TRUE(net::writeFrame(socket, encodeRequest(request),
                               limits, net::Deadline::after(1s))
                   .ok());
   auto frame =
-      net::readFrame(connected.socket, limits, net::Deadline::after(1s),
+      net::readFrame(socket, limits, net::Deadline::after(1s),
                      net::Deadline::after(1s));
   ASSERT_TRUE(frame.ok());
   auto decoded = decodeResponse(frame.payload);
@@ -956,15 +1042,14 @@ TEST(Service, OutOfRangeFieldGetsBadRequestAndConnectionSurvives) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  auto connected =
-      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-  ASSERT_TRUE(connected.ok()) << connected.error;
+  net::Socket socket;
+  ASSERT_TRUE(testutil::helloConnection(server, &socket));
   const net::FrameLimits limits;
   const auto roundTrip = [&](const std::string& payload) {
-    EXPECT_TRUE(net::writeFrame(connected.socket, payload, limits,
+    EXPECT_TRUE(net::writeFrame(socket, payload, limits,
                                 net::Deadline::after(1s))
                     .ok());
-    auto frame = net::readFrame(connected.socket, limits,
+    auto frame = net::readFrame(socket, limits,
                                 net::Deadline::after(5s),
                                 net::Deadline::after(5s));
     EXPECT_TRUE(frame.ok()) << net::toString(frame.status);
@@ -1008,15 +1093,14 @@ TEST(Service, OversizedAreaOrHorizonGetsBadRequestAndConnectionSurvives) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  auto connected =
-      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-  ASSERT_TRUE(connected.ok()) << connected.error;
+  net::Socket socket;
+  ASSERT_TRUE(testutil::helloConnection(server, &socket));
   const net::FrameLimits limits;
   const auto roundTrip = [&](const std::string& payload) {
-    EXPECT_TRUE(net::writeFrame(connected.socket, payload, limits,
+    EXPECT_TRUE(net::writeFrame(socket, payload, limits,
                                 net::Deadline::after(1s))
                     .ok());
-    auto frame = net::readFrame(connected.socket, limits,
+    auto frame = net::readFrame(socket, limits,
                                 net::Deadline::after(5s),
                                 net::Deadline::after(5s));
     EXPECT_TRUE(frame.ok()) << net::toString(frame.status);
@@ -1073,16 +1157,15 @@ TEST(Service, OversizedFrameRejectedPerConnection) {
   ASSERT_TRUE(server.start(&error)) << error;
 
   {
-    auto connected =
-        net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-    ASSERT_TRUE(connected.ok()) << connected.error;
+    net::Socket socket;
+    ASSERT_TRUE(testutil::helloConnection(server, &socket));
     // The client-side limit is what we're bypassing here: hand-roll a frame
     // bigger than the server's cap.
     net::FrameLimits permissive;
-    ASSERT_TRUE(net::writeFrame(connected.socket, std::string(1024, 'x'),
+    ASSERT_TRUE(net::writeFrame(socket, std::string(1024, 'x'),
                                 permissive, net::Deadline::after(1s))
                     .ok());
-    auto frame = net::readFrame(connected.socket, permissive,
+    auto frame = net::readFrame(socket, permissive,
                                 net::Deadline::after(1s),
                                 net::Deadline::after(1s));
     ASSERT_TRUE(frame.ok()) << net::toString(frame.status);
@@ -1093,7 +1176,7 @@ TEST(Service, OversizedFrameRejectedPerConnection) {
     // The server hangs up after the error.  Our oversized payload was never
     // consumed, so the close may surface as a reset (Error) rather than a
     // clean EOF; either way the connection is dead.
-    auto next = net::readFrame(connected.socket, permissive,
+    auto next = net::readFrame(socket, permissive,
                                net::Deadline::after(1s),
                                net::Deadline::after(1s));
     EXPECT_TRUE(next.status == net::FrameStatus::Closed ||
@@ -1109,8 +1192,9 @@ TEST(Service, OversizedFrameRejectedPerConnection) {
   EXPECT_EQ(server.counters().framesOversized, 1u);
 }
 
-// A queue of capacity 1 forces backpressure under 8-way load; every request
-// still completes and the replayed ledger stays consistent.
+// A queue of capacity 1 forces backpressure under 8-way load: a command
+// that finds its queue full is refused with a typed `busy`, and a client
+// that retries it still completes everything; the ledger stays consistent.
 TEST(Service, BackpressureWithTinyQueueStillCompletesEverything) {
   auto config = unixConfig(8);
   config.commandQueueCapacity = 1;
@@ -1126,7 +1210,11 @@ TEST(Service, BackpressureWithTinyQueueStillCompletesEverything) {
     threads.emplace_back([&, c] {
       QoSAgentClient client(clientFor(server));
       for (int r = 0; r < kRequests; ++r) {
-        const auto decision = client.negotiate(makeSpec(c * 37 + r), 0);
+        auto decision = client.negotiate(makeSpec(c * 37 + r), 0);
+        while (!decision.ok() && decision.error.status == ClientStatus::Busy) {
+          std::this_thread::yield();
+          decision = client.negotiate(makeSpec(c * 37 + r), 0);
+        }
         ASSERT_TRUE(decision.ok()) << decision.error.message;
         completed.fetch_add(1);
       }
@@ -1188,76 +1276,79 @@ TEST(Service, QueueDepthGaugeSeesEveryPeakUnderBatching) {
 }
 
 // Regression (shutdown lost wakeup): stop the server while the tiny queue
-// is full, the worker is wedged mid-batch, and a v1 client with unread
-// pipelined frames is paused by backpressure.  close() must wake the
-// worker, everything admitted before the close must still execute and
-// answer (the closeAndDrain contract), and the connection must end in a
-// clean EOF — the old single-CV notify left this configuration hung.
+// is full, the worker is wedged mid-command, and a client has a command
+// admitted behind it.  close() must wake the pipeline, everything admitted
+// before the close must still execute and answer (the closeAndDrain
+// contract), and the connection must end in a clean EOF — the old
+// single-CV notify left this configuration hung.
 TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
   auto config = unixConfig(8);
   config.commandQueueCapacity = 1;
   std::atomic<bool> seamEntered{false};
   std::atomic<bool> seamRelease{false};
   std::atomic<int> seamCalls{0};
-  obs::Gauge* depth = nullptr;
   const auto waitFor = [](const auto& done) {
     for (int i = 0; i < 2500 && !done(); ++i) {
       std::this_thread::sleep_for(2ms);
     }
   };
   // A holder on the other event loop keeps shard 0's claim until command
-  // 1 has queued (filling the queue of one and pausing the connection).
-  // After that every command runs on the worker, which holds the claim:
-  // command 1 waits in the seam until the resumed connection has queued
-  // command 2, and command 2 is then held hostage — so by the time the
-  // seam is entered, commands 1 and 2 are provably admitted, command 3
-  // refills the queue, and one of them can only be answered if the
-  // shutdown path wakes the pipeline and drains what was admitted.
+  // 1 has queued.  The worker then runs command 1 and is wedged in the
+  // seam with the claim held, so command 2 queues behind it (filling the
+  // queue of one) and command 3 bounces busy: when stop() begins, commands
+  // 1 and 2 are provably admitted and one of them can only be answered if
+  // the shutdown path drains what was admitted.
   testutil::ClaimHolder holder(&config, [&](int) {
-    const int call = seamCalls.fetch_add(1);
-    if (call == 0) {
-      waitFor([&] { return depth->value() == 1; });
-    } else if (call == 1) {
+    if (seamCalls.fetch_add(1) == 0) {
       seamEntered.store(true);
       while (!seamRelease.load()) std::this_thread::sleep_for(1ms);
     }
   });
   NegotiationServer server(config);
   const auto unblock = holder.releaseOnExit();
-  depth = &server.metricsRegistry()->gauge("server.queue_depth");
+  auto& depth = server.metricsRegistry()->gauge("server.queue_depth");
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_TRUE(holder.hold(server, testutil::statsRequest(100)));
 
-  // Four v1 negotiate frames in one write, no reads: the client is wedged.
-  auto connected =
-      net::connectUnix(server.unixPath(), net::Deadline::after(1s));
-  ASSERT_TRUE(connected.ok()) << connected.error;
+  net::Socket socket;
+  ASSERT_TRUE(testutil::helloConnection(server, &socket, /*window=*/4));
   const net::FrameLimits limits;
-  std::string wire;
-  for (std::uint64_t id = 1; id <= 4; ++id) {
+  const auto send = [&](std::uint64_t id) {
     Request request;
     request.command = Command::Negotiate;
     request.id = id;
-    request.payload =
-        NegotiateRequest{makeSpec(static_cast<int>(id)), 0};
-    ASSERT_TRUE(net::appendFrame(wire, encodeRequest(request), limits).ok());
-  }
-  ASSERT_TRUE(connected.socket
-                  .writeAll(wire.data(), wire.size(), net::Deadline::after(1s))
-                  .ok());
+    request.payload = NegotiateRequest{makeSpec(static_cast<int>(id)), 0};
+    return net::writeFrame(socket, encodeRequest(request), limits,
+                           net::Deadline::after(1s))
+        .ok();
+  };
+  const auto read = [&] {
+    return net::readFrame(socket, limits, net::Deadline::after(2s),
+                          net::Deadline::after(2s));
+  };
 
-  // Command 1 queues behind the holder; the worker then answers it, drains
-  // command 2 and is wedged with it; command 3 refills the queue of one and
-  // re-pauses the connection's reads, leaving frame 4 unread.
-  waitFor([&] { return depth->value() == 1; });
-  ASSERT_EQ(depth->value(), 1);
+  // Command 1 queues behind the holder; the worker drains it (depth back
+  // to 0) and is wedged running it.
+  ASSERT_TRUE(send(1));
+  waitFor([&] { return depth.value() == 1; });
+  ASSERT_EQ(depth.value(), 1);
   holder.release();
   waitFor([&] { return seamEntered.load(); });
   ASSERT_TRUE(seamEntered.load());
-  // Give the (resumed) loop a beat to admit command 3 against the full
-  // queue — not asserted, the prefix check below absorbs either outcome.
-  std::this_thread::sleep_for(30ms);
+  // Command 2 finds the claim taken and fills the queue of one.
+  ASSERT_TRUE(send(2));
+  waitFor([&] { return depth.value() == 1; });
+  ASSERT_EQ(depth.value(), 1);
+  // Command 3 finds the queue full: refused, nothing committed.
+  ASSERT_TRUE(send(3));
+  auto refused = read();
+  ASSERT_TRUE(refused.ok()) << refused.message;
+  const auto busy = decodeResponse(refused.payload);
+  ASSERT_TRUE(busy.ok()) << busy.error;
+  ASSERT_FALSE(busy.response->ok);
+  EXPECT_EQ(busy.response->error->code, "busy");
+  EXPECT_EQ(busy.response->id, 3u);
 
   std::thread stopper([&] { server.stop(); });
   // Give stop() time to reach the queue close, then un-wedge the worker;
@@ -1266,25 +1357,18 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
   seamRelease.store(true);
   stopper.join();
 
-  // Every admitted command answered, in order, then EOF.  Commands 1 and 2
-  // were admitted before the stop; 3 and 4 may or may not have slipped in
-  // depending on when the loops stopped reading, but whatever was admitted
-  // must be answered and nothing may be answered out of order.
+  // Both admitted commands answered, in execution order, then a clean EOF.
   std::vector<std::uint64_t> answered;
-  for (;;) {
-    auto frame = net::readFrame(connected.socket, limits,
-                                net::Deadline::after(2s),
-                                net::Deadline::after(2s));
-    if (!frame.ok()) break;  // clean EOF after the flush
+  net::FrameReadResult frame = read();
+  for (; frame.ok(); frame = read()) {
     auto decoded = decodeResponse(frame.payload);
     ASSERT_TRUE(decoded.ok()) << decoded.error;
     ASSERT_TRUE(decoded.response->ok);
     answered.push_back(decoded.response->id);
   }
-  ASSERT_GE(answered.size(), 2u);
-  for (std::size_t i = 0; i < answered.size(); ++i) {
-    EXPECT_EQ(answered[i], i + 1);
-  }
+  EXPECT_EQ(frame.status, net::FrameStatus::Closed) << frame.message;
+  EXPECT_EQ(answered, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(server.counters().commandsExecuted, 3u);  // the holder's too
 }
 
 // A worker whose queue holds commands while another thread keeps the

@@ -20,7 +20,7 @@
 //       proportional-share) to the replay arbitrator and/or the driven
 //       daemon.  Reshape moves join the decision stream: the fingerprint
 //       covers them, and --drive checks move-for-move identity (daemon
-//       moves are collected by polling RESHAPES after each mutation).
+//       moves are collected from RESHAPED pushes after each mutation).
 //
 //   --in=FILE --unix=PATH | --in=FILE --tcp-port=PORT
 //       Replay the trace sequentially into a live daemon and print the same
@@ -230,7 +230,6 @@ ReplaySummary replayInProcess(
       case service::Command::Stats:
       case service::Command::Verify:
       case service::Command::Hello:
-      case service::Command::Reshapes:
         ++summary.other;  // read-only / handshake: no effect on decisions
         break;
     }
@@ -245,7 +244,7 @@ ReplaySummary replayInProcess(
 ReplaySummary replayIntoDaemon(
     const std::vector<service::WireTraceRecord>& records,
     const service::ClientConfig& config, bool paced = false,
-    double paceScale = 1.0, bool pollReshapes = false) {
+    double paceScale = 1.0, bool collectMoves = false) {
   const auto requests = decodeAll(records);
   service::QoSAgentClient client(config);
   if (auto error = client.connect()) {
@@ -256,19 +255,12 @@ ReplaySummary replayIntoDaemon(
   const auto start = std::chrono::steady_clock::now();
   double dueNanos = 0.0;
   ReplaySummary summary;
-  // Elastic daemons buffer this connection's reshape events server-side (v1
-  // wire protocol); polling after every mutation keeps the collected move
-  // stream in trace order.  Buffering happens before the mutation's own
-  // response is flushed, so a sequential poll can never miss a move.
+  // Elastic daemons push this connection's reshape moves (RESHAPED);
+  // draining after every mutation keeps the collected move stream in trace
+  // order.
   const auto drainReshapes = [&] {
-    if (!pollReshapes) return;
-    const auto events = client.reshapes();
-    if (!events.ok()) {
-      std::fprintf(stderr, "tprm_replay: RESHAPES failed: %s\n",
-                   events.error.message.c_str());
-      std::exit(1);
-    }
-    for (const auto& event : events->events) {
+    if (!collectMoves) return;
+    for (const auto& event : client.drainReshapeEvents()) {
       summary.moves.push_back({event.jobId, event.promotion, event.fromChain,
                                event.toChain, event.fromQuality,
                                event.toQuality});
@@ -335,10 +327,20 @@ ReplaySummary replayIntoDaemon(
       case service::Command::Stats:
       case service::Command::Verify:
       case service::Command::Hello:
-      case service::Command::Reshapes:
         ++summary.other;  // the blocking client handshakes on its own
         break;
     }
+  }
+  if (collectMoves) {
+    // A push is written before any later response on the connection, so
+    // after one more round trip every move of the trace is in.
+    const auto barrier = client.stats();
+    if (!barrier.ok()) {
+      std::fprintf(stderr, "tprm_replay: STATS failed: %s\n",
+                   barrier.error.message.c_str());
+      std::exit(1);
+    }
+    drainReshapes();
   }
   return summary;
 }
