@@ -83,7 +83,6 @@ struct BenchOptions {
   int cancelEvery = 0;  // 0 = never cancel
   bool replayVerify = false;
   int pipeline = 0;  // 0 = blocking client; W > 0 = pipelined window W
-  tprm::qos::QueueKind queueKind = tprm::qos::QueueKind::Mutex;
 };
 
 tprm::task::TunableJobSpec lightSpec(int index) {
@@ -160,7 +159,6 @@ struct LegResult {
   std::uint64_t spills = 0;
   std::uint64_t busyRetries = 0;
   std::string wire = "blocking";  // or "pipelined"
-  std::string queue = "mutex";
   int window = 0;  // in-flight window per connection (0 = blocking)
   bool ledgerOk = false;
   bool complete = false;
@@ -232,14 +230,12 @@ LegResult runLeg(const BenchOptions& options,
   LegResult leg;
   leg.shards = options.shards;
   leg.wire = options.pipeline > 0 ? "pipelined" : "blocking";
-  leg.queue = qos::toString(options.queueKind);
   leg.window = options.pipeline;
 
   service::ServerConfig serverConfig;
   serverConfig.processors = options.procs;
   serverConfig.shards = options.shards;
   serverConfig.shardSpill = options.spill;
-  serverConfig.queueKind = options.queueKind;
   serverConfig.unixPath = "/tmp/tprm-bench-" + std::to_string(::getpid()) +
                           "-" + std::to_string(options.shards) + ".sock";
   service::NegotiationServer server(serverConfig);
@@ -521,7 +517,6 @@ LegResult runLeg(const BenchOptions& options,
 void legToJson(const LegResult& leg, tprm::JsonValue::Object& doc) {
   doc["shards"] = leg.shards;
   doc["wire"] = leg.wire;
-  doc["queue"] = leg.queue;
   doc["window"] = leg.window;
   doc["busy_retries"] = static_cast<std::int64_t>(leg.busyRetries);
   doc["completed_requests"] = leg.completed;
@@ -571,7 +566,7 @@ int main(int argc, char** argv) {
   const auto unknown = flags.unknownAgainst(
       {"clients", "requests", "procs", "out", "metrics-out", "shards",
        "sweep", "no-spill", "deep", "cancel-every", "replay-verify",
-       "pipeline", "require-speedup", "queue"});
+       "pipeline", "require-speedup"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "service_throughput: unknown flag --%s\n",
                  unknown.front().c_str());
@@ -590,15 +585,6 @@ int main(int argc, char** argv) {
   if (options.pipeline < 0) {
     std::fprintf(stderr, "service_throughput: --pipeline must be >= 0\n");
     return 2;
-  }
-  if (flags.has("queue")) {
-    const auto kind = qos::queueKindFromName(flags.getString("queue", ""));
-    if (!kind.has_value()) {
-      std::fprintf(stderr,
-                   "service_throughput: --queue wants mutex | mpsc | steal\n");
-      return 2;
-    }
-    options.queueKind = *kind;
   }
   const double requireSpeedup = flags.getDouble("require-speedup", 0.0);
   const std::string outPath = flags.getString("out", "");

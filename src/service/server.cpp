@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/log.h"
+#include "qos/command_queue.h"
 #include "taskmodel/chain.h"
 
 namespace tprm::service {
@@ -138,14 +139,13 @@ struct NegotiationServer::Loop {
   Clock::time_point lastSweep{};
 };
 
-/// One shard's command queue and the worker draining it.  The queue itself
-/// is pluggable (config.queueKind, qos/command_queue.h); every kind is
-/// soft-bounded from the server's point of view: producers never block (the
-/// loop threads must not stall); at/above commandQueueCapacity a command is
-/// refused with `busy` instead.
+/// One shard's command queue (qos/command_queue.h) and the worker draining
+/// it.  Producers never block (the loop threads must not stall); at or
+/// above commandQueueCapacity, enqueue() refuses a command with `busy`
+/// before stamping it.
 struct NegotiationServer::ShardQueue {
   int index = 0;
-  std::unique_ptr<qos::CommandQueue<std::shared_ptr<PendingCommand>>> impl;
+  qos::CommandQueue<std::shared_ptr<PendingCommand>> impl;
   /// "server.queue_depth" (shards == 1) / "server.queue_depth.shard<k>".
   /// Sampled at enqueue from the depth the push itself observed, so the
   /// high-water mark catches every peak even when the worker drains whole
@@ -167,8 +167,6 @@ NegotiationServer::NegotiationServer(ServerConfig config)
   for (int k = 0; k < config_.shards; ++k) {
     auto queue = std::make_unique<ShardQueue>();
     queue->index = k;
-    queue->impl = qos::makeCommandQueue<std::shared_ptr<PendingCommand>>(
-        config_.queueKind, config_.commandQueueCapacity);
     queues_.push_back(std::move(queue));
   }
   if (config_.observability) {
@@ -295,13 +293,12 @@ void NegotiationServer::stop() {
 
   // 3. No producers remain: close the queues and join each worker after it
   // has executed everything already admitted.  seqMutex_ serialises the
-  // close against any straggling enqueue; close() wakes parked consumers
-  // AND blocked bounded producers (both CVs — the lost-wakeup fix).
+  // close against any straggling enqueue; close() wakes a parked worker.
   {
     std::lock_guard<std::mutex> lock(seqMutex_);
     queueClosed_.store(true);
   }
-  for (auto& queue : queues_) queue->impl->close();
+  for (auto& queue : queues_) queue->impl.close();
   for (auto& queue : queues_) {
     if (queue->worker.joinable()) queue->worker.join();
   }
@@ -338,12 +335,11 @@ ServerCounters NegotiationServer::counters() const {
   counters.commandsExecuted = commandsExecuted_.load();
   counters.commandsInline = commandsInline_.load();
   for (const auto& queue : queues_) {
-    counters.claimMisses += queue->impl->claimMisses();
+    counters.claimMisses += queue->impl.claimMisses();
   }
   counters.disconnectsMidRequest = disconnectsMidRequest_.load();
   counters.busyRejections = busyRejections_.load();
   counters.helloHandshakes = helloHandshakes_.load();
-  counters.batchesStolen = batchesStolen_.load();
   counters.reshapeEventsDispatched = reshapeEventsDispatched_.load();
   counters.reshapeEventsDropped = reshapeEventsDropped_.load();
   return counters;
@@ -561,7 +557,7 @@ void NegotiationServer::finishBatch(Loop* loop) {
   // Claims first: the responses already sit in their output buffers in
   // order, so the write syscalls need not delay a worker waiting to drain.
   for (const std::size_t k : loop->heldClaims) {
-    queues_[k]->impl->releaseConsumer();
+    queues_[k]->impl.releaseConsumer();
   }
   loop->heldClaims.clear();
   for (Connection* conn : loop->touched) flushOut(loop, conn);
@@ -909,7 +905,7 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
   auto& queue = *queues_[target];
   // approxDepth is exact on the producer side: every push happens under
   // seqMutex_, held here.
-  const std::size_t depth = queue.impl->approxDepth();
+  const std::size_t depth = queue.impl.approxDepth();
   if (depth == 0) {
     // Run to completion: nothing of this shard is waiting, so if no other
     // thread is executing on it either (the claim is ours), this loop runs
@@ -919,7 +915,7 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
     auto& held = loop->heldClaims;
     const bool holding =
         std::find(held.begin(), held.end(), target) != held.end();
-    if (holding || queue.impl->tryClaimConsumer()) {
+    if (holding || queue.impl.tryClaimConsumer()) {
       if (!holding) held.push_back(target);
       stampCommand(&command);
       return EnqueueStatus::Inline;
@@ -933,9 +929,8 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
   }
   auto queued = std::make_shared<PendingCommand>(std::move(command));
   stampCommand(queued.get());
-  const auto pushed =
-      queue.impl->push(std::move(queued), /*refuseAtCapacity=*/false);
-  if (pushed.status == qos::QueuePush::Closed) {
+  const std::size_t pushedDepth = queue.impl.push(std::move(queued));
+  if (pushedDepth == 0) {
     // Unreachable in practice — close happens under seqMutex_, checked at
     // entry — but the contract allows it, so don't mislead the caller.
     return EnqueueStatus::Closed;
@@ -944,7 +939,7 @@ NegotiationServer::EnqueueStatus NegotiationServer::enqueue(
     // Sample the depth the push itself observed (not a later re-read): the
     // high-water gauge then sees every peak even when the worker drains a
     // whole batch before the next enqueue (the undercount bugfix).
-    queue.depth->set(static_cast<std::int64_t>(pushed.depth));
+    queue.depth->set(static_cast<std::int64_t>(pushedDepth));
   }
   return EnqueueStatus::Ok;
 }
@@ -994,46 +989,18 @@ void NegotiationServer::workerLoop(int shard) {
   // Sized on the first drained batch: a worker whose shard only ever runs
   // inline touches no heap, and so never takes a malloc arena of its own.
   std::vector<std::vector<ResponseMsg>> perLoop;
-  const bool stealing =
-      config_.queueKind == qos::QueueKind::Steal && queues_.size() > 1;
   for (;;) {
     if (drainAndExecute(&own, &batch, &pushes, &perLoop)) continue;
-    if (stealing) {
-      // Idle: help the deepest sibling instead of sleeping.  Claiming its
-      // consumer token — and holding it across execution — keeps that
-      // shard's commands in arrivalSeq order even though a foreign worker
-      // runs them, which is what lets stealing absorb queue imbalance
-      // without touching the arbitrator's spill logic.
-      std::size_t deepest = 0;
-      int victim = -1;
-      for (std::size_t k = 0; k < queues_.size(); ++k) {
-        if (static_cast<int>(k) == shard) continue;
-        const std::size_t d = queues_[k]->impl->approxDepth();
-        if (d > deepest) {
-          deepest = d;
-          victim = static_cast<int>(k);
-        }
-      }
-      if (victim >= 0 &&
-          drainAndExecute(queues_[static_cast<std::size_t>(victim)].get(),
-                          &batch, &pushes, &perLoop)) {
-        batchesStolen_.fetch_add(1);
-        continue;
-      }
-    }
-    const std::size_t depth = own.impl->approxDepth();
-    if (own.impl->closed() && depth == 0) return;
-    // Steal mode polls so an idle worker notices sibling depth; otherwise
-    // sleep until a producer or close() wakes this queue.  Commands we
-    // could not drain mean another thread holds the claim (an event loop
-    // running a command inline, or a thief): sleep until it lets go rather
-    // than re-polling a queue that stays non-empty.
-    const auto timeout =
-        stealing ? std::chrono::milliseconds(1) : qos::kWaitForever;
+    const std::size_t depth = own.impl.approxDepth();
+    if (own.impl.closed() && depth == 0) return;
+    // Sleep until a producer or close() wakes this queue.  Commands we
+    // could not drain mean an event loop holds the claim to run a command
+    // inline: sleep until it lets go rather than re-polling a queue that
+    // stays non-empty.
     if (depth > 0) {
-      own.impl->waitClaimReleased(timeout);
+      own.impl.waitClaimReleased();
     } else {
-      own.impl->waitNonEmpty(timeout);
+      own.impl.waitNonEmpty(qos::kWaitForever);
     }
   }
 }
@@ -1047,20 +1014,20 @@ bool NegotiationServer::drainAndExecute(
   auto& perLoop = *perLoopPtr;
   // Empty queues are not claimed at all: a speculative claim would only
   // make an event loop's inline attempt on this shard miss.
-  if (queue->impl->approxDepth() == 0 || !queue->impl->tryClaimConsumer()) {
+  if (queue->impl.approxDepth() == 0 || !queue->impl.tryClaimConsumer()) {
     return false;
   }
   batch.clear();
   if (perLoop.empty()) perLoop.resize(loops_.size());
   // Batched handoff: one claim drains up to workerBatch commands (FIFO, so
   // drain order == arrivalSeq order per shard).
-  const std::size_t n = queue->impl->tryDrainUpTo(config_.workerBatch, &batch);
+  const std::size_t n = queue->impl.tryDrainUpTo(config_.workerBatch, &batch);
   if (n == 0) {
-    queue->impl->releaseConsumer();
+    queue->impl.releaseConsumer();
     return false;
   }
   if (queue->depth != nullptr) {
-    queue->depth->set(static_cast<std::int64_t>(queue->impl->approxDepth()));
+    queue->depth->set(static_cast<std::int64_t>(queue->impl.approxDepth()));
   }
   for (const auto& command : batch) {
     pushes.clear();
@@ -1088,10 +1055,10 @@ bool NegotiationServer::drainAndExecute(
     perLoop[i].clear();
   }
   // Release only after execution and the posts: the claim token is what
-  // serialises per-shard execution across owner, thieves and event loops,
+  // serialises per-shard execution across the worker and the event loops,
   // and a loop that claims next delivers these posts before its own
   // response.
-  queue->impl->releaseConsumer();
+  queue->impl.releaseConsumer();
   return true;
 }
 
@@ -1191,7 +1158,7 @@ std::uint32_t NegotiationServer::fullWindow() const {
 std::uint32_t NegotiationServer::dynamicWindowNow() const {
   std::size_t depth = 0;
   for (const auto& queue : queues_) {
-    depth = std::max(depth, queue->impl->approxDepth());
+    depth = std::max(depth, queue->impl.approxDepth());
   }
   return adaptiveWindow(depth, config_.commandQueueCapacity, fullWindow());
 }

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
        "max-sessions", "idle-timeout-ms", "io-timeout-ms", "verbose",
        "metrics-out", "metrics-interval-ms", "trace-cap", "no-metrics",
        "shards", "no-spill", "gang", "rebalance-interval-ms", "record-out",
-       "event-loops", "max-inflight", "worker-batch", "elastic", "queue"});
+       "event-loops", "max-inflight", "worker-batch", "elastic"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "tprmd: unknown flag --%s\n", unknown.front().c_str());
     return 2;
@@ -120,18 +120,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.getInt("max-frame-kb", 1024)) * 1024;
   config.commandQueueCapacity =
       static_cast<std::size_t>(flags.getInt("queue-cap", 256));
-  if (flags.has("queue")) {
-    const std::string queueName = flags.getString("queue", "mutex");
-    const auto kind = qos::queueKindFromName(queueName);
-    if (!kind.has_value()) {
-      std::fprintf(stderr,
-                   "tprmd: --queue=%s is not a queue kind (want "
-                   "mutex | mpsc | steal)\n",
-                   queueName.c_str());
-      return 2;
-    }
-    config.queueKind = *kind;
-  }
   config.maxSessions =
       static_cast<std::size_t>(flags.getInt("max-sessions", 128));
   config.idleTimeout =
@@ -214,10 +202,6 @@ int main(int argc, char** argv) {
   if (reshaper.has_value()) {
     std::printf("tprmd: elastic reshaping on (%s)\n",
                 elastic::toString(reshaper->policy()).c_str());
-  }
-  if (config.queueKind != qos::QueueKind::Mutex) {
-    std::printf("tprmd: handoff queues: %s\n",
-                qos::toString(config.queueKind));
   }
   std::fflush(stdout);
 

@@ -155,7 +155,6 @@ TEST(Service, ResizeAcrossTheWire) {
 struct ConcurrentRun {
   int shards;
   int eventLoops;
-  qos::QueueKind queueKind;
 };
 
 void runConcurrentClientsAgainstReplay(const ConcurrentRun& run) {
@@ -167,7 +166,6 @@ void runConcurrentClientsAgainstReplay(const ConcurrentRun& run) {
   config.shards = run.shards;
   config.shardSpill = false;  // independent shards: per-shard replay is exact
   config.eventLoops = run.eventLoops;
-  config.queueKind = run.queueKind;
   testutil::ClaimHolder holder(&config);
   NegotiationServer server(config);
   const auto unblock = holder.releaseOnExit();
@@ -295,20 +293,13 @@ void runConcurrentClientsAgainstReplay(const ConcurrentRun& run) {
 // The tentpole acceptance test: N concurrent clients against the service
 // produce exactly the decisions of the in-process arbitrator replayed in
 // the server's stamped arrival order — with one shard, and with four
-// shards over two and four event loops and every handoff queue, where
-// commands run inline on the loops when their shard is idle and queue
-// otherwise.
+// shards over two and four event loops, where commands run inline on the
+// loops when their shard is idle and queue otherwise.
 TEST(Service, ConcurrentClientsMatchInProcessReplayInArrivalOrder) {
-  const ConcurrentRun runs[] = {
-      {1, 2, qos::QueueKind::Mutex}, {4, 2, qos::QueueKind::Mutex},
-      {4, 2, qos::QueueKind::Mpsc},  {4, 2, qos::QueueKind::Steal},
-      {4, 4, qos::QueueKind::Mutex}, {4, 4, qos::QueueKind::Mpsc},
-      {4, 4, qos::QueueKind::Steal},
-  };
+  const ConcurrentRun runs[] = {{1, 2}, {4, 2}, {4, 4}};
   for (const auto& run : runs) {
     SCOPED_TRACE("shards=" + std::to_string(run.shards) +
-                 " loops=" + std::to_string(run.eventLoops) +
-                 " queue=" + qos::toString(run.queueKind));
+                 " loops=" + std::to_string(run.eventLoops));
     runConcurrentClientsAgainstReplay(run);
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -1376,109 +1367,36 @@ TEST(Service, StopWhileClientWedgedAgainstFullTinyQueueDrainsAdmitted) {
 // the non-empty queue.  The holder keeps shard 0's claim for 200 ms with
 // three commands queued behind it; every claim attempt that finds the
 // claim taken is counted, and a spinning worker would make millions.
-// (Steal mode polls sibling queues every millisecond by design, so it is
-// left out.)
 TEST(Service, WorkerParksWhileAnotherThreadHoldsTheClaim) {
-  for (const auto kind : {qos::QueueKind::Mutex, qos::QueueKind::Mpsc}) {
-    SCOPED_TRACE(qos::toString(kind));
-    auto config = unixConfig(8);
-    config.queueKind = kind;
-    testutil::ClaimHolder holder(&config);
-    NegotiationServer server(config);
-    const auto unblock = holder.releaseOnExit();
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
+  auto config = unixConfig(8);
+  testutil::ClaimHolder holder(&config);
+  NegotiationServer server(config);
+  const auto unblock = holder.releaseOnExit();
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  ASSERT_TRUE(holder.hold(server, testutil::statsRequest(1)));
 
-    PipelinedClient client(clientFor(server), /*window=*/8);
-    auto connectError = client.connect();
-    ASSERT_FALSE(connectError.has_value()) << connectError->message;
-    std::vector<PipelinedClient::ResponseFuture> futures;
-    for (int i = 0; i < 3; ++i) futures.push_back(client.statsAsync());
-    std::this_thread::sleep_for(200ms);
-    const auto missesWhileHeld = server.counters().claimMisses;
-    holder.release();
-    for (auto& future : futures) {
-      const auto result = future.get();
-      ASSERT_TRUE(result.ok()) << result.error.message;
-    }
-    // A miss per read batch on the loop (at most one per queued command),
-    // and about one per wakeup on the worker before it parks.
-    EXPECT_GE(missesWhileHeld, 1u);
-    EXPECT_LE(missesWhileHeld, 16u);
-    const auto counters = server.counters();
-    EXPECT_EQ(counters.commandsExecuted, 4u);
-    EXPECT_EQ(counters.commandsInline, 1u);  // the held STATS
-    client.close();
-    server.stop();
+  PipelinedClient client(clientFor(server), /*window=*/8);
+  auto connectError = client.connect();
+  ASSERT_FALSE(connectError.has_value()) << connectError->message;
+  std::vector<PipelinedClient::ResponseFuture> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back(client.statsAsync());
+  std::this_thread::sleep_for(200ms);
+  const auto missesWhileHeld = server.counters().claimMisses;
+  holder.release();
+  for (auto& future : futures) {
+    const auto result = future.get();
+    ASSERT_TRUE(result.ok()) << result.error.message;
   }
-}
-
-// Decision-identity smoke across the pluggable handoff queues: the same
-// concurrent burst against --queue=mutex, mpsc, and steal servers must
-// stamp a dense arrival sequence and replay exactly into an in-process
-// arbitrator, whichever implementation carried the handoff.
-TEST(Service, QueueKindsPreserveReplayEquivalence) {
-  for (const auto kind : {qos::QueueKind::Mutex, qos::QueueKind::Mpsc,
-                          qos::QueueKind::Steal}) {
-    SCOPED_TRACE(qos::toString(kind));
-    constexpr int kClients = 4;
-    constexpr int kRequestsPerClient = 15;
-    const int processors = 8;
-    auto config = unixConfig(processors);
-    config.queueKind = kind;
-    config.shards = kind == qos::QueueKind::Steal ? 2 : 1;
-    NegotiationServer server(config);
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-
-    struct Observed {
-      task::TunableJobSpec spec;
-      NegotiateResult result;
-    };
-    std::vector<std::vector<Observed>> perClient(kClients);
-    std::vector<std::thread> threads;
-    for (int c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        QoSAgentClient client(clientFor(server));
-        for (int r = 0; r < kRequestsPerClient; ++r) {
-          const auto spec = makeSpec(c * kRequestsPerClient + r);
-          const auto decision = client.negotiate(spec, 0);
-          ASSERT_TRUE(decision.ok()) << decision.error.message;
-          perClient[static_cast<std::size_t>(c)].push_back({spec, *decision});
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-
-    std::vector<const Observed*> byArrival;
-    for (const auto& observations : perClient) {
-      for (const auto& observed : observations) byArrival.push_back(&observed);
-    }
-    std::sort(byArrival.begin(), byArrival.end(),
-              [](const Observed* a, const Observed* b) {
-                return a->result.arrivalSeq < b->result.arrivalSeq;
-              });
-    for (std::size_t i = 0; i < byArrival.size(); ++i) {
-      ASSERT_EQ(byArrival[i]->result.arrivalSeq, i);
-    }
-    if (config.shards == 1) {
-      qos::QoSArbitrator replay(processors);
-      for (const auto* observed : byArrival) {
-        const auto decision =
-            replay.submit(observed->spec, observed->result.release);
-        ASSERT_EQ(replay.lastJobId().value(), observed->result.jobId);
-        ASSERT_EQ(decision.admitted, observed->result.admitted)
-            << "arrivalSeq " << observed->result.arrivalSeq;
-      }
-      EXPECT_TRUE(replay.verify().ok);
-    }
-    QoSAgentClient checker(clientFor(server));
-    const auto verify = checker.verify();
-    ASSERT_TRUE(verify.ok());
-    EXPECT_TRUE(verify->ok) << verify->firstViolation;
-    server.stop();
-  }
+  // A miss per read batch on the loop (at most one per queued command),
+  // and about one per wakeup on the worker before it parks.
+  EXPECT_GE(missesWhileHeld, 1u);
+  EXPECT_LE(missesWhileHeld, 16u);
+  const auto counters = server.counters();
+  EXPECT_EQ(counters.commandsExecuted, 4u);
+  EXPECT_EQ(counters.commandsInline, 1u);  // the held STATS
+  client.close();
+  server.stop();
 }
 
 // stop() waits for in-flight work, then refuses new connections; idle open

@@ -33,14 +33,11 @@
 //       push every later arrival out — bursts stay bursts.
 //
 //   --in=FILE --drive [--procs=P] [--shards=K] [--no-spill] [--gang]
-//              [--queue=mutex|mpsc|steal]
 //       Self-hosting verification: spins up a fresh in-process
 //       NegotiationServer with the given sizing, replays the trace through a
 //       real client connection, replays it again into a fresh in-process
 //       arbitrator, and compares every NEGOTIATE decision field by field.
-//       Exit 0 iff all decisions match.  --queue swaps the daemon's
-//       server→shard handoff queues (qos/command_queue.h) — decisions must
-//       be identical for every kind.
+//       Exit 0 iff all decisions match.
 //
 // Replay is sequential (one request at a time, trace order == arrivalSeq
 // order), which makes the decision stream a pure function of the trace and
@@ -491,7 +488,7 @@ int main(int argc, char** argv) {
   const auto unknown = flags.unknownAgainst(
       {"in", "out", "gen", "jobs", "seed", "procs", "shards", "no-spill",
        "gang", "unix", "tcp-port", "drive", "cat", "paced", "pace-scale",
-       "elastic", "queue"});
+       "elastic"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "tprm_replay: unknown flag --%s\n",
                  unknown.front().c_str());
@@ -560,22 +557,6 @@ int main(int argc, char** argv) {
   }
   const qos::ReshapePolicy* reshapePolicy =
       reshaper.has_value() ? &*reshaper : nullptr;
-  // --queue selects the driven daemon's handoff queue implementation; the
-  // in-process replay has no queues, so decision identity across kinds is
-  // exactly what this flag lets the gates check.
-  auto queueKind = qos::QueueKind::Mutex;
-  if (flags.has("queue")) {
-    const std::string queueName = flags.getString("queue", "mutex");
-    const auto parsedKind = qos::queueKindFromName(queueName);
-    if (!parsedKind.has_value()) {
-      std::fprintf(stderr,
-                   "tprm_replay: --queue=%s is not a queue kind (want "
-                   "mutex | mpsc | steal)\n",
-                   queueName.c_str());
-      return 2;
-    }
-    queueKind = *parsedKind;
-  }
 
   const std::string unixPath = flags.getString("unix", "");
   const bool haveTcp = flags.has("tcp-port");
@@ -600,7 +581,6 @@ int main(int argc, char** argv) {
     config.shards = shards;
     config.shardSpill = spill;
     config.shardGang = gang;
-    config.queueKind = queueKind;
     config.reshapePolicy = reshapePolicy;
     config.unixPath =
         "/tmp/tprm_replay_" + std::to_string(::getpid()) + ".sock";
