@@ -125,7 +125,7 @@ void QoSArbitrator::syncSlots() {
 }
 
 sched::AdmissionDecision QoSArbitrator::submit(
-    const task::TunableJobSpec& spec, Time release,
+    std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
     std::vector<QualityMove>* moves) {
   TPRM_CHECK(gangTrial_ == nullptr,
              "submit is forbidden while a gang reserve is open");
@@ -134,15 +134,14 @@ sched::AdmissionDecision QoSArbitrator::submit(
   clock_ = release;
   profile_.discardBefore(clock_);
   retireFinished();
+  TPRM_CHECK(!live(jobId), "job id is already live on this arbitrator");
 
   // Elastic model: load may have dropped since the last demotion — walk
-  // demoted jobs back up the ladder before admitting new work.  Runs before
-  // the id draw so the newcomer's id (and with sharding, its route) does not
-  // depend on promotion outcomes.
+  // demoted jobs back up the ladder before admitting new work.
   promotePass(moves);
 
   task::JobInstance job;
-  job.id = nextJobId_++;
+  job.id = jobId;
   job.release = release;
   job.spec = spec;
   if (metrics_ != nullptr) metrics_->negotiations->add();
@@ -626,9 +625,10 @@ bool QoSArbitrator::gangReserve(
   return true;
 }
 
-std::uint64_t QoSArbitrator::gangCommit(
-    const task::TunableJobSpec& spec, std::size_t chainIndex, double quality,
-    Time release, const std::vector<sched::TaskPlacement>& placements,
+void QoSArbitrator::gangCommit(
+    std::uint64_t jobId, const task::TunableJobSpec& spec,
+    std::size_t chainIndex, double quality, Time release,
+    const std::vector<sched::TaskPlacement>& placements,
     const std::vector<std::size_t>& taskIndices) {
   TPRM_CHECK(gangTrial_ != nullptr, "gangCommit needs an open reserve");
   TPRM_CHECK(placements.size() == taskIndices.size(),
@@ -639,8 +639,8 @@ std::uint64_t QoSArbitrator::gangCommit(
   clock_ = release;
   profile_.discardBefore(clock_);
   retireFinished();
+  TPRM_CHECK(!live(jobId), "job id is already live on this arbitrator");
 
-  const std::uint64_t jobId = nextJobId_++;
   LiveJob job;
   job.spec = spec;
   job.release = release;
@@ -658,7 +658,6 @@ std::uint64_t QoSArbitrator::gangCommit(
         static_cast<int>(chainIndex), p.interval, p.processors, p.deadline}));
   }
   ++admitted_;
-  return jobId;
 }
 
 void QoSArbitrator::gangAbort() {

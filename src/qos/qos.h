@@ -138,8 +138,20 @@ class QoSArbitrator {
   /// rejection triggers a demotion reshape (shrink victims inside one trial
   /// scope, commit only if the newcomer then fits).  Every committed move is
   /// appended to `moves` when non-null.
+  ///
+  /// Numbers the job itself: the id is the next of 0, 1, 2, ... (see
+  /// lastJobId()), drawn whether or not the job is admitted.
   [[nodiscard]] sched::AdmissionDecision submit(
       const task::TunableJobSpec& spec, Time release,
+      std::vector<QualityMove>* moves = nullptr) {
+    return submit(nextJobId_++, spec, release, moves);
+  }
+  /// As above, under the caller's id, which must not be live here.  Ids
+  /// only order jobs (elastic candidates, renegotiation), so a caller that
+  /// submits in increasing id gets the decisions the self-numbering
+  /// overload would give.  Does not draw from lastJobId()'s sequence.
+  [[nodiscard]] sched::AdmissionDecision submit(
+      std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
       std::vector<QualityMove>* moves = nullptr);
 
   /// Cancels the remaining (not-yet-started) reservations of a job, freeing
@@ -185,9 +197,14 @@ class QoSArbitrator {
   [[nodiscard]] bool live(std::uint64_t jobId) const {
     return live_.count(jobId) != 0;
   }
+  /// True while `jobId` is a live gang fragment (see gangCommit).
+  [[nodiscard]] bool pinned(std::uint64_t jobId) const {
+    const auto it = live_.find(jobId);
+    return it != live_.end() && it->second.pinned;
+  }
 
-  /// Id assigned to the most recently submitted job (admitted or not);
-  /// nullopt before the first submission.
+  /// Id the self-numbering submit() gave the most recently submitted job
+  /// (admitted or not); nullopt before the first such submission.
   [[nodiscard]] std::optional<std::uint64_t> lastJobId() const {
     if (nextJobId_ == 0) return std::nullopt;
     return nextJobId_ - 1;
@@ -215,11 +232,12 @@ class QoSArbitrator {
 
   // -- Cross-shard gang fragment surface (used by ShardedArbitrator) --------
   //
-  // A gang admission places width fragments of one global job on several
-  // shards.  Each participating shard goes through a two-phase protocol:
-  // phase 1 opens an undo-log Trial and reserves this shard's fragments
-  // verbatim (gangReserve); phase 2 either commits them as a *pinned* local
-  // job (gangCommit) or rolls the profile back bit-for-bit (gangAbort).
+  // A gang admission places width fragments of one job on several shards,
+  // each under the job's own id.  Each participating shard goes through a
+  // two-phase protocol: phase 1 opens an undo-log Trial and reserves this
+  // shard's fragments verbatim (gangReserve); phase 2 either commits them as
+  // a *pinned* job (gangCommit) or rolls the profile back bit-for-bit
+  // (gangAbort).
   // While a gang reserve is open no other operation may run on this
   // arbitrator (the sharded wrapper holds every shard lock for the whole
   // protocol).
@@ -231,15 +249,14 @@ class QoSArbitrator {
       const std::vector<sched::TaskPlacement>& placements);
 
   /// Phase 2 (success): commits the open reserve and registers the fragments
-  /// as one pinned live job on this shard — never demoted, promoted, or
-  /// renegotiated; verbatim-or-drop on resize.  `taskIndices[i]` is the spec
-  /// task index `placements[i]` is a fragment of (fragments skip tasks the
-  /// shard contributes nothing to).  Returns the local job id.
-  std::uint64_t gangCommit(const task::TunableJobSpec& spec,
-                           std::size_t chainIndex, double quality,
-                           Time release,
-                           const std::vector<sched::TaskPlacement>& placements,
-                           const std::vector<std::size_t>& taskIndices);
+  /// as one pinned live job `jobId` on this shard (which must not be live
+  /// here) — never demoted, promoted, or renegotiated; verbatim-or-drop on
+  /// resize.  `taskIndices[i]` is the spec task index `placements[i]` is a
+  /// fragment of (fragments skip tasks the shard contributes nothing to).
+  void gangCommit(std::uint64_t jobId, const task::TunableJobSpec& spec,
+                  std::size_t chainIndex, double quality, Time release,
+                  const std::vector<sched::TaskPlacement>& placements,
+                  const std::vector<std::size_t>& taskIndices);
 
   /// Phase 2 (failure): closes the open reserve, rolling every reserved
   /// fragment back bit-for-bit.

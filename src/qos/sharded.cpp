@@ -1,6 +1,7 @@
 #include "qos/sharded.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <set>
 
@@ -9,12 +10,18 @@
 
 namespace tprm::qos {
 
+namespace {
+
+/// Free-area window used to pick the spill target, from the job's release.
+constexpr Time kSpillHorizon = 256 * kTicksPerUnit;
+
+}  // namespace
+
 ShardedArbitrator::ShardedArbitrator(int processors, ShardedOptions options)
     : options_(options) {
   TPRM_CHECK(options.shards >= 1, "need at least one shard");
   TPRM_CHECK(processors >= options.shards,
              "need at least one processor per shard");
-  TPRM_CHECK(options.spillHorizon > 0, "spill horizon must be positive");
   const int base = processors / options.shards;
   const int extra = processors % options.shards;
   shards_.reserve(static_cast<std::size_t>(options.shards));
@@ -30,13 +37,6 @@ Time ShardedArbitrator::advanceClock(Time t) {
          !clock_.compare_exchange_weak(seen, t, std::memory_order_acq_rel)) {
   }
   return std::max(seen, t);
-}
-
-void ShardedArbitrator::bindJob(std::uint64_t globalId, int shard,
-                                std::uint64_t localId) {
-  shards_[static_cast<std::size_t>(shard)]->toGlobal[localId] = globalId;
-  std::lock_guard<std::mutex> lock(mapMutex_);
-  toLocal_[globalId] = {shard, localId};
 }
 
 std::vector<std::unique_lock<std::mutex>> ShardedArbitrator::lockAll() const {
@@ -67,15 +67,6 @@ std::vector<int> ShardedArbitrator::shardProcessors() const {
   return sizes;
 }
 
-void ShardedArbitrator::appendGlobalMoves(const Shard& shard,
-                                          std::vector<QualityMove> local,
-                                          std::vector<QualityMove>& out) {
-  for (auto& move : local) {
-    move.jobId = shard.toGlobal.at(move.jobId);
-    out.push_back(std::move(move));
-  }
-}
-
 sched::AdmissionDecision ShardedArbitrator::submit(
     std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
     Time* effectiveRelease, std::vector<QualityMove>* moves) {
@@ -90,12 +81,8 @@ sched::AdmissionDecision ShardedArbitrator::submit(
     // without forcing global serialization.
     const Time local = std::max(r, shard.arb.clock());
     if (effectiveRelease != nullptr) *effectiveRelease = local;
-    std::vector<QualityMove> localMoves;
-    decision = shard.arb.submit(
-        spec, local, moves != nullptr ? &localMoves : nullptr);
-    if (moves != nullptr) appendGlobalMoves(shard, std::move(localMoves), *moves);
+    decision = shard.arb.submit(jobId, spec, local, moves);
     if (decision.admitted) {
-      bindJob(jobId, home, shard.arb.lastJobId().value());
       admitted_.fetch_add(1, std::memory_order_relaxed);
       return decision;
     }
@@ -122,7 +109,7 @@ sched::AdmissionDecision ShardedArbitrator::submit(
       auto& shard = *shards_[static_cast<std::size_t>(k)];
       std::lock_guard<std::mutex> lock(shard.mu);
       const Time from = std::max(r, shard.arb.clock());
-      const TimeInterval window{from, from + options_.spillHorizon};
+      const TimeInterval window{from, from + kSpillHorizon};
       candidates.push_back(Candidate{
           k,
           static_cast<std::int64_t>(shard.arb.processors()) *
@@ -143,7 +130,7 @@ sched::AdmissionDecision ShardedArbitrator::submit(
       auto& shard = *shards_[static_cast<std::size_t>(candidate.shard)];
       std::lock_guard<std::mutex> lock(shard.mu);
       const Time local = std::max(r, shard.arb.clock());
-      const TimeInterval window{local, local + options_.spillHorizon};
+      const TimeInterval window{local, local + kSpillHorizon};
       const std::int64_t freeNow =
           static_cast<std::int64_t>(shard.arb.processors()) *
               window.length() -
@@ -165,15 +152,9 @@ sched::AdmissionDecision ShardedArbitrator::submit(
         break;
       }
       if (shardedMetrics_ != nullptr) shardedMetrics_->spillAttempts->add();
-      std::vector<QualityMove> localMoves;
-      const auto spilled = shard.arb.submit(
-          spec, local, moves != nullptr ? &localMoves : nullptr);
-      if (moves != nullptr) {
-        appendGlobalMoves(shard, std::move(localMoves), *moves);
-      }
+      const auto spilled = shard.arb.submit(jobId, spec, local, moves);
       if (spilled.admitted) {
         if (effectiveRelease != nullptr) *effectiveRelease = local;
-        bindJob(jobId, candidate.shard, shard.arb.lastJobId().value());
         admitted_.fetch_add(1, std::memory_order_relaxed);
         spills_.fetch_add(1, std::memory_order_relaxed);
         if (shardedMetrics_ != nullptr) shardedMetrics_->spillAdmitted->add();
@@ -366,19 +347,12 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
     return rejection;
   }
 
-  // Phase 2: commit every fragment and register the gang binding.
-  {
-    std::lock_guard<std::mutex> mapLock(mapMutex_);
-    auto& members = gangs_[jobId];
-    for (const int k : reserved) {
-      auto& shard = *shards_[static_cast<std::size_t>(k)];
-      const auto localId = shard.arb.gangCommit(
-          spec, best->chainIndex, best->quality, rGang,
-          perShard[static_cast<std::size_t>(k)],
-          perShardTasks[static_cast<std::size_t>(k)]);
-      shard.toGlobal[localId] = jobId;
-      members.push_back({k, localId});
-    }
+  // Phase 2: commit every fragment under the job's own id.
+  for (const int k : reserved) {
+    shards_[static_cast<std::size_t>(k)]->arb.gangCommit(
+        jobId, spec, best->chainIndex, best->quality, rGang,
+        perShard[static_cast<std::size_t>(k)],
+        perShardTasks[static_cast<std::size_t>(k)]);
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
   gangAdmitted_.fetch_add(1, std::memory_order_relaxed);
@@ -401,88 +375,33 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
 
 std::int64_t ShardedArbitrator::cancel(std::uint64_t jobId,
                                        std::vector<QualityMove>* moves) {
-  if (shards_.size() == 1) {
-    // Global and local ids coincide; forwarding unknown ids too preserves
-    // the unsharded miss accounting exactly.
-    auto& shard = *shards_[0];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::vector<QualityMove> localMoves;
-    const auto freed =
-        shard.arb.cancel(jobId, moves != nullptr ? &localMoves : nullptr);
-    if (moves != nullptr) appendGlobalMoves(shard, std::move(localMoves), *moves);
-    shard.toGlobal.erase(jobId);
-    std::lock_guard<std::mutex> mapLock(mapMutex_);
-    toLocal_.erase(jobId);
-    return freed;
-  }
-
-  // Gang jobs first: the binding table makes every fragment one job, so a
-  // cancel releases all of them (in shard index order, one lock at a time).
-  std::vector<std::pair<int, std::uint64_t>> members;
+  auto& home = *shards_[static_cast<std::size_t>(homeShard(jobId))];
   {
-    std::lock_guard<std::mutex> mapLock(mapMutex_);
-    const auto it = gangs_.find(jobId);
-    if (it != gangs_.end()) {
-      members = std::move(it->second);
-      gangs_.erase(it);
+    std::lock_guard<std::mutex> lock(home.mu);
+    if (home.arb.live(jobId) && !home.arb.pinned(jobId)) {
+      return home.arb.cancel(jobId, moves);
     }
   }
-  if (!members.empty()) {
-    std::int64_t freed = 0;
-    for (const auto& [k, localId] : members) {
-      auto& shard = *shards_[static_cast<std::size_t>(k)];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      std::vector<QualityMove> localMoves;
-      freed += shard.arb.cancel(localId,
-                                moves != nullptr ? &localMoves : nullptr);
-      if (moves != nullptr) {
-        appendGlobalMoves(shard, std::move(localMoves), *moves);
-      }
-      shard.toGlobal.erase(localId);
+  // Spilled, gang, or unknown: visit every shard in index order and cancel
+  // wherever the id is live — a gang's fragments all carry it.  The next
+  // shard is locked before the previous one is released, so a concurrent
+  // cancel of the same job trails this one and finds nothing left.
+  std::int64_t freed = 0;
+  bool found = false;
+  {
+    std::unique_lock<std::mutex> held;
+    for (const auto& shard : shards_) {
+      held = std::unique_lock<std::mutex>(shard->mu);
+      if (!shard->arb.live(jobId)) continue;
+      found = true;
+      freed += shard->arb.cancel(jobId, moves);
     }
-    return freed;
   }
-
-  // TOCTOU guard: the binding is read under mapMutex_, but the shard lock
-  // is taken *afterwards* — a concurrent resize (which prunes dropped
-  // jobs' bindings) or a racing cancel can retire the job, and a future
-  // migration could move it, in that gap.  Re-validate the binding under
-  // the held shard lock (the same pattern as the spill revalidation fix)
-  // and retry from the map on a move; a retired binding falls through to
-  // the miss path below.  Lock order stays shard.mu -> mapMutex_.
-  for (;;) {
-    std::optional<std::pair<int, std::uint64_t>> location;
-    {
-      std::lock_guard<std::mutex> mapLock(mapMutex_);
-      const auto it = toLocal_.find(jobId);
-      if (it != toLocal_.end()) location = it->second;
-    }
-    if (!location.has_value()) break;  // unknown or retired -> miss path
-    if (cancelRaceSeam_) cancelRaceSeam_();
-    auto& shard = *shards_[static_cast<std::size_t>(location->first)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    {
-      std::lock_guard<std::mutex> mapLock(mapMutex_);
-      const auto it = toLocal_.find(jobId);
-      if (it == toLocal_.end()) break;         // retired in the gap
-      if (it->second != *location) continue;   // moved in the gap: retry
-      toLocal_.erase(it);
-    }
-    std::vector<QualityMove> localMoves;
-    const auto freed = shard.arb.cancel(
-        location->second, moves != nullptr ? &localMoves : nullptr);
-    if (moves != nullptr) {
-      appendGlobalMoves(shard, std::move(localMoves), *moves);
-    }
-    shard.toGlobal.erase(location->second);
-    return freed;
-  }
-  // Unknown, rejected, already finished, or retired while we raced for the
-  // shard lock: account the miss on the home shard, like the unsharded
-  // arbitrator would.
-  auto& shard = *shards_[static_cast<std::size_t>(homeShard(jobId))];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto* metrics = shard.arb.metrics();
+  if (found) return freed;
+  // Unknown, rejected, or already finished: account the miss on the home
+  // shard, like the unsharded arbitrator would.
+  std::lock_guard<std::mutex> lock(home.mu);
+  auto* metrics = home.arb.metrics();
   if (metrics != nullptr && metrics->cancelMisses != nullptr) {
     metrics->cancelMisses->add();
   }
@@ -504,73 +423,36 @@ RenegotiationReport ShardedArbitrator::resize(int processors, Time when) {
     report.processorsBefore += shard.arb.processors();
     const auto shardReport = shard.arb.resize(
         base + (k < extra ? 1 : 0), std::max(w, shard.arb.clock()));
-    for (const auto localId : shardReport.kept) {
-      report.kept.push_back(shard.toGlobal.at(localId));
-    }
-    for (const auto localId : shardReport.reconfigured) {
-      report.reconfigured.push_back(shard.toGlobal.at(localId));
-    }
-    for (const auto localId : shardReport.dropped) {
-      report.dropped.push_back(shard.toGlobal.at(localId));
-    }
-    // Live sets shrank (drops, retirements): prune dead id bindings so the
-    // maps track live jobs only.
-    std::lock_guard<std::mutex> mapLock(mapMutex_);
-    for (auto it = shard.toGlobal.begin(); it != shard.toGlobal.end();) {
-      if (!shard.arb.live(it->first)) {
-        toLocal_.erase(it->second);
-        it = shard.toGlobal.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    report.kept.insert(report.kept.end(), shardReport.kept.begin(),
+                       shardReport.kept.end());
+    report.reconfigured.insert(report.reconfigured.end(),
+                               shardReport.reconfigured.begin(),
+                               shardReport.reconfigured.end());
+    report.dropped.insert(report.dropped.end(), shardReport.dropped.begin(),
+                          shardReport.dropped.end());
   }
-  // Gang post-processing (locks still held): a gang whose fragment was
-  // dropped anywhere has lost its machine-wide guarantee — cancel the
-  // surviving sibling fragments and report the gang dropped exactly once.
-  // A gang kept on every shard is reported kept once (the per-shard loop
-  // listed it once per fragment); a gang whose fragments all finished is
-  // simply garbage-collected from the binding table.
-  {
-    std::lock_guard<std::mutex> mapLock(mapMutex_);
-    std::set<std::uint64_t> droppedIds(report.dropped.begin(),
-                                       report.dropped.end());
-    for (auto it = gangs_.begin(); it != gangs_.end();) {
-      const std::uint64_t globalId = it->first;
-      auto& members = it->second;
-      bool anyLive = false;
-      for (const auto& [k, localId] : members) {
-        if (shards_[static_cast<std::size_t>(k)]->arb.live(localId)) {
-          anyLive = true;
-        }
-      }
-      if (droppedIds.count(globalId) != 0) {
-        for (const auto& [k, localId] : members) {
-          auto& shard = *shards_[static_cast<std::size_t>(k)];
-          if (shard.arb.live(localId)) {
-            (void)shard.arb.cancel(localId, nullptr);
-            shard.toGlobal.erase(localId);
-          }
-        }
-        const auto keptEnd = std::remove(report.kept.begin(),
-                                         report.kept.end(), globalId);
-        report.kept.erase(keptEnd, report.kept.end());
-        it = gangs_.erase(it);
-      } else if (!anyLive) {
-        it = gangs_.erase(it);  // every fragment finished
-      } else {
-        ++it;
-      }
+  // Locks still held.  A gang whose fragment was dropped anywhere has lost
+  // its machine-wide guarantee: cancel the surviving sibling fragments and
+  // report the gang dropped once, not kept.  A gang kept on every shard is
+  // reported kept once (each shard listed it).
+  std::sort(report.dropped.begin(), report.dropped.end());
+  report.dropped.erase(
+      std::unique(report.dropped.begin(), report.dropped.end()),
+      report.dropped.end());
+  for (const auto jobId : report.dropped) {
+    for (auto& shard : shards_) {
+      if (shard->arb.live(jobId)) (void)shard->arb.cancel(jobId, nullptr);
     }
   }
   std::sort(report.kept.begin(), report.kept.end());
   report.kept.erase(std::unique(report.kept.begin(), report.kept.end()),
                     report.kept.end());
+  std::vector<std::uint64_t> kept;
+  std::set_difference(report.kept.begin(), report.kept.end(),
+                      report.dropped.begin(), report.dropped.end(),
+                      std::back_inserter(kept));
+  report.kept = std::move(kept);
   std::sort(report.reconfigured.begin(), report.reconfigured.end());
-  std::sort(report.dropped.begin(), report.dropped.end());
-  report.dropped.erase(
-      std::unique(report.dropped.begin(), report.dropped.end()),
-      report.dropped.end());
   return report;
 }
 

@@ -9,7 +9,10 @@
 // partition-friendly: a job's guarantee only ever depends on the profile it
 // was admitted against.
 //
-// Three mechanisms on top of the plain partition:
+// Job ids are global: every shard keys its jobs by the id the caller drew,
+// so a job is known by one name on its home shard, on a spill shard, and on
+// every shard that holds a fragment of it.  Four mechanisms on top of the
+// plain partition:
 //  * routing — a job's *home* shard is `jobId % K`, so a deterministic id
 //    assignment (the service stamps ids in arrival order) gives a
 //    deterministic route;
@@ -26,17 +29,18 @@
 //    Trial scope (shards visited in index order — the same total order every
 //    multi-shard path uses, so the protocol is deadlock-free without a
 //    global lock), phase 2 commits all fragments or rolls every one back
-//    bit-for-bit.  Fragments are pinned on their shards and tracked in a
-//    gang binding table: cancel releases all of them, resize treats them
-//    verbatim-or-drop (dropping one cancels the siblings), and the elastic
-//    layer never demotes or promotes a fragment independently.
+//    bit-for-bit.  Fragments are pinned on their shards under the job's id:
+//    cancel releases all of them, resize treats them verbatim-or-drop
+//    (dropping one cancels the siblings), and the elastic layer never
+//    demotes or promotes a fragment independently.
 //
 // With K=1 every operation forwards to the single QoSArbitrator with the
 // same ids, clocks, and counters — byte-identical decisions to the unsharded
 // arbitrator (the service's replay-equivalence tests pin this).
 //
-// Thread-safe: each shard has its own lock; submit/cancel lock one shard at
-// a time, resize/rebalance/verify lock all shards in index order.
+// Thread-safe: each shard has its own lock; submit locks one shard at a
+// time, cancel at most two (hand over hand, in index order), and
+// resize/rebalance/verify/gang admission lock all shards in index order.
 #pragma once
 
 #include <atomic>
@@ -45,7 +49,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -66,8 +69,6 @@ struct ShardedOptions {
   /// rejecting.  Off, the shards are fully independent (and per-shard replay
   /// is exact) at the cost of admission rate.
   bool spill = true;
-  /// Free-area window used to pick the spill target, from the job's release.
-  Time spillHorizon = 256 * kTicksPerUnit;
   /// rebalance() moves processors only when the most-idle and least-idle
   /// shards differ by at least this many always-free processors.
   int rebalanceThreshold = 2;
@@ -98,8 +99,8 @@ struct ShardRebalanceReport {
 };
 
 /// K independent QoSArbitrator shards behind the QoSArbitrator surface,
-/// plus spill and rebalance.  Job ids are global; each shard numbers its own
-/// jobs locally and the wrapper keeps the translation.
+/// plus spill and rebalance.  Job ids are global, and each shard holds its
+/// jobs under those same ids.
 class ShardedArbitrator {
  public:
   /// Partitions `processors` across `options.shards` shards (first
@@ -150,8 +151,8 @@ class ShardedArbitrator {
   /// With a ReshapePolicy attached (attachReshapePolicy), each shard submit
   /// is elastic: the home shard promotes/demotes under its own lock before
   /// the spill scan ever runs, and the spill shard does the same before the
-  /// final rejection.  Committed moves are appended to `moves` (global job
-  /// ids) when non-null.
+  /// final rejection.  Committed moves are appended to `moves` when
+  /// non-null.
   [[nodiscard]] sched::AdmissionDecision submit(
       std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
       Time* effectiveRelease = nullptr,
@@ -162,10 +163,15 @@ class ShardedArbitrator {
     return submit(reserveJobId(), spec, release);
   }
 
-  /// Cancels a job by global id wherever it was admitted.  Returns freed
-  /// processor-ticks (0 for unknown/finished jobs, as unsharded).  With a
-  /// ReshapePolicy attached, freed capacity feeds the owning shard's
-  /// promotion pass (moves appended with global ids when non-null).
+  /// Cancels a job wherever it was admitted.  A job live and unpinned on its
+  /// home shard is cancelled there under that one lock; otherwise (spilled,
+  /// gang, or unknown) every shard is visited in index order, hand over
+  /// hand, and the job is cancelled wherever it is live — every fragment of
+  /// a gang, and one cancel wins against another.  Returns freed
+  /// processor-ticks (0 for unknown/finished jobs, counted as one miss on
+  /// the home shard, as unsharded).  With a ReshapePolicy attached, freed
+  /// capacity feeds the owning shard's promotion pass (moves appended when
+  /// non-null).
   std::int64_t cancel(std::uint64_t jobId,
                       std::vector<QualityMove>* moves = nullptr);
 
@@ -176,7 +182,8 @@ class ShardedArbitrator {
   void attachReshapePolicy(const ReshapePolicy* policy);
 
   /// Resizes the whole machine: splits `processors` evenly across shards and
-  /// renegotiates each shard.  Reports global job ids.  Requires
+  /// renegotiates each shard.  A gang dropped on any shard is cancelled on
+  /// the others and reported dropped once.  Requires
   /// `processors >= shardCount()`.
   RenegotiationReport resize(int processors, Time when);
 
@@ -201,28 +208,16 @@ class ShardedArbitrator {
     return spills_.load(std::memory_order_relaxed);
   }
 
-  /// Number of live gang-admitted jobs (diagnostics, tests).
-  [[nodiscard]] std::size_t gangCount() const {
-    std::lock_guard<std::mutex> lock(mapMutex_);
-    return gangs_.size();
-  }
   /// Gang jobs admitted so far.
   [[nodiscard]] std::uint64_t gangAdmittedCount() const {
     return gangAdmitted_.load(std::memory_order_relaxed);
   }
-  /// True while `jobId` is a live gang-admitted job.
-  [[nodiscard]] bool isGangJob(std::uint64_t jobId) const {
-    std::lock_guard<std::mutex> lock(mapMutex_);
-    return gangs_.count(jobId) != 0;
-  }
 
-  /// Test-only race seams, all invoked with no shard lock held: the spill
+  /// Test-only race seams, both invoked with no shard lock held: the spill
   /// seam fires between the spill scoring scan and the candidate submit; the
   /// rebalance seam fires between the rebalance clock advance and the
-  /// all-shard lock acquisition; the cancel seam fires between the
-  /// jobToShard map read and the shard lock acquisition.  They
-  /// deterministically reproduce the score->submit, clock->lock and
-  /// read->lock interleavings the regression tests pin.
+  /// all-shard lock acquisition.  They deterministically reproduce the
+  /// score->submit and clock->lock interleavings the regression tests pin.
   /// A seam that re-enters this arbitrator must not recurse into its own
   /// trigger (e.g. a spill seam should only submit jobs their home shard
   /// admits).  Production callers leave them unset (zero cost).
@@ -231,9 +226,6 @@ class ShardedArbitrator {
   }
   void setRebalanceRaceSeamForTest(std::function<void()> seam) {
     rebalanceRaceSeam_ = std::move(seam);
-  }
-  void setCancelRaceSeamForTest(std::function<void()> seam) {
-    cancelRaceSeam_ = std::move(seam);
   }
 
   /// Per-shard negotiation counters plus the cross-shard bundle.
@@ -255,19 +247,10 @@ class ShardedArbitrator {
         : arb(processors, options) {}
     mutable std::mutex mu;
     QoSArbitrator arb;
-    /// Local job id -> global job id, for live jobs of this shard.
-    std::unordered_map<std::uint64_t, std::uint64_t> toGlobal;
   };
 
   /// Advances the global clock to at least `t`; returns the new value.
   Time advanceClock(Time t);
-  /// Rewrites shard-local move ids to global ids and appends to `out`.
-  /// Caller holds the shard's lock.
-  static void appendGlobalMoves(const Shard& shard,
-                                std::vector<QualityMove> local,
-                                std::vector<QualityMove>& out);
-  /// Registers a global<->local id binding.  Caller holds the shard's lock.
-  void bindJob(std::uint64_t globalId, int shard, std::uint64_t localId);
   /// Locks every shard in index order.
   [[nodiscard]] std::vector<std::unique_lock<std::mutex>> lockAll() const;
   /// Narrowest chain of the spec, by widest task.  A shard with fewer
@@ -289,19 +272,8 @@ class ShardedArbitrator {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> spills_{0};
   std::atomic<std::uint64_t> gangAdmitted_{0};
-  /// Global job id -> (shard, local id), for live jobs.
-  mutable std::mutex mapMutex_;
-  std::unordered_map<std::uint64_t, std::pair<int, std::uint64_t>> toLocal_;
-  /// Gang binding table: global job id -> every (shard, local id) fragment,
-  /// in shard index order.  cancel/resize treat the members as one job — a
-  /// fragment is never cancelled, renegotiated, or rebalanced independently.
-  /// Guarded by mapMutex_.
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<int, std::uint64_t>>>
-      gangs_;
   std::function<void()> spillRaceSeam_;      // test-only, see setter
   std::function<void()> rebalanceRaceSeam_;  // test-only, see setter
-  std::function<void()> cancelRaceSeam_;     // test-only, see setter
   obs::ShardedMetrics* shardedMetrics_ = nullptr;  // nullable observation hook
 };
 

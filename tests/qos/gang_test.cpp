@@ -5,6 +5,7 @@
 // (the latter rides the TSan CI matrix with the rest of qos_tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -61,6 +62,24 @@ ShardedOptions gangOptions(int shards) {
   return options;
 }
 
+/// Shards holding a live, pinned fragment of job `id`.
+int fragmentCount(const ShardedArbitrator& sharded, std::uint64_t id) {
+  int count = 0;
+  for (int k = 0; k < sharded.shardCount(); ++k) {
+    if (sharded.shard(k).pinned(id)) ++count;
+  }
+  return count;
+}
+
+/// Shards on which job `id` is live at all, pinned or not.
+int liveShards(const ShardedArbitrator& sharded, std::uint64_t id) {
+  int count = 0;
+  for (int k = 0; k < sharded.shardCount(); ++k) {
+    if (sharded.shard(k).live(id)) ++count;
+  }
+  return count;
+}
+
 TEST(GangAdmission, AdmitsJobWiderThanAnyShard) {
   ShardedArbitrator sharded(32, gangOptions(4));  // 8 per shard
   obs::MetricsRegistry registry;
@@ -84,9 +103,11 @@ TEST(GangAdmission, AdmitsJobWiderThanAnyShard) {
   EXPECT_EQ(decision.schedule.placements[0].processors, 20);
   EXPECT_EQ(effective, 0);
 
-  EXPECT_EQ(sharded.gangCount(), 1u);
+  // 20 processors over 8-wide shards needs at least three fragments, each
+  // pinned under the job's own id.
+  EXPECT_GE(fragmentCount(sharded, id), 3);
+  EXPECT_EQ(liveShards(sharded, id), fragmentCount(sharded, id));
   EXPECT_EQ(sharded.gangAdmittedCount(), 1u);
-  EXPECT_TRUE(sharded.isGangJob(id));
   EXPECT_EQ(sharded.admittedCount(), 1u);
   EXPECT_EQ(sharded.rejectedCount(), 0u);
   EXPECT_TRUE(sharded.verify().ok);
@@ -104,7 +125,7 @@ TEST(GangAdmission, DisabledWideJobStaysRejected) {
   ShardedArbitrator sharded(32, options);
   EXPECT_FALSE(sharded.submit(wideJob("wide", 20, 12, 50.0, 1000.0), 0)
                    .admitted);
-  EXPECT_EQ(sharded.gangCount(), 0u);
+  EXPECT_EQ(liveShards(sharded, sharded.lastJobId().value()), 0);
   EXPECT_EQ(sharded.rejectedCount(), 1u);
 }
 
@@ -117,7 +138,10 @@ TEST(GangAdmission, NotUsedWhenAChainFitsASingleShard) {
   const auto decision = sharded.submit(spec, 0);
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(decision.schedule.chainIndex, 1u);  // home shard took the lean
-  EXPECT_EQ(sharded.gangCount(), 0u);
+  const auto id = sharded.lastJobId().value();
+  EXPECT_TRUE(sharded.shard(sharded.homeShard(id)).live(id));
+  EXPECT_EQ(liveShards(sharded, id), 1);
+  EXPECT_EQ(fragmentCount(sharded, id), 0);
   EXPECT_EQ(sharded.gangAdmittedCount(), 0u);
 }
 
@@ -152,7 +176,7 @@ TEST(GangAdmission, RejectsWhenMachineCannotFit) {
       sharded.submit(wideJob("huge", 40, 36, 10.0, 1000.0), 0).admitted);
   EXPECT_EQ(metrics.gangAttempts->value(), 1u);
   EXPECT_EQ(metrics.gangAdmitted->value(), 0u);
-  EXPECT_EQ(sharded.gangCount(), 0u);
+  EXPECT_EQ(liveShards(sharded, sharded.lastJobId().value()), 0);
   EXPECT_EQ(sharded.rejectedCount(), 1u);
   EXPECT_TRUE(sharded.verify().ok);
 }
@@ -191,13 +215,18 @@ TEST(GangFragmentSurface, CommitRegistersAPinnedCancellableJob) {
   std::vector<sched::TaskPlacement> fragments = {
       {TimeInterval{u(0.0), u(20.0)}, 6, u(1000.0)}};
   ASSERT_TRUE(arb.gangReserve(fragments));
-  const auto localId = arb.gangCommit(spec, 0, 1.0, 0, fragments, {0});
+  arb.gangCommit(7, spec, 0, 1.0, 0, fragments, {0});
   EXPECT_FALSE(arb.gangReserveOpen());
   EXPECT_EQ(arb.admittedCount(), 1u);
-  // Pinned: the fragment never shows up as an elastic candidate.
+  // Registered under the caller's id, and pinned: the fragment never shows
+  // up as an elastic candidate.
+  EXPECT_TRUE(arb.live(7));
+  EXPECT_TRUE(arb.pinned(7));
   EXPECT_TRUE(arb.elasticCandidates(false).empty());
   // Cancel frees exactly the fragment's area.
-  EXPECT_EQ(arb.cancel(localId), 6 * u(20.0));
+  EXPECT_EQ(arb.cancel(7), 6 * u(20.0));
+  EXPECT_FALSE(arb.live(7));
+  EXPECT_FALSE(arb.pinned(7));
   EXPECT_TRUE(arb.verify().ok);
 }
 
@@ -207,10 +236,12 @@ TEST(GangAdmission, CancelReleasesEveryFragment) {
   ASSERT_TRUE(
       sharded.submit(id, wideJob("wide", 20, 12, 50.0, 1000.0), 0).admitted);
 
-  // Cancelling the gang frees the full committed area across all shards.
+  ASSERT_GE(fragmentCount(sharded, id), 3);
+
+  // Cancelling the gang frees the full committed area across all shards,
+  // and no shard holds the id any more.
   EXPECT_EQ(sharded.cancel(id), 20 * u(50.0));
-  EXPECT_EQ(sharded.gangCount(), 0u);
-  EXPECT_FALSE(sharded.isGangJob(id));
+  EXPECT_EQ(liveShards(sharded, id), 0);
   // Every fragment is genuinely gone: each shard's profile is idle again,
   // so a second identical gang admission fits at the same slot.
   const auto again = sharded.submit(wideJob("wide2", 20, 12, 50.0, 1000.0), 0);
@@ -235,7 +266,7 @@ TEST(GangAdmission, ResizeDropCancelsEverySibling) {
   EXPECT_EQ(report.dropped[0], id);
   EXPECT_TRUE(report.kept.empty());
   EXPECT_TRUE(report.reconfigured.empty());
-  EXPECT_EQ(sharded.gangCount(), 0u);
+  EXPECT_EQ(liveShards(sharded, id), 0);
   EXPECT_EQ(sharded.cancel(id), 0);  // nothing left to free anywhere
   for (int k = 0; k < 4; ++k) {
     EXPECT_EQ(sharded.shard(k).profile().busyProcessorTicks(
@@ -245,19 +276,44 @@ TEST(GangAdmission, ResizeDropCancelsEverySibling) {
   EXPECT_TRUE(sharded.verify().ok);
 }
 
+TEST(GangAdmission, ResizeDropOnOneShardCancelsTheSurvivingSiblings) {
+  ShardedArbitrator sharded(32, gangOptions(4));
+  const auto id = sharded.reserveJobId();
+  ASSERT_TRUE(
+      sharded.submit(id, wideJob("wide", 20, 12, 50.0, 1000.0), 0).admitted);
+  // Greedy fragmentation in index order: 8 + 8 + 4 on shards 0, 1, 2.
+  ASSERT_TRUE(sharded.shard(0).pinned(id));
+  ASSERT_TRUE(sharded.shard(2).pinned(id));
+  ASSERT_FALSE(sharded.shard(3).live(id));
+
+  // At 6 per shard the 8-wide fragments no longer fit, but shard 2's
+  // 4-wide one does.  Its shard keeps it, so the sharded layer must cancel
+  // it: the gang drops whole and is not also reported kept.
+  const auto report = sharded.resize(24, 0);
+  ASSERT_EQ(report.dropped.size(), 1u);
+  EXPECT_EQ(report.dropped[0], id);
+  EXPECT_TRUE(report.kept.empty());
+  EXPECT_EQ(liveShards(sharded, id), 0);
+  EXPECT_EQ(sharded.shard(2).profile().busyProcessorTicks(
+                TimeInterval{0, u(1000.0)}),
+            0);
+  EXPECT_TRUE(sharded.verify().ok);
+}
+
 TEST(GangAdmission, ResizeKeepsGangVerbatimWhenItStillFits) {
   ShardedArbitrator sharded(32, gangOptions(4));
   const auto id = sharded.reserveJobId();
   ASSERT_TRUE(
       sharded.submit(id, wideJob("wide", 20, 12, 50.0, 1000.0), 0).admitted);
+  const int fragments = fragmentCount(sharded, id);
+  ASSERT_GE(fragments, 3);
   // Growing the machine keeps every fragment verbatim: the gang survives
   // the renegotiation as one kept job.
   const auto report = sharded.resize(40, 0);
   ASSERT_EQ(report.kept.size(), 1u);
   EXPECT_EQ(report.kept[0], id);
   EXPECT_TRUE(report.dropped.empty());
-  EXPECT_EQ(sharded.gangCount(), 1u);
-  EXPECT_TRUE(sharded.isGangJob(id));
+  EXPECT_EQ(fragmentCount(sharded, id), fragments);
   // Still cancellable as one job afterwards.
   EXPECT_EQ(sharded.cancel(id), 20 * u(50.0));
   EXPECT_TRUE(sharded.verify().ok);
@@ -304,7 +360,8 @@ TEST(GangAdmission, ElasticReshapeNeverTouchesAFragment) {
   ASSERT_TRUE(
       sharded.submit(gangId, wideJob("wide", 20, 12, 300.0, 10000.0), 0)
           .admitted);
-  ASSERT_TRUE(sharded.isGangJob(gangId));
+  const int fragments = fragmentCount(sharded, gangId);
+  ASSERT_GE(fragments, 3);
 
   // Saturate the shards with malleable-looking two-chain jobs, then push
   // rejections through so the elastic layer hunts for victims everywhere.
@@ -315,15 +372,18 @@ TEST(GangAdmission, ElasticReshapeNeverTouchesAFragment) {
                          wideJob("pressure", 6, 3, 80.0, 200.0), 0,
                          &effective, &moves);
   }
-  // The reshaper did engage (the policy saw candidates), but no committed
-  // move names the gang job: fragments are pinned out of the candidate set
-  // (the qos-layer test pins elasticCandidates exclusion directly, since
-  // the policy only ever sees shard-local ids).
-  EXPECT_FALSE(policy.seen().empty());
+  // The reshaper did engage (the policy saw candidates), but fragments are
+  // pinned out of the candidate set: the policy, which sees the same global
+  // ids the shards key their jobs by, never saw the gang's id, and no
+  // committed move names it.
+  const auto seen = policy.seen();
+  EXPECT_FALSE(seen.empty());
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), gangId), 0)
+      << "policy offered a gang fragment";
   for (const auto& move : moves) {
     EXPECT_NE(move.jobId, gangId) << "gang fragment moved";
   }
-  EXPECT_TRUE(sharded.isGangJob(gangId));
+  EXPECT_EQ(fragmentCount(sharded, gangId), fragments);
   EXPECT_TRUE(sharded.verify().ok);
   // The gang is still whole at full width: cancel frees the entire area a
   // 20-wide 300-unit reservation holds — any demotion of any fragment
@@ -337,21 +397,24 @@ TEST(GangAdmission, ElasticReshapeNeverTouchesAFragment) {
 // this doubles as a lock-order and data-race check.
 TEST(GangAdmission, ConcurrentWideSubmitsFromBothDirectionsMakeProgress) {
   ShardedArbitrator sharded(32, gangOptions(4));
-  std::atomic<int> gangsAdmitted{0};
   constexpr int kPerThread = 24;
+  // Admitted wide jobs per wide submitter: {id, cancelled}.  Every submit
+  // releases at 0, so nothing retires: a job left alone stays live.
+  std::vector<std::pair<std::uint64_t, bool>> admitted[2];
 
-  auto wideDriver = [&](double durationUnits) {
+  auto wideSubmitter = [&](int submitter, double durationUnits) {
     for (int i = 0; i < kPerThread; ++i) {
       const auto id = sharded.reserveJobId();
       const auto decision = sharded.submit(
           id, wideJob("w", 20, 12, durationUnits, 100000.0), 0);
       if (decision.admitted) {
-        gangsAdmitted.fetch_add(1);
-        if (i % 2 == 0) (void)sharded.cancel(id);
+        const bool cancel = i % 2 == 0;
+        if (cancel) (void)sharded.cancel(id);
+        admitted[submitter].push_back({id, cancel});
       }
     }
   };
-  auto narrowDriver = [&] {
+  auto narrowSubmitter = [&] {
     for (int i = 0; i < kPerThread; ++i) {
       const auto id = sharded.reserveJobId();
       if (sharded.submit(id, rigidJob("n", 2, 5.0, 100000.0), 0).admitted &&
@@ -365,16 +428,60 @@ TEST(GangAdmission, ConcurrentWideSubmitsFromBothDirectionsMakeProgress) {
   };
 
   std::vector<std::thread> threads;
-  threads.emplace_back(wideDriver, 10.0);
-  threads.emplace_back(wideDriver, 20.0);
-  threads.emplace_back(narrowDriver);
+  threads.emplace_back(wideSubmitter, 0, 10.0);
+  threads.emplace_back(wideSubmitter, 1, 20.0);
+  threads.emplace_back(narrowSubmitter);
   threads.emplace_back(rebalancer);
   for (auto& thread : threads) thread.join();
 
-  EXPECT_GT(gangsAdmitted.load(), 0);
-  EXPECT_LE(sharded.gangCount(),
-            static_cast<std::size_t>(gangsAdmitted.load()));
+  EXPECT_GT(admitted[0].size() + admitted[1].size(), 0u);
+  for (const auto& submitter : admitted) {
+    for (const auto& [id, cancelled] : submitter) {
+      if (cancelled) {
+        EXPECT_EQ(liveShards(sharded, id), 0) << "job " << id;
+      } else {
+        // A gang lives only as pinned fragments.  A rebalance can grow one
+        // shard wide enough to take the lean chain whole, and then the job
+        // is an ordinary job on that one shard.
+        const int fragments = fragmentCount(sharded, id);
+        EXPECT_EQ(liveShards(sharded, id), fragments > 0 ? fragments : 1)
+            << "job " << id;
+      }
+    }
+  }
   EXPECT_TRUE(sharded.verify().ok);
+}
+
+// Two threads cancel the same gang at once.  The scan locks each next shard
+// before releasing the previous one, so the later cancel trails the earlier
+// one through every shard: one call frees the whole gang, the other none.
+TEST(GangAdmission, ConcurrentCancelsOfAGangFreeItOnce) {
+  for (int round = 0; round < 200; ++round) {
+    ShardedArbitrator sharded(32, gangOptions(4));
+    const auto id = sharded.reserveJobId();
+    ASSERT_TRUE(
+        sharded.submit(id, wideJob("wide", 20, 12, 50.0, 1000.0), 0)
+            .admitted);
+    ASSERT_GE(fragmentCount(sharded, id), 3);
+
+    std::atomic<bool> go{false};
+    std::int64_t freed[2] = {0, 0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        freed[t] = sharded.cancel(id);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& thread : threads) thread.join();
+
+    EXPECT_EQ((freed[0] > 0) + (freed[1] > 0), 1) << "round " << round;
+    EXPECT_EQ(freed[0] + freed[1], 20 * u(50.0)) << "round " << round;
+    EXPECT_EQ(liveShards(sharded, id), 0) << "round " << round;
+    EXPECT_TRUE(sharded.verify().ok);
+  }
 }
 
 }  // namespace

@@ -83,6 +83,43 @@ TEST(QoSArbitratorDeath, RejectsTimeTravel) {
                "non-decreasing");
 }
 
+// Ids only order jobs: a stream submitted under increasing caller ids gets
+// exactly the decisions the self-numbering overload gives, and the jobs are
+// known by the caller's ids afterwards.
+TEST(QoSArbitrator, CallerIdsInIncreasingOrderDecideLikeSelfNumbering) {
+  QoSArbitrator numbered(2);
+  QoSArbitrator named(2);
+  auto program = twoPathProgram();
+  const auto spec = program->toJobSpec();
+  std::vector<std::uint64_t> admitted;
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    const Time release = ticksFromUnits(static_cast<double>(i / 3) * 5.0);
+    const auto a = numbered.submit(spec, release);
+    const auto b = named.submit(100 + 7 * i, spec, release);
+    ASSERT_EQ(a.admitted, b.admitted) << "job " << i;
+    EXPECT_EQ(a.quality, b.quality) << "job " << i;
+    EXPECT_EQ(a.schedule.chainIndex, b.schedule.chainIndex) << "job " << i;
+    EXPECT_EQ(a.schedule.placements, b.schedule.placements) << "job " << i;
+    if (b.admitted) admitted.push_back(100 + 7 * i);
+  }
+  ASSERT_FALSE(admitted.empty());
+  EXPECT_FALSE(named.lastJobId().has_value());  // no id was drawn
+  const auto victim = admitted.back();
+  EXPECT_TRUE(named.live(victim));
+  EXPECT_FALSE(named.pinned(victim));
+  EXPECT_GT(named.cancel(victim), 0);
+  EXPECT_FALSE(named.live(victim));
+  EXPECT_TRUE(named.verify().ok);
+}
+
+TEST(QoSArbitratorDeath, RefusesAnIdThatIsAlreadyLive) {
+  QoSArbitrator arbitrator(4);
+  auto program = twoPathProgram();
+  const auto spec = program->toJobSpec();
+  ASSERT_TRUE(arbitrator.submit(5, spec, 0).admitted);
+  EXPECT_DEATH((void)arbitrator.submit(5, spec, 0), "already live");
+}
+
 TEST(QoSArbitrator, RejectsWhenSaturatedAndCountsIt) {
   QoSArbitrator arbitrator(2);
   auto program = twoPathProgram();

@@ -1,11 +1,13 @@
 // Tests for qos::ShardedArbitrator: the K=1 equivalence guarantee, the
-// jobId -> shard routing, the spill path, the capacity rebalancer, and
-// whole-machine resize through the shard layer — plus the deterministic
-// race regressions (spill score staleness, rebalance capacity dip) driven
-// through the test-only seams.
+// jobId -> shard routing, the spill path, the capacity rebalancer,
+// whole-machine resize through the shard layer, and cancel by global id —
+// plus the deterministic race regressions (spill score staleness, rebalance
+// capacity dip) driven through the test-only seams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -391,13 +393,9 @@ TEST(ShardedArbitrator, RebalanceResizesBothShardsAtTheCommonInstant) {
   sharded.setRebalanceRaceSeamForTest(nullptr);
 }
 
-// Regression (cancel TOCTOU): the jobToShard binding is read under
-// mapMutex_, the map lock is dropped, and only then is the shard lock
-// taken — a racing cancel (or a resize pruning dropped jobs) can retire
-// the binding in that gap.  The old path blindly cancelled the stale local
-// id on the remembered shard; the fixed path re-validates the binding
-// under the held shard lock and falls through to the miss path.
-TEST(ShardedArbitrator, CancelRevalidatesBindingRetiredInTheLockGap) {
+// A repeated cancel is a clean miss: it frees nothing and counts exactly
+// one miss, on the job's home shard only.
+TEST(ShardedArbitrator, RepeatedCancelMissesOnceOnTheHomeShard) {
   ShardedOptions options;
   options.shards = 2;
   ShardedArbitrator sharded(8, options);  // 4 + 4
@@ -408,32 +406,86 @@ TEST(ShardedArbitrator, CancelRevalidatesBindingRetiredInTheLockGap) {
 
   ASSERT_TRUE(sharded.submit(0, rigidJob("victim", 2, 10.0, 1000.0), 0)
                   .admitted);
-
-  // Between the map read and the shard lock, a racing cancel of the SAME
-  // job wins the race and retires the binding.  The seam guard keeps the
-  // inner cancel from re-entering itself.
-  bool fired = false;
-  std::int64_t racerFreed = 0;
-  sharded.setCancelRaceSeamForTest([&] {
-    if (fired) return;
-    fired = true;
-    racerFreed = sharded.cancel(0);
-  });
-
-  const auto freed = sharded.cancel(0);
-  ASSERT_TRUE(fired);
-  EXPECT_GT(racerFreed, 0);  // the racer did the real cancel...
-  EXPECT_EQ(freed, 0);       // ...so the outer call is a clean miss
+  EXPECT_GT(sharded.cancel(0), 0);
+  EXPECT_EQ(sharded.cancel(0), 0);
   EXPECT_EQ(metrics0.cancelMisses->value(), 1u);  // home shard of id 0
   EXPECT_EQ(metrics1.cancelMisses->value(), 0u);
   EXPECT_TRUE(sharded.verify().ok);
-  sharded.setCancelRaceSeamForTest(nullptr);
 
-  // A cancel with no race still works through the revalidating path.
   ASSERT_TRUE(sharded.submit(2, rigidJob("clean", 2, 10.0, 1000.0), 0)
                   .admitted);
   EXPECT_GT(sharded.cancel(2), 0);
+  EXPECT_EQ(metrics0.cancelMisses->value(), 1u);
   EXPECT_TRUE(sharded.verify().ok);
+}
+
+/// Two shards of 4 with job 2 spilled from its full home shard 0 to
+/// shard 1, holding 4 processors for 50 units.
+void spillJobTwo(ShardedArbitrator& sharded) {
+  ASSERT_TRUE(sharded.submit(0, rigidJob("fill0", 4, 100.0, 110.0), 0)
+                  .admitted);
+  ASSERT_TRUE(sharded.submit(1, rigidJob("fill1", 1, 1.0, 1000.0), 0)
+                  .admitted);
+  ASSERT_TRUE(sharded.submit(2, rigidJob("spilled", 4, 50.0, 60.0), 0)
+                  .admitted);
+  ASSERT_EQ(sharded.spillCount(), 1u);
+  ASSERT_FALSE(sharded.shard(0).live(2));
+  ASSERT_TRUE(sharded.shard(1).live(2));
+}
+
+TEST(ShardedArbitrator, CancelOfASpilledJobFreesOnTheSpillShard) {
+  ShardedOptions options;
+  options.shards = 2;
+  ShardedArbitrator sharded(8, options);
+  obs::MetricsRegistry registry;
+  auto metrics0 = obs::NegotiationMetrics::fromRegistry(registry, "shard0");
+  auto metrics1 = obs::NegotiationMetrics::fromRegistry(registry, "shard1");
+  sharded.attachMetrics({&metrics0, &metrics1}, nullptr);
+  ASSERT_NO_FATAL_FAILURE(spillJobTwo(sharded));
+
+  EXPECT_EQ(sharded.cancel(2), 4 * ticksFromUnits(50.0));
+  EXPECT_FALSE(sharded.shard(1).live(2));
+  EXPECT_EQ(metrics1.cancels->value(), 1u);
+  EXPECT_EQ(metrics0.cancels->value(), 0u);
+  EXPECT_EQ(metrics0.cancelMisses->value(), 0u);
+  EXPECT_EQ(metrics1.cancelMisses->value(), 0u);
+  EXPECT_TRUE(sharded.verify().ok);
+}
+
+// Two threads cancel the same spilled job at once: the one that reaches the
+// spill shard first frees it, the other finds nothing and counts one miss
+// on the home shard.
+TEST(ShardedArbitrator, ConcurrentCancelsOfASpilledJobFreeItOnce) {
+  for (int round = 0; round < 50; ++round) {
+    ShardedOptions options;
+    options.shards = 2;
+    ShardedArbitrator sharded(8, options);
+    obs::MetricsRegistry registry;
+    auto metrics0 = obs::NegotiationMetrics::fromRegistry(registry, "shard0");
+    auto metrics1 = obs::NegotiationMetrics::fromRegistry(registry, "shard1");
+    sharded.attachMetrics({&metrics0, &metrics1}, nullptr);
+    ASSERT_NO_FATAL_FAILURE(spillJobTwo(sharded));
+
+    std::atomic<bool> go{false};
+    std::int64_t freed[2] = {0, 0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        freed[t] = sharded.cancel(2);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& thread : threads) thread.join();
+
+    EXPECT_EQ((freed[0] > 0) + (freed[1] > 0), 1) << "round " << round;
+    EXPECT_EQ(freed[0] + freed[1], 4 * ticksFromUnits(50.0))
+        << "round " << round;
+    EXPECT_EQ(metrics0.cancelMisses->value(), 1u) << "round " << round;
+    EXPECT_EQ(metrics1.cancelMisses->value(), 0u) << "round " << round;
+    EXPECT_TRUE(sharded.verify().ok);
+  }
 }
 
 TEST(ShardedArbitratorDeath, InvalidArguments) {
