@@ -4,11 +4,13 @@
 // overheads.
 #include <benchmark/benchmark.h>
 
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "calypso/runtime.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "resource/availability_profile.h"
 #include "resource/reference_profile.h"
@@ -210,10 +212,10 @@ void BM_AdmitTunableJobFragmented(benchmark::State& state) {
   task::JobInstance job;
   for (int c = 0; c < kBenchChains; ++c) {
     task::Chain chain;
-    chain.name = "c" + std::to_string(c);
+    chain.name = 'c' + std::to_string(c);
     for (int k = 0; k < kBenchTasksPerChain; ++k) {
       chain.tasks.push_back(task::TaskSpec::rigid(
-          "t" + std::to_string(k), 2 + (k % 3), 20 + 5 * c, kTimeInfinity));
+          't' + std::to_string(k), 2 + (k % 3), 20 + 5 * c, kTimeInfinity));
     }
     job.spec.chains.push_back(std::move(chain));
   }
@@ -336,6 +338,41 @@ void BM_DecodeResponse(benchmark::State& state) {
   runCodec(state, flashCrowdStream().responseFrames, service::decodeResponse);
 }
 BENCHMARK(BM_DecodeResponse);
+
+// The two kernels under the codec.  BM_WriteNumber17: 64 wire tick values
+// (times in paper units with six decimals, none integral) written as one
+// compact array, so the figure per item is one "%.17g" number.
+// BM_SkipRequestFrame: one request frame of the stream checked and skipped
+// by the pull reader (the tokenizer cost without any decoder).
+void BM_WriteNumber17(benchmark::State& state) {
+  std::vector<double> values;
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(
+        static_cast<double>(rng() % 4'000'000'000'000 | 1) / 1e6);
+  }
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    JsonWriter w(out, JsonWriter::Style::Compact);
+    w.beginArray();
+    for (const double v : values) w.number(v);
+    w.endArray();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_WriteNumber17);
+
+void BM_SkipRequestFrame(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().requestFrames,
+           [](const std::string& frame) {
+             JsonReader reader(frame);
+             return reader.skipValue() && reader.finish();
+           });
+}
+BENCHMARK(BM_SkipRequestFrame);
 
 void BM_SimulationThroughput(benchmark::State& state) {
   const auto jobs = workload::makeFig4PoissonStream(

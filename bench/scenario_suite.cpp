@@ -314,7 +314,7 @@ JsonValue legJson(const Leg& leg, const workload::Scenario& scenario) {
           stats.admitted == 0
               ? 0.0
               : stats.qualitySum / static_cast<double>(stats.admitted);
-      tenants.push_back(JsonValue(std::move(tenant)));
+      tenants.emplace_back(std::move(tenant));
     }
     doc["tenants"] = JsonValue(std::move(tenants));
   }

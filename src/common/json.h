@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -124,17 +125,24 @@ struct JsonParseOptions {
 /// of dumpCompact().  Numbers print like dump(): integral values below 1e15
 /// in magnitude without a fraction, everything else as "%.17g" would.
 ///
+/// The writer appends through a raw cursor into the caller's string, which
+/// it grows in chunks; the string holds exactly the bytes written once the
+/// top-level value is complete (and when the writer is destroyed).  Its
+/// container stack lives in the writer itself, so a document of up to
+/// kInlineDepth nested containers allocates nothing but the output.
+///
 /// The caller writes an object's keys in ascending byte order, as the tree
 /// (a std::map) iterates them; debug builds check it.
 class JsonWriter {
  public:
   enum class Style { Pretty, Compact };
 
-  /// Appends to `out`, which must outlive the writer.
-  explicit JsonWriter(std::string& out, Style style = Style::Pretty)
-      : out_(out), style_(style) {
-    levels_.reserve(16);
-  }
+  /// Appends to `out`, which must outlive the writer and must not be
+  /// touched by anything else until the top-level value is complete.
+  explicit JsonWriter(std::string& out, Style style = Style::Pretty);
+  ~JsonWriter() { sync(); }
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
   void beginObject();
   void endObject();
@@ -155,17 +163,65 @@ class JsonWriter {
   struct Level {
     bool array = false;
     bool empty = true;
-    std::string lastKey;  // debug builds only: the key-order check
   };
+  /// Containers tracked without touching the heap.
+  static constexpr int kInlineDepth = 32;
 
+  Level& level(int depth) {
+    return depth < kInlineDepth
+               ? inline_[static_cast<std::size_t>(depth)]
+               : deep_[static_cast<std::size_t>(depth - kInlineDepth)];
+  }
+  /// Room for `n` more bytes at the cursor.
+  char* room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - cursor_) < n) grow(n);
+    return cursor_;
+  }
+  void put(char c) { *room(1) = c; ++cursor_; }
+  /// Inline, so a literal's copy has a constant size and needs no call.
+  void put(std::string_view bytes) {
+    char* at = room(bytes.size());
+    std::memcpy(at, bytes.data(), bytes.size());
+    cursor_ = at + bytes.size();
+  }
+  /// A line break (after a comma when `comma`) and the indentation of the
+  /// current depth.
+  void putBreak(bool comma);
+  void grow(std::size_t n);
+  /// Trims the string to the bytes written.
+  void sync();
   void beginValue();
-  void separate(Level& level);
+  /// Writes the separator before a container's next entry.
+  void separate(Level& current);
+  void open(bool array, char bracket);
   void close(char bracket);
+  /// Ends a value: a complete top-level value leaves the string exact.
+  void endValue() {
+    if (depth_ == 0) sync();
+  }
+  void escaped(std::string_view s);
 
   std::string& out_;
+  char* cursor_ = nullptr;
+  char* end_ = nullptr;
+  std::size_t start_ = 0;  // out_.size() when the writer started
   Style style_;
-  std::vector<Level> levels_;
+  int depth_ = 0;
+  std::array<Level, kInlineDepth> inline_{};
+  std::vector<Level> deep_;  // levels past kInlineDepth
+#ifndef NDEBUG
+  std::vector<std::string> lastKeys_;  // per level: the key-order check
+#endif
 };
+
+/// Room writeNumber17() needs at `out`; the form itself is at most 24 bytes.
+inline constexpr std::size_t kNumber17Room = 48;
+
+/// Writes the "%.17g" form of `d` at `out` and returns its end: 17
+/// significant digits, trailing zeros dropped, byte for byte what printf
+/// prints.  JsonWriter::number() prints every value that is not integral
+/// below 1e15 this way; tests and benchmarks call it directly.
+char* writeNumber17(char* out, double d);
 
 /// Pull reader over one JSON document, for decoders that read straight
 /// into their own structs.  It accepts exactly parseJson's grammar, honours
@@ -187,7 +243,19 @@ class JsonReader {
 
   /// Kind of the next value, judged by its first byte as parseJson does:
   /// anything but { [ " t f n reads as a number.  False at end of input.
-  bool peek(Kind* kind);
+  bool peek(Kind* kind) {
+    if (!atValue()) return false;
+    switch (text_[pos_]) {
+      case '{': *kind = Kind::Object; break;
+      case '[': *kind = Kind::Array; break;
+      case '"': *kind = Kind::String; break;
+      case 't':
+      case 'f': *kind = Kind::Bool; break;
+      case 'n': *kind = Kind::Null; break;
+      default: *kind = Kind::Number;
+    }
+    return true;
+  }
   /// True iff the next value is of `kind`.
   bool nextIs(Kind kind) {
     Kind next = Kind::Null;
@@ -223,10 +291,31 @@ class JsonReader {
 
  private:
   bool fail(const char* what);
-  void skipWhitespace();
-  bool atValue();
+  /// Skips whitespace; inline, because the next byte is rarely any.
+  void skipWhitespace() {
+    if (pos_ < text_.size() &&
+        static_cast<unsigned char>(text_[pos_]) <= ' ') {
+      skipWhitespaceRun();
+    }
+  }
+  void skipWhitespaceRun();
+  /// Skips whitespace where the pretty form puts a line break and the
+  /// indentation of container level `level`.
+  void skipBreak(int level);
+  /// Skips to the next value; fails at end of input (or once failed).
+  bool atValue() {
+    if (error_ != nullptr) return false;
+    skipWhitespace();
+    if (pos_ >= text_.size()) return fail("unexpected end of input");
+    return true;
+  }
   bool literal(std::string_view word);
+  /// End of the run of string bytes from `from` that need no decoding:
+  /// the first '"', '\\' or control byte, or the end of the text.
+  [[nodiscard]] std::size_t plainRunEnd(std::size_t from) const;
   bool scanString(std::string* out);
+  /// Reads a number at the cursor; `out` may be null (skipping).
+  bool scanNumber(double* out);
   bool scanKey(std::string_view* key);
 
   std::string_view text_;
@@ -275,7 +364,11 @@ bool readMember(JsonReader& reader, std::string_view key,
                 const std::array<std::string_view, N>& names,
                 std::array<JsonField, N>& fields) {
   for (std::size_t i = 0; i < N; ++i) {
-    if (key == names[i]) return fields[i].read(reader);
+    // Length and first byte rule out most names without a memcmp call.
+    if (key.size() == names[i].size() && !key.empty() &&
+        key[0] == names[i][0] && key == names[i]) {
+      return fields[i].read(reader);
+    }
   }
   return reader.skipValue();
 }

@@ -153,7 +153,7 @@ void FrameDecoder::feed(const void* data, std::size_t n) {
   buffer_.append(static_cast<const char*>(data), n);
 }
 
-bool FrameDecoder::next(std::string* payload) {
+bool FrameDecoder::next(std::string_view* payload) {
   if (failed_) return false;
   const std::size_t available = buffer_.size() - consumed_;
   if (available < 4) return false;
@@ -171,7 +171,7 @@ bool FrameDecoder::next(std::string* payload) {
     return false;
   }
   if (available - 4 < length) return false;
-  payload->assign(buffer_, consumed_ + 4, length);
+  *payload = std::string_view(buffer_).substr(consumed_ + 4, length);
   consumed_ += 4 + static_cast<std::size_t>(length);
   return true;
 }

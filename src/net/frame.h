@@ -68,9 +68,10 @@ struct FrameWriteResult {
                                           const Deadline& deadline);
 
 /// Encodes one frame (4-byte big-endian length prefix + payload) into a
-/// wire buffer, appending to `out`.  The event-loop server builds its
-/// per-connection output buffers with this and flushes them with
-/// Socket::writeSome; TooLarge is refused locally just like writeFrame.
+/// wire buffer, appending to `out`.  The event-loop server frames the
+/// responses its workers encoded into its per-connection output buffers
+/// with this (and encodes its own with appendFrameInPlace); TooLarge is
+/// refused locally just like writeFrame.
 [[nodiscard]] FrameWriteResult appendFrame(std::string& out,
                                            std::string_view payload,
                                            const FrameLimits& limits);
@@ -109,6 +110,7 @@ FrameWriteResult appendFrameInPlace(std::string& out,
 ///
 /// Usage:
 ///   decoder.feed(data, n);
+///   std::string_view payload;
 ///   while (decoder.next(&payload)) { handle(payload); }
 ///   if (decoder.failed()) { close connection; }
 ///
@@ -121,9 +123,11 @@ class FrameDecoder {
   /// Buffers `n` more wire bytes.  No-op after a decode failure.
   void feed(const void* data, std::size_t n);
 
-  /// Extracts the next complete frame into `payload`.  Returns false when
-  /// more bytes are needed (or after a failure — check failed()).
-  [[nodiscard]] bool next(std::string* payload);
+  /// Points `payload` at the next complete frame, inside the decoder's own
+  /// buffer: no copy is made, and the view stays valid until the next
+  /// feed().  Returns false when more bytes are needed (or after a failure
+  /// — check failed()).
+  [[nodiscard]] bool next(std::string_view* payload);
 
   /// True once an oversized declaration has been seen.
   [[nodiscard]] bool failed() const { return failed_; }

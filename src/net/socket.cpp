@@ -7,7 +7,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -223,28 +222,6 @@ IoChunk Socket::writeSome(const void* buffer, std::size_t n) {
     return {IoStatus::Error, done, errnoMessage("send")};
   }
   return {IoStatus::Ok, done, {}};
-}
-
-IoChunk Socket::writevSome(const struct iovec* iov, int iovcnt) {
-  msghdr msg{};
-  msg.msg_iov = const_cast<struct iovec*>(iov);
-  msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
-  for (;;) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t rc = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-#else
-    const ssize_t rc = ::sendmsg(fd_, &msg, 0);
-#endif
-    if (rc >= 0) return {IoStatus::Ok, static_cast<std::size_t>(rc), {}};
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return {IoStatus::WouldBlock, 0, {}};
-    }
-    if (errno == EPIPE || errno == ECONNRESET) {
-      return {IoStatus::Closed, 0, {}};
-    }
-    return {IoStatus::Error, 0, errnoMessage("sendmsg")};
-  }
 }
 
 namespace {

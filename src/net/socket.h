@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <string>
 
-struct iovec;  // <sys/uio.h>; kept out of this header on purpose
-
 namespace tprm::net {
 
 /// Absolute deadline on the steady clock.  Used instead of per-call timeouts
@@ -142,12 +140,6 @@ class Socket {
   /// `bytes` already transferred — short writes are resumable, the caller
   /// continues from `buffer + bytes` once the fd is writable again.
   [[nodiscard]] IoChunk writeSome(const void* buffer, std::size_t n);
-
-  /// Scatter-gather variant of writeSome: one sendmsg(2) attempt over
-  /// `iovcnt` buffers, SIGPIPE suppressed.  Ok reports the bytes the kernel
-  /// accepted (possibly fewer than queued — resume from the reported
-  /// offset); WouldBlock means nothing was accepted this attempt.
-  [[nodiscard]] IoChunk writevSome(const struct iovec* iov, int iovcnt);
 
  private:
   int fd_ = -1;

@@ -68,7 +68,7 @@ JsonValue TraceRing::snapshot() const {
     s["queue_wait_us"] = span.queueWaitUs();
     s["execute_us"] = span.executeUs();
     s["detail"] = span.detail;
-    spans.push_back(JsonValue(std::move(s)));
+    spans.emplace_back(std::move(s));
   }
   return JsonValue(std::move(spans));
 }

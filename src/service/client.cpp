@@ -166,7 +166,6 @@ struct PipelinedClient::Connection {
   // Owned by the read-role holder, used without mu.
   net::FrameDecoder decoder;
   std::unique_ptr<char[]> readBuffer{new char[kReadChunk]};
-  std::string payload;
   std::vector<Response> decoded;
 };
 
@@ -218,6 +217,7 @@ void PipelinedClient::Connection::readOnce(std::unique_lock<std::mutex>& lock,
                  : net::IoChunk{ready.status, 0, ready.message};
   if (chunk.ok()) {
     decoder.feed(readBuffer.get(), chunk.bytes);
+    std::string_view payload;
     while (decoder.next(&payload)) {
       auto response = decodeResponse(payload);
       if (!response.ok()) {

@@ -143,6 +143,10 @@ class Checker {
   std::string error_;
 };
 
+/// Placements reserved up front: a chain of the scenario streams has two
+/// or three tasks.
+constexpr std::size_t kPlacementsHint = 4;
+
 /// A captured "placements" array: the entries and the first error.
 struct PlacementsField {
   bool present = false;
@@ -178,6 +182,7 @@ void PlacementsField::read(JsonReader& reader) {
     reader.skipValue();
     return;
   }
+  placements.reserve(kPlacementsHint);
   reader.beginArray();
   while (reader.nextElement()) {
     if (!error.empty() || !reader.nextIs(JsonReader::Kind::Object)) {
@@ -477,7 +482,7 @@ std::string encodeRequest(const Request& request) {
   return out;
 }
 
-RequestParseResult decodeRequest(const std::string& text) {
+RequestParseResult decodeRequest(std::string_view text) {
   static constexpr std::array<std::string_view, 8> kNames = {
       "v",     "id",         "cmd",  "release",
       "jobId", "processors", "when", "window"};
@@ -681,21 +686,17 @@ const char* resultCommand(const Response::Result& result) {
 
 }  // namespace
 
-std::string encodeResponse(const Response& response) {
-  std::string out;
+void appendResponse(std::string& out, const Response& response) {
   JsonWriter w(out);
   w.beginObject();
   if (!response.ok) {
     TPRM_CHECK(response.error.has_value(),
                "error responses must carry ErrorInfo");
-    out.reserve(96 + response.error->message.size());
     w.key("error").beginObject();
     w.key("code").string(response.error->code);
     w.key("message").string(response.error->message);
     w.endObject();
   } else {
-    out.reserve(
-        std::holds_alternative<NegotiateResult>(response.result) ? 1024 : 256);
     w.key("cmd").string(resultCommand(response.result));
   }
   w.key("id").integer(static_cast<std::int64_t>(response.id));
@@ -716,10 +717,21 @@ std::string encodeResponse(const Response& response) {
     w.key("window").integer(*response.advertisedWindow);
   }
   w.endObject();
+}
+
+std::string encodeResponse(const Response& response) {
+  std::string out;
+  if (!response.ok) {
+    out.reserve(96 + (response.error ? response.error->message.size() : 0));
+  } else {
+    out.reserve(
+        std::holds_alternative<NegotiateResult>(response.result) ? 1024 : 256);
+  }
+  appendResponse(out, response);
   return out;
 }
 
-ResponseParseResult decodeResponse(const std::string& text) {
+ResponseParseResult decodeResponse(std::string_view text) {
   static constexpr std::array<std::string_view, 4> kNames = {"id", "ok",
                                                              "window", "cmd"};
   static constexpr std::array<std::string_view, 2> kErrorNames = {"code",

@@ -44,6 +44,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -237,6 +238,9 @@ void appendNegotiateRequest(std::string& out, std::uint64_t id,
                             std::uint32_t version,
                             const task::TunableJobSpec& spec, Time release);
 [[nodiscard]] std::string encodeResponse(const Response& response);
+/// Appends encodeResponse(response)'s bytes to `out` (the server encodes
+/// straight into a connection's output buffer with it).
+void appendResponse(std::string& out, const Response& response);
 
 struct RequestParseResult {
   std::optional<Request> request;
@@ -244,7 +248,7 @@ struct RequestParseResult {
 
   [[nodiscard]] bool ok() const { return request.has_value(); }
 };
-[[nodiscard]] RequestParseResult decodeRequest(const std::string& text);
+[[nodiscard]] RequestParseResult decodeRequest(std::string_view text);
 
 struct ResponseParseResult {
   std::optional<Response> response;
@@ -252,7 +256,7 @@ struct ResponseParseResult {
 
   [[nodiscard]] bool ok() const { return response.has_value(); }
 };
-[[nodiscard]] ResponseParseResult decodeResponse(const std::string& text);
+[[nodiscard]] ResponseParseResult decodeResponse(std::string_view text);
 
 /// Builds an error response (helper shared by server paths).
 [[nodiscard]] Response makeError(std::uint64_t id, std::string code,

@@ -1,9 +1,6 @@
 #include "service/server.h"
 
-#include <sys/uio.h>
-
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <utility>
 
@@ -20,11 +17,6 @@ namespace {
 /// stopping_.  The event loops use the same slice as their epoll timeout so
 /// idle sweeps and shutdown flags are honoured promptly.
 constexpr std::chrono::milliseconds kPollSlice{50};
-
-/// iovec entries per sendmsg in the scatter-gather flush.  Comfortably
-/// below IOV_MAX (1024 on Linux); a busy batch rarely exceeds a few dozen
-/// frames per connection.
-constexpr int kMaxIov = 64;
 
 using Clock = std::chrono::steady_clock;
 
@@ -90,12 +82,13 @@ struct NegotiationServer::Connection {
   std::uint64_t id = 0;
   net::Socket socket;
   net::FrameDecoder decoder;
-  /// Buffered output: framed responses awaiting the wire.  Flushed with
-  /// scatter-gather writev — one syscall covers many frames with no
-  /// coalescing copy; outOff is the bytes of the front frame already sent.
-  std::deque<std::string> outq;
+  /// Buffered output: framed responses awaiting the wire, back to back.
+  /// Responses run on this loop are encoded into it in place, behind a
+  /// length prefix patched afterwards; worker-encoded ones are framed into
+  /// it with one copy.  One write covers every frame; out[0, outOff) has
+  /// already been sent.
+  std::string out;
   std::size_t outOff = 0;
-  std::size_t outBytes = 0;  // total unwritten bytes across outq
   bool wantWrite = false;  // EPOLLOUT armed
   bool closing = false;    // close once every pending response has flushed
   bool closed = false;     // socket gone; awaiting reap
@@ -103,6 +96,8 @@ struct NegotiationServer::Connection {
   std::uint32_t window = 1;    // negotiated in-flight cap
   std::uint32_t inFlight = 0;  // commands enqueued, response not delivered
   Clock::time_point lastActivity{};
+
+  [[nodiscard]] bool outPending() const { return outOff < out.size(); }
 };
 
 /// One event loop: epoll set, eventfd wakeup, and the MPSC inbox other
@@ -465,7 +460,7 @@ void NegotiationServer::loopMain(Loop* loop) {
     if (loop->finishing) {
       bool allFlushed = true;
       for (const auto& [id, conn] : loop->conns) {
-        if (!conn->closed && conn->outBytes > 0) {
+        if (!conn->closed && conn->outPending()) {
           allFlushed = false;
           break;
         }
@@ -542,10 +537,10 @@ void NegotiationServer::deliverMsg(Loop* loop, ResponseMsg& msg) {
     response.ok = true;
     response.result = ReshapedPush{std::move(msg.events)};
     stampWindow(&response);
-    deliverResponse(loop, conn, encodeResponse(response));
+    deliverResponse(loop, conn, response);
   } else {
     if (conn->inFlight > 0) --conn->inFlight;
-    deliverResponse(loop, conn, msg.payload);
+    deliverEncoded(loop, conn, msg.payload);
   }
   if (std::find(loop->touched.begin(), loop->touched.end(), conn) ==
       loop->touched.end()) {
@@ -573,9 +568,9 @@ void NegotiationServer::executeInline(Loop* loop, Connection* conn, int shard,
   deliverPosted(loop);
   auto& pushes = loop->pushes;
   pushes.clear();
-  const std::string payload = runCommand(shard, command, &pushes);
+  const Response response = runCommand(shard, command, &pushes);
   commandsInline_.fetch_add(1, std::memory_order_relaxed);
-  deliverResponse(loop, conn, payload);
+  deliverResponse(loop, conn, response);
   // Pushes follow the response: ours straight into the output buffers,
   // other loops' through their inboxes.
   for (auto& msg : pushes) {
@@ -648,7 +643,7 @@ void NegotiationServer::handleReadable(Loop* loop, Connection* conn) {
 }
 
 void NegotiationServer::processDecodedFrames(Loop* loop, Connection* conn) {
-  std::string payload;
+  std::string_view payload;
   while (!conn->closed && !conn->closing && conn->decoder.next(&payload)) {
     handleFrame(loop, conn, payload);
   }
@@ -660,8 +655,7 @@ void NegotiationServer::processDecodedFrames(Loop* loop, Connection* conn) {
     updateInterest(loop, conn);
     deliverResponse(
         loop, conn,
-        encodeResponse(
-            makeError(0, "frame_too_large", conn->decoder.message())));
+        makeError(0, "frame_too_large", conn->decoder.message()));
   }
   // Responses generated while handling this batch of frames (executed
   // commands, HELLO grants, busy/bad_request errors) leave in one flush.
@@ -670,14 +664,13 @@ void NegotiationServer::processDecodedFrames(Loop* loop, Connection* conn) {
 }
 
 void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
-                                    const std::string& payload) {
+                                    std::string_view payload) {
   auto decoded = decodeRequest(payload);
   if (!decoded.ok()) {
     // The stream itself is intact (whole frame consumed): report and keep
     // the connection.  Correlation id 0 marks an undecodable request.
     framesMalformed_.fetch_add(1);
-    deliverResponse(loop, conn,
-                    encodeResponse(makeError(0, "bad_request", decoded.error)));
+    deliverResponse(loop, conn, makeError(0, "bad_request", decoded.error));
     return;
   }
   Request request = std::move(*decoded.request);
@@ -688,9 +681,9 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
       // sequence number, job id or trace record); the connection closes
       // once the error has flushed.
       deliverResponse(loop, conn,
-                      encodeResponse(makeError(
-                          request.id, "unsupported_version",
-                          "wire protocol v1 is retired; send HELLO first")));
+                      makeError(request.id, "unsupported_version",
+                                "wire protocol v1 is retired; send HELLO "
+                                "first"));
       conn->closing = true;
       updateInterest(loop, conn);
       return;
@@ -704,14 +697,13 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
     response.id = request.id;
     response.ok = true;
     response.result = HelloResult{kProtocolVersionV2, conn->window};
-    deliverResponse(loop, conn, encodeResponse(response));
+    deliverResponse(loop, conn, response);
     return;
   }
   if (request.command == Command::Hello) {
     deliverResponse(loop, conn,
-                    encodeResponse(makeError(
-                        request.id, "bad_request",
-                        "HELLO must be the first frame on a connection")));
+                    makeError(request.id, "bad_request",
+                              "HELLO must be the first frame on a connection"));
     return;
   }
 
@@ -723,8 +715,7 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
         task::admissionBoundError(negotiate->spec, negotiate->release);
     if (!bound.empty()) {
       deliverResponse(loop, conn,
-                      encodeResponse(makeError(request.id, "bad_request",
-                                               "bad spec: " + bound)));
+                      makeError(request.id, "bad_request", "bad spec: " + bound));
       return;
     }
   }
@@ -736,7 +727,7 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
     Response busy =
         makeError(request.id, "busy", "in-flight window exceeded; retry");
     busy.advertisedWindow = effective;
-    deliverResponse(loop, conn, encodeResponse(busy));
+    deliverResponse(loop, conn, busy);
     return;
   }
 
@@ -754,14 +745,13 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
       Response busy = makeError(command.request.id, "busy",
                                 "command queue full; retry");
       busy.advertisedWindow = std::min(conn->window, dynamicWindowNow());
-      deliverResponse(loop, conn, encodeResponse(busy));
+      deliverResponse(loop, conn, busy);
       return;
     }
     case EnqueueStatus::Closed:
       deliverResponse(loop, conn,
-                      encodeResponse(makeError(
-                          command.request.id, "shutting_down",
-                          "server is draining; retry elsewhere")));
+                      makeError(command.request.id, "shutting_down",
+                                "server is draining; retry elsewhere"));
       conn->closing = true;
       updateInterest(loop, conn);
       flushOut(loop, conn);
@@ -773,61 +763,50 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
 }
 
 void NegotiationServer::deliverResponse(Loop* loop, Connection* conn,
-                                        const std::string& payload) {
+                                        const Response& response) {
   if (conn->closed) return;
-  std::string framed;
-  const auto wrote = net::appendFrame(framed, payload, frameLimits_);
-  if (!wrote.ok()) {
-    // A response over the frame limit cannot be sent; the stream would
-    // desync if we dropped it silently mid-sequence, so drop the
-    // connection (mirrors the blocking server's failed writeFrame).
-    if (conn->inFlight == 0) disconnectsMidRequest_.fetch_add(1);
-    closeConnection(loop, conn);
-    return;
-  }
-  conn->outBytes += framed.size();
-  conn->outq.push_back(std::move(framed));
+  const auto wrote = net::appendFrameInPlace(
+      conn->out, frameLimits_,
+      [&response](std::string& out) { appendResponse(out, response); });
+  if (!wrote.ok()) frameRefused(loop, conn);
   // No flush here: callers batch — appends accumulate and the caller
   // flushes each touched connection once per event/inbox batch.
+}
+
+void NegotiationServer::deliverEncoded(Loop* loop, Connection* conn,
+                                       std::string_view payload) {
+  if (conn->closed) return;
+  if (!net::appendFrame(conn->out, payload, frameLimits_).ok()) {
+    frameRefused(loop, conn);
+  }
+}
+
+void NegotiationServer::frameRefused(Loop* loop, Connection* conn) {
+  // A response over the frame limit cannot be sent; the stream would
+  // desync if we dropped it silently mid-sequence, so drop the
+  // connection (mirrors the blocking server's failed writeFrame).
+  if (conn->inFlight == 0) disconnectsMidRequest_.fetch_add(1);
+  closeConnection(loop, conn);
 }
 
 void NegotiationServer::flushOut(Loop* loop, Connection* conn) {
   if (conn->closed) return;
   const bool drained = conn->inFlight == 0;
-  while (conn->outBytes > 0) {
-    // Scatter-gather over the queued frames: one sendmsg covers up to
-    // kMaxIov frames with no coalescing copy.
-    std::array<iovec, kMaxIov> iov;
-    int iovcnt = 0;
-    std::size_t off = conn->outOff;
-    for (const auto& frame : conn->outq) {
-      if (iovcnt == kMaxIov) break;
-      iov[static_cast<std::size_t>(iovcnt)].iov_base =
-          const_cast<char*>(frame.data() + off);
-      iov[static_cast<std::size_t>(iovcnt)].iov_len = frame.size() - off;
-      ++iovcnt;
-      off = 0;
-    }
-    const auto chunk = conn->socket.writevSome(iov.data(), iovcnt);
+  while (conn->outPending()) {
+    const auto chunk = conn->socket.writeSome(
+        conn->out.data() + conn->outOff, conn->out.size() - conn->outOff);
     if (chunk.bytes > 0) {
-      conn->outBytes -= chunk.bytes;
+      conn->outOff += chunk.bytes;
       conn->lastActivity = Clock::now();
-      std::size_t consumed = chunk.bytes;
-      while (consumed > 0) {
-        const std::size_t remain = conn->outq.front().size() - conn->outOff;
-        if (consumed >= remain) {
-          consumed -= remain;
-          conn->outq.pop_front();
-          conn->outOff = 0;
-        } else {
-          // Partial frame: resume mid-string on the next writable event.
-          conn->outOff += consumed;
-          consumed = 0;
-        }
-      }
     }
     if (chunk.status == net::IoStatus::Ok) continue;
     if (chunk.status == net::IoStatus::WouldBlock) {
+      // Keep the unsent tail; drop the sent head once it dominates, so a
+      // slow reader's buffer does not grow without bound.
+      if (conn->outOff >= conn->out.size() / 2) {
+        conn->out.erase(0, conn->outOff);
+        conn->outOff = 0;
+      }
       if (!conn->wantWrite) {
         conn->wantWrite = true;
         updateInterest(loop, conn);
@@ -840,6 +819,10 @@ void NegotiationServer::flushOut(Loop* loop, Connection* conn) {
     closeConnection(loop, conn);
     return;
   }
+  // Everything is on the wire: keep the buffer's capacity for the next
+  // batch.
+  conn->out.clear();
+  conn->outOff = 0;
   if (conn->wantWrite) {
     conn->wantWrite = false;
     updateInterest(loop, conn);
@@ -876,7 +859,7 @@ void NegotiationServer::sweepIdle(Loop* loop) {
   for (auto& [id, conn] : loop->conns) {
     Connection* c = conn.get();
     if (c->closed || c->closing) continue;
-    if (c->inFlight > 0 || c->outBytes > 0) continue;
+    if (c->inFlight > 0 || c->outPending()) continue;
     if (now - c->lastActivity > config_.idleTimeout) {
       closeConnection(loop, c);
     }
@@ -1033,7 +1016,7 @@ bool NegotiationServer::drainAndExecute(
     pushes.clear();
     ResponseMsg msg;
     msg.connId = command->connId;
-    msg.payload = runCommand(queue->index, *command, &pushes);
+    msg.payload = encodeResponse(runCommand(queue->index, *command, &pushes));
     perLoop[static_cast<std::size_t>(command->loopIndex)].push_back(
         std::move(msg));
     for (auto& push : pushes) {
@@ -1062,9 +1045,9 @@ bool NegotiationServer::drainAndExecute(
   return true;
 }
 
-std::string NegotiationServer::runCommand(int shard,
-                                          const PendingCommand& command,
-                                          std::vector<ResponseMsg>* pushes) {
+Response NegotiationServer::runCommand(int shard,
+                                       const PendingCommand& command,
+                                       std::vector<ResponseMsg>* pushes) {
   if (config_.executeSeamForTest) config_.executeSeamForTest(shard);
   const std::int64_t startNs = trace_ != nullptr ? obs::monotonicNanos() : 0;
   std::vector<qos::QualityMove> moves;
@@ -1105,7 +1088,7 @@ std::string NegotiationServer::runCommand(int shard,
     reshapeEventsDispatched_.fetch_add(1);
     pushes->push_back(std::move(pushMsg));
   }
-  return encodeResponse(response);
+  return response;
 }
 
 void NegotiationServer::rebalanceLoop() {

@@ -8,7 +8,8 @@
 //
 //   accept thread(s) ──► event-loop threads (epoll, nonblocking sockets)
 //                          │  each loop owns its connections: incremental
-//                          │  frame decoding, buffered partial writes
+//                          │  frame decoding (requests decoded from views
+//                          │  of the input buffer), one output buffer
 //                          ▼
 //            under seqMutex_: route, then (arrivalSeq, jobId) drawn
 //                          │  NEGOTIATE/CANCEL: shard jobId % K
@@ -19,17 +20,20 @@
 //             ▼                                     ▼
 //   the loop executes the command          K command queues (backpressure:
 //   itself, under the claim, and           a full queue answers a typed
-//   appends the response (and any          `busy` instead)
+//   encodes the response (and any          `busy` instead)
 //   RESHAPED pushes for its own                     │
-//   connections) to the outputs;                    ▼
-//   the claim is released after            K worker threads drain up to
-//   the read batch                         workerBatch commands per claim
+//   connections) as frames straight                 ▼
+//   into the output buffers; the           K worker threads drain up to
+//   claim is released after the            workerBatch commands per claim
+//   read batch                             and encode each response
 //             │                                     │
 //             │                                     ▼
-//             │                            responses handed back to the
-//             │                            owning loop (eventfd MPSC inbox)
+//             │                            encoded responses handed back
+//             │                            to the owning loop (eventfd
+//             │                            MPSC inbox), framed into the
+//             │                            output buffer there
 //             ▼                                     ▼
-//          one flush per connection per read batch / inbox batch; responses
+//          one write per connection per read batch / inbox batch; responses
 //          correlated by requestId, in completion order
 //
 // Both paths run one function per command (execute, window stamp, counters,
@@ -74,12 +78,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -290,9 +294,10 @@ class NegotiationServer {
   /// the adaptive window, counts, records the trace span, and routes each
   /// committed quality move to the loop of the connection that negotiated
   /// the moved job (appended to `pushes`, one push message per move).
-  /// Returns the encoded response.
-  std::string runCommand(int shard, const PendingCommand& command,
-                         std::vector<ResponseMsg>* pushes);
+  /// Returns the response; the inline path encodes it straight into the
+  /// connection's output, a worker into the message it posts.
+  Response runCommand(int shard, const PendingCommand& command,
+                      std::vector<ResponseMsg>* pushes);
   void rebalanceLoop();
 
   // --- Loop-thread helpers (each touches only `loop`-owned state). ---
@@ -315,11 +320,18 @@ class NegotiationServer {
   void registerConnection(Loop* loop, net::Socket socket);
   void handleReadable(Loop* loop, Connection* conn);
   void processDecodedFrames(Loop* loop, Connection* conn);
-  void handleFrame(Loop* loop, Connection* conn, const std::string& payload);
-  /// Appends `payload` (already-encoded response JSON) to the connection's
-  /// output; the caller flushes.
-  void deliverResponse(Loop* loop, Connection* conn,
-                       const std::string& payload);
+  /// Decodes and acts on one frame; `payload` views the connection's
+  /// frame decoder and dies with its next feed().
+  void handleFrame(Loop* loop, Connection* conn, std::string_view payload);
+  /// Encodes `response` as a frame straight into the connection's output
+  /// buffer; the caller flushes.
+  void deliverResponse(Loop* loop, Connection* conn, const Response& response);
+  /// Appends a response a worker already encoded as a frame to the
+  /// connection's output buffer; the caller flushes.
+  void deliverEncoded(Loop* loop, Connection* conn, std::string_view payload);
+  /// Shared tail of both deliveries: a frame over the limit closes the
+  /// connection.
+  void frameRefused(Loop* loop, Connection* conn);
   void flushOut(Loop* loop, Connection* conn);
   void updateInterest(Loop* loop, Connection* conn);
   void closeConnection(Loop* loop, Connection* conn);

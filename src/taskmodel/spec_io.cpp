@@ -63,6 +63,11 @@ namespace {
 // depend on the member order in the document.  Each returns its first
 // error ("" when none).  Location strings are built only for an error.
 
+/// Chains reserved up front (the quality ladders of the scenario streams
+/// offer up to three), and tasks for a spec's first chain.
+constexpr std::size_t kChainsHint = 4;
+constexpr std::size_t kTasksHint = 2;
+
 std::string chainWhere(std::size_t c) {
   return "chains[" + std::to_string(c) + "]";
 }
@@ -71,27 +76,47 @@ std::string taskWhere(std::size_t c, std::size_t k) {
   return chainWhere(c) + ".tasks[" + std::to_string(k) + "]";
 }
 
+/// Reads a "name" member straight into `name` when it is a string; records
+/// whether it was present and a string.  A repeated key overwrites both.
+struct NameField {
+  bool present = false;
+  bool isString = false;
+
+  void read(JsonReader& reader, std::string* name) {
+    present = true;
+    isString = reader.nextIs(JsonReader::Kind::String);
+    if (isString) {
+      reader.readString(name);
+    } else {
+      reader.skipValue();
+    }
+  }
+};
+
 std::string readTask(JsonReader& reader, std::size_t c, std::size_t k,
                      TaskSpec* task) {
   if (!reader.nextIs(JsonReader::Kind::Object)) {
     if (!reader.skipValue()) return {};
     return taskWhere(c, k) + " must be an object";
   }
-  static constexpr std::array<std::string_view, 6> kNames = {
-      "name", "processors", "duration", "deadline", "quality",
-      "maxConcurrency"};
+  static constexpr std::array<std::string_view, 5> kNames = {
+      "processors", "duration", "deadline", "quality", "maxConcurrency"};
   std::array<JsonField, kNames.size()> f;
-  auto& [name, processors, duration, deadline, quality, maxConcurrency] = f;
+  auto& [processors, duration, deadline, quality, maxConcurrency] = f;
+  NameField name;
   reader.beginObject();
   std::string_view key;
-  while (reader.nextMember(&key)) readMember(reader, key, kNames, f);
+  while (reader.nextMember(&key)) {
+    if (key == "name") {
+      name.read(reader, &task->name);
+    } else {
+      readMember(reader, key, kNames, f);
+    }
+  }
   if (reader.failed()) return {};
 
   const auto at = [&](const char* what) { return taskWhere(c, k) + what; };
-  if (name.present) {
-    if (!name.isString()) return at(".name must be a string");
-    task->name = std::move(name.text);
-  }
+  if (name.present && !name.isString) return at(".name must be a string");
   if (!processors.isNumber()) return at(".processors must be a number");
   if (!castFits<int>(processors.number)) {
     return at(".processors is out of range");
@@ -152,19 +177,22 @@ void readBindings(JsonReader& reader,
     if (problem != nullptr) {
       bindings->erase(param);
       (*bad)[std::move(param)] = problem;
-    } else {
-      bad->erase(param);
-      (*bindings)[std::move(param)] = static_cast<std::int64_t>(bound.number);
+      continue;
     }
+    // The writer emits parameters in key order, so the end is the hint.
+    if (!bad->empty()) bad->erase(param);
+    bindings->insert_or_assign(bindings->end(), std::move(param),
+                               static_cast<std::int64_t>(bound.number));
   }
 }
 
-std::string readChain(JsonReader& reader, std::size_t c, Chain* chain) {
+std::string readChain(JsonReader& reader, std::size_t c,
+                      std::size_t tasksHint, Chain* chain) {
   if (!reader.nextIs(JsonReader::Kind::Object)) {
     if (!reader.skipValue()) return {};
     return chainWhere(c) + " must be an object";
   }
-  JsonField name;
+  NameField name;
   bool bindingsPresent = false;
   bool bindingsIsObject = false;
   std::map<std::string, const char*> badBindings;
@@ -174,7 +202,7 @@ std::string readChain(JsonReader& reader, std::size_t c, Chain* chain) {
   std::string_view key;
   while (reader.nextMember(&key)) {
     if (key == "name") {
-      name.read(reader);
+      name.read(reader, &chain->name);
     } else if (key == "bindings") {
       bindingsPresent = true;
       chain->bindings.clear();
@@ -187,6 +215,7 @@ std::string readChain(JsonReader& reader, std::size_t c, Chain* chain) {
       }
     } else if (key == "tasks") {
       chain->tasks.clear();
+      chain->tasks.reserve(tasksHint);
       tasksError.clear();
       tasksIsArray = reader.nextIs(JsonReader::Kind::Array);
       if (!tasksIsArray) {
@@ -199,9 +228,7 @@ std::string readChain(JsonReader& reader, std::size_t c, Chain* chain) {
           reader.skipValue();
           continue;
         }
-        TaskSpec task;
-        tasksError = readTask(reader, c, k, &task);
-        chain->tasks.push_back(std::move(task));
+        tasksError = readTask(reader, c, k, &chain->tasks.emplace_back());
       }
     } else {
       reader.skipValue();
@@ -209,9 +236,8 @@ std::string readChain(JsonReader& reader, std::size_t c, Chain* chain) {
   }
   if (reader.failed()) return {};
 
-  if (name.present) {
-    if (!name.isString()) return chainWhere(c) + ".name must be a string";
-    chain->name = std::move(name.text);
+  if (name.present && !name.isString) {
+    return chainWhere(c) + ".name must be a string";
   }
   if (bindingsPresent) {
     if (!bindingsIsObject) return chainWhere(c) + ".bindings must be an object";
@@ -238,18 +264,20 @@ SpecParseResult readJobSpec(JsonReader& reader) {
     return specError("top level must be an object");
   }
   TunableJobSpec spec;
-  JsonField name, composition;
+  NameField name;
+  JsonField composition;
   bool chainsIsArray = false;
   std::string chainsError;
   reader.beginObject();
   std::string_view key;
   while (reader.nextMember(&key)) {
     if (key == "name") {
-      name.read(reader);
+      name.read(reader, &spec.name);
     } else if (key == "qualityComposition") {
       composition.read(reader);
     } else if (key == "chains") {
       spec.chains.clear();
+      spec.chains.reserve(kChainsHint);
       chainsError.clear();
       chainsIsArray = reader.nextIs(JsonReader::Kind::Array);
       if (!chainsIsArray) {
@@ -262,9 +290,13 @@ SpecParseResult readJobSpec(JsonReader& reader) {
           reader.skipValue();
           continue;
         }
-        Chain chain;
-        chainsError = readChain(reader, c, &chain);
-        spec.chains.push_back(std::move(chain));
+        // A job's chains are mostly alternative shapes of one pipeline:
+        // the previous chain's length sizes the next one's tasks.
+        const std::size_t tasksHint = spec.chains.empty()
+                                          ? kTasksHint
+                                          : spec.chains.back().tasks.size();
+        chainsError =
+            readChain(reader, c, tasksHint, &spec.chains.emplace_back());
       }
     } else {
       reader.skipValue();
@@ -272,9 +304,8 @@ SpecParseResult readJobSpec(JsonReader& reader) {
   }
   if (reader.failed()) return {};
 
-  if (name.present) {
-    if (!name.isString()) return specError("'name' must be a string");
-    spec.name = std::move(name.text);
+  if (name.present && !name.isString) {
+    return specError("'name' must be a string");
   }
   if (composition.present) {
     if (!composition.isString()) {

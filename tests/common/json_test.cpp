@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -243,34 +245,185 @@ std::string printfNumber(double d) {
   return buffer;
 }
 
+/// The writer's former number path: std::to_chars throughout.
+std::string toCharsNumber(double d) {
+  char buffer[32];
+  char* end = nullptr;
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    if (d == 0.0 && std::signbit(d)) return "-0";
+    end = std::to_chars(buffer, buffer + sizeof buffer,
+                        static_cast<std::int64_t>(d))
+              .ptr;
+  } else {
+    end = std::to_chars(buffer, buffer + sizeof buffer, d,
+                        std::chars_format::general, 17)
+              .ptr;
+  }
+  return std::string(buffer, end);
+}
+
 std::string writerNumber(double d) {
   std::string out;
   JsonWriter(out).number(d);
   return out;
 }
 
+/// Doubles whose exact decimal expansion has 18 significant digits ending
+/// in 5: printing 17 of them is an exact tie, which "%.17g" breaks to even.
+/// Each is an integer part of 18 - t digits plus an odd multiple of 2^-t.
+std::vector<double> decimalTies(std::mt19937_64& rng) {
+  std::vector<double> ties;
+  for (int t = 1; t <= 17; ++t) {
+    std::uint64_t low = 1;
+    for (int i = 0; i < 17 - t; ++i) low *= 10;
+    for (int i = 0; i < 3000; ++i) {
+      const std::uint64_t whole = low + rng() % (9 * low);
+      const std::uint64_t odd = (rng() % (std::uint64_t{1} << (t - 1))) * 2 + 1;
+      const std::uint64_t scaled = (whole << t) + odd;
+      if (whole >= (std::uint64_t{1} << (53 - t)) ||
+          scaled >= (std::uint64_t{1} << 53)) {
+        continue;  // not exactly representable
+      }
+      ties.push_back(std::ldexp(static_cast<double>(scaled), -t));
+    }
+  }
+  return ties;
+}
+
 TEST(JsonWriter, NumbersMatchPrintfForm) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> values = {
-      0.0, -0.0, 1.0, -1.0, 0.1, 2.5, 1e-7, 5e-324, 1e15 - 1, 1e15, -1e15,
-      1e15 + 0.5, 9007199254740993.0, 1e300, -1e-300,
-      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
-      std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity()};
+      0.0, -0.0, 1.0, -1.0, 0.1, 2.5, 1e-7, 5e-324, -5e-324, 1e15 - 1, 1e15,
+      -1e15, 1e15 + 0.5, 1e15 - 0.125, 9007199254740993.0, 1e300, -1e-300,
+      kMax, kMin, kInf, -kInf, std::nextafter(kMin, 0.0)};
+  // Every power of ten from 1e-7 to 1e17 and its neighbours.
+  for (int p = -7; p <= 17; ++p) {
+    const std::string literal = "1e" + std::to_string(p);
+    const double d = std::strtod(literal.c_str(), nullptr);
+    for (const double v : {d, std::nextafter(d, 0.0), std::nextafter(d, kInf)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  // The integral boundary and the edges of the 17-digit fast path (binary
+  // exponents -20 to 55), with neighbours.
+  for (const double edge : {1e15, std::ldexp(1.0, -20), std::ldexp(1.0, -21),
+                            std::ldexp(1.0, 55), std::ldexp(1.0, 56),
+                            std::ldexp(1.0, 53), 1e-6, 1e17}) {
+    double below = edge;
+    double above = edge;
+    for (int i = 0; i < 64; ++i) {
+      values.push_back(below);
+      values.push_back(-above);
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, kInf);
+    }
+  }
   std::mt19937_64 rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    // Any finite bit pattern...
+  const auto ties = decimalTies(rng);
+  ASSERT_GT(ties.size(), 10000u);
+  values.insert(values.end(), ties.begin(), ties.end());
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  while (values.size() < 1'050'000) {
+    // Any finite bit pattern (subnormals included)...
     const std::uint64_t bits = rng();
     double d = 0.0;
     std::memcpy(&d, &bits, sizeof d);
     if (std::isfinite(d)) values.push_back(d);
-    // ...and the wire's own values: tick counts in paper units.
+    values.push_back(std::ldexp(static_cast<double>(rng() >> 12), -1074));
+    // ...the wire's own values: tick counts in paper units...
     values.push_back(
         static_cast<double>(static_cast<std::int64_t>(rng() % 4'000'000'000'000)) /
         1e6);
+    // ...and uniform values over the fast path's decades.
+    values.push_back(unit(rng) *
+                     std::pow(10.0, static_cast<double>(rng() % 24) - 7.0));
   }
+  std::size_t mismatches = 0;
   for (const double d : values) {
-    EXPECT_EQ(writerNumber(d), printfNumber(d)) << d;
+    const std::string written = writerNumber(d);
+    if (written == printfNumber(d) && written == toCharsNumber(d)) continue;
+    if (++mismatches <= 10) {
+      ADD_FAILURE() << "writer " << written << ", printf " << printfNumber(d)
+                    << ", to_chars " << toCharsNumber(d);
+    }
   }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+TEST(JsonWriter, Number17MatchesPrintfOnTies) {
+  // The tie family alone, straight through the printer: every value must
+  // print with 17 digits rounded half to even, as printf does.
+  std::mt19937_64 rng(19);
+  std::size_t even = 0;
+  for (const double d : decimalTies(rng)) {
+    char exact[96];
+    std::snprintf(exact, sizeof exact, "%.40e", d);
+    // The 18th significant digit is 5 and every later one is zero.
+    const std::string_view digits(
+        exact, static_cast<std::size_t>(std::strchr(exact, 'e') - exact));
+    ASSERT_EQ(digits[18], '5') << exact;
+    ASSERT_EQ(digits.find_first_not_of('0', 19), std::string_view::npos)
+        << exact;
+    char buffer[kNumber17Room];
+    const std::string written(buffer, writeNumber17(buffer, d));
+    char expected[64];
+    std::snprintf(expected, sizeof expected, "%.17g", d);
+    ASSERT_EQ(written, expected);
+    ++even;
+  }
+  EXPECT_GT(even, 10000u);
+}
+
+TEST(JsonWriter, DeepNestingKeepsTheDumpForm) {
+  // Past the writer's inline container stack and past the indentation one
+  // copy covers, the bytes must still be the canonical form.
+  for (const int depth : {1, 14, 15, 16, 31, 32, 33, 70, 100}) {
+    std::string pretty;
+    std::string compact;
+    JsonWriter wp(pretty);
+    JsonWriter wc(compact, JsonWriter::Style::Compact);
+    std::string expected;
+    for (int i = 0; i < depth; ++i) {
+      wp.beginArray();
+      wc.beginArray();
+      expected += "[\n" + std::string(2 * static_cast<std::size_t>(i + 1), ' ');
+    }
+    wp.beginObject();
+    wp.key("k").integer(7);
+    wp.endObject();
+    wc.integer(7);
+    expected += "{\n" + std::string(2 * static_cast<std::size_t>(depth + 1), ' ') +
+                "\"k\": 7\n" + std::string(2 * static_cast<std::size_t>(depth), ' ') +
+                "}";
+    for (int i = depth - 1; i >= 0; --i) {
+      wp.endArray();
+      wc.endArray();
+      expected += "\n" + std::string(2 * static_cast<std::size_t>(i), ' ') + "]";
+    }
+    EXPECT_EQ(pretty, expected) << depth;
+    EXPECT_EQ(compact, std::string(static_cast<std::size_t>(depth), '[') + "7" +
+                           std::string(static_cast<std::size_t>(depth), ']'))
+        << depth;
+  }
+}
+
+TEST(JsonWriter, AppendsAfterWhatTheStringHeld) {
+  // Growth is relative to the document, not to the string: a long prefix
+  // stays intact and the string ends exactly where the document does.
+  std::string out(100000, 'x');
+  {
+    JsonWriter w(out);
+    w.beginObject();
+    w.key("a").string(std::string(3000, 'y'));
+    w.endObject();
+    EXPECT_EQ(out.size(), 100000u + 3000u + 13u);
+  }
+  EXPECT_EQ(out.substr(0, 100000), std::string(100000, 'x'));
+  EXPECT_EQ(out.substr(100000, 10), "{\n  \"a\": \"");
+  EXPECT_EQ(out.back(), '}');
 }
 
 TEST(JsonWriter, IntegersMatchTheirDoubles) {

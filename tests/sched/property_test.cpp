@@ -68,6 +68,7 @@ std::string caseName(const PropertyCase& c) {
     case ChainChoice::WindowUtilization: choice = "WindowUtilization"; break;
     case ChainChoice::FirstSchedulable: choice = "FirstSchedulable"; break;
     case ChainChoice::Random: choice = "Random"; break;
+    case ChainChoice::QualityFirst: choice = "QualityFirst"; break;
   }
   return "seed" + std::to_string(c.seed) +
          (c.malleable ? "_malleable_" : "_rigid_") + choice;
