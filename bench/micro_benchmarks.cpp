@@ -4,6 +4,8 @@
 // overheads.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -12,6 +14,7 @@
 #include "calypso/runtime.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "qos/sharded.h"
 #include "resource/availability_profile.h"
 #include "resource/reference_profile.h"
 #include "resource/reservation_ledger.h"
@@ -192,11 +195,8 @@ void BM_AdmitTunableJob(benchmark::State& state) {
   for (auto _ : state) {
     release += ticksFromUnits(30.0);
     profile.discardBefore(release);
-    task::JobInstance job;
-    job.id = id++;
-    job.release = release;
-    job.spec = spec;
-    benchmark::DoNotOptimize(arbitrator.admit(job, profile));
+    benchmark::DoNotOptimize(
+        arbitrator.admit(task::JobView(id++, release, spec), profile));
   }
 }
 BENCHMARK(BM_AdmitTunableJob);
@@ -229,6 +229,121 @@ void BM_AdmitTunableJobFragmented(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdmitTunableJobFragmented)->Arg(64)->Arg(256);
+
+// The inproc-sharded mix: a heavy-tailed stream (twice the family's rate)
+// with the canonical gold/silver/bronze tenant floors, each job keeping only
+// the chains at or above its tenant's floor (gold jobs keep just their
+// full-width chain, too wide for one shard), into a 4-shard, 40-processor
+// arbitrator with spill and gang on.  One iteration is one submit; the
+// arbitrator starts afresh, untimed, whenever the stream runs out.
+const workload::Scenario& tenantFloorStream() {
+  static const workload::Scenario scenario = [] {
+    auto params = workload::scenarioByName("heavy-tailed", 1, 20000);
+    params->baseRate *= 2.0;
+    auto out = workload::ScenarioGenerator(*params).generate();
+    out.tenants = workload::defaultTenants();
+    double totalWeight = 0.0;
+    for (const auto& tenant : out.tenants) totalWeight += tenant.weight;
+    Rng rng(streamSeed(1, 0x7e1a47));
+    for (auto& job : out.jobs) {
+      double pick = rng.uniform01() * totalWeight;
+      std::size_t chosen = out.tenants.size() - 1;
+      for (std::size_t k = 0; k < out.tenants.size(); ++k) {
+        pick -= out.tenants[k].weight;
+        if (pick <= 0.0) {
+          chosen = k;
+          break;
+        }
+      }
+      job.tenant = static_cast<int>(chosen);
+      const double floor = out.tenants[chosen].qualityFloor;
+      auto& chains = job.spec.chains;
+      chains.erase(std::remove_if(chains.begin() + 1, chains.end(),
+                                  [floor](const task::Chain& chain) {
+                                    return chain.quality() < floor;
+                                  }),
+                   chains.end());
+    }
+    return out;
+  }();
+  return scenario;
+}
+
+std::unique_ptr<qos::ShardedArbitrator> inprocShardedArbitrator() {
+  qos::ShardedOptions options;
+  options.shards = 4;
+  options.spill = true;
+  options.gang = true;
+  return std::make_unique<qos::ShardedArbitrator>(40, options);
+}
+
+void BM_ShardedSubmitStream(benchmark::State& state) {
+  const auto& jobs = tenantFloorStream().jobs;
+  auto arbitrator = inprocShardedArbitrator();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == jobs.size()) {
+      state.PauseTiming();
+      arbitrator = inprocShardedArbitrator();
+      next = 0;
+      state.ResumeTiming();
+    }
+    const auto& job = jobs[next++];
+    benchmark::DoNotOptimize(
+        arbitrator->submit(arbitrator->reserveJobId(), job.spec, job.release));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShardedSubmitStream);
+
+// One gang admission — merged breakpoints, planning every chain over the
+// aggregate availability, the two-phase reserve and commit — plus the
+// cancel that undoes it, so every iteration sees the same profiles.  Four
+// 10-processor shards each queue `range(0)` narrow jobs from time 0, so the
+// profiles carry that many breakpoints; the gang job's chains (24 or 16
+// processors) fit no single shard.
+void BM_GangPlan(benchmark::State& state) {
+  qos::ShardedOptions options;
+  options.shards = 4;
+  options.spill = false;
+  options.gang = true;
+  qos::ShardedArbitrator arbitrator(40, options);
+  Rng rng(11);
+  for (std::int64_t i = 0; i < 4 * state.range(0); ++i) {
+    task::TunableJobSpec narrow;
+    narrow.name = "narrow";
+    task::Chain chain;
+    chain.name = "only";
+    chain.tasks = {task::TaskSpec::rigid(
+        "t", static_cast<int>(rng.uniformInt(1, 6)),
+        ticksFromUnits(static_cast<double>(rng.uniformInt(2, 12))),
+        kTimeInfinity)};
+    narrow.chains = {chain};
+    (void)arbitrator.submit(arbitrator.reserveJobId(), narrow, 0);
+  }
+  task::TunableJobSpec gang;
+  gang.name = "gang";
+  for (const int width : {24, 16}) {
+    task::Chain chain;
+    chain.name = "w" + std::to_string(width);
+    chain.tasks = {
+        task::TaskSpec::rigid("a", width, ticksFromUnits(4.0), kTimeInfinity),
+        task::TaskSpec::rigid("b", width / 2, ticksFromUnits(6.0),
+                              kTimeInfinity, 0.8)};
+    gang.chains.push_back(std::move(chain));
+  }
+  for (auto _ : state) {
+    const std::uint64_t id = arbitrator.reserveJobId();
+    const auto decision = arbitrator.submit(id, gang, 0);
+    if (!decision.admitted) {
+      state.SkipWithError("gang job rejected");
+      break;
+    }
+    (void)arbitrator.cancel(id);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GangPlan)->Arg(16)->Arg(128);
 
 // One elastic move's ledger bookkeeping — record a job's three entries, then
 // annul them — on a ledger already holding `range(0)` entries of other

@@ -1,6 +1,9 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/check.h"
 
 namespace tprm::net {
 
@@ -142,23 +145,50 @@ FrameWriteResult sealFrame(std::string& out, std::size_t start,
   return {};
 }
 
-void FrameDecoder::feed(const void* data, std::size_t n) {
-  if (failed_ || n == 0) return;
-  // Compact once the consumed prefix dominates the buffer, so a long-lived
-  // connection does not grow its input buffer without bound.
-  if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
-    buffer_.erase(0, consumed_);
+void FrameDecoder::reserveTail(std::size_t n) {
+  if (consumed_ > 0 && consumed_ >= size_ / 2) {
+    std::memmove(buffer_.get(), buffer_.get() + consumed_, size_ - consumed_);
+    size_ -= consumed_;
     consumed_ = 0;
   }
-  buffer_.append(static_cast<const char*>(data), n);
+  if (capacity_ - size_ >= n) return;
+  const std::size_t grown = std::max(2 * capacity_, size_ + n);
+  auto larger = std::make_unique_for_overwrite<char[]>(grown);
+  if (size_ > consumed_) {
+    std::memcpy(larger.get(), buffer_.get() + consumed_, size_ - consumed_);
+  }
+  size_ -= consumed_;
+  consumed_ = 0;
+  buffer_ = std::move(larger);
+  capacity_ = grown;
+}
+
+std::span<char> FrameDecoder::prepare() {
+  // Grow only when the last read filled the space it was offered (more is
+  // probably waiting) or there is no buffer yet; otherwise offer the spare
+  // room already there.
+  reserveTail(filled_ || capacity_ == 0 ? window_ : 1);
+  filled_ = false;
+  prepared_ = capacity_ - size_;
+  return {buffer_.get() + size_, prepared_};
+}
+
+void FrameDecoder::commit(std::size_t n) {
+  TPRM_CHECK(n <= prepared_, "commit exceeds the prepared space");
+  if (n == prepared_ && n > 0) {
+    filled_ = true;
+    window_ = std::min(2 * window_, kMaxReadWindow);
+  }
+  prepared_ = 0;
+  if (!failed_) size_ += n;
 }
 
 bool FrameDecoder::next(std::string_view* payload) {
   if (failed_) return false;
-  const std::size_t available = buffer_.size() - consumed_;
+  const std::size_t available = size_ - consumed_;
   if (available < 4) return false;
   const auto* p =
-      reinterpret_cast<const unsigned char*>(buffer_.data() + consumed_);
+      reinterpret_cast<const unsigned char*>(buffer_.get() + consumed_);
   const std::uint32_t length = (static_cast<std::uint32_t>(p[0]) << 24) |
                                (static_cast<std::uint32_t>(p[1]) << 16) |
                                (static_cast<std::uint32_t>(p[2]) << 8) |
@@ -171,7 +201,7 @@ bool FrameDecoder::next(std::string_view* payload) {
     return false;
   }
   if (available - 4 < length) return false;
-  *payload = std::string_view(buffer_).substr(consumed_ + 4, length);
+  *payload = std::string_view(buffer_.get() + consumed_ + 4, length);
   consumed_ += 4 + static_cast<std::size_t>(length);
   return true;
 }

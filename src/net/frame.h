@@ -12,6 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -102,14 +104,16 @@ FrameWriteResult appendFrameInPlace(std::string& out,
   return sealFrame(out, start, limits);
 }
 
-/// Incremental frame decoder: feed it any number of bytes in any chunking
-/// (a single byte at a time works) and pull complete frames out.  The
-/// length prefix is validated against the limit as soon as its fourth byte
-/// arrives — before any payload is buffered — so an oversized declaration
-/// costs four bytes, exactly like the blocking readFrame path.
+/// Incremental frame decoder: read any number of bytes into it in any
+/// chunking (a single byte at a time works) and pull complete frames out.  The
+/// length prefix is validated against the limit as soon as next() sees its
+/// fourth byte, so an oversized declaration is refused before its payload
+/// is ever waited for, exactly like the blocking readFrame path.
 ///
-/// Usage:
-///   decoder.feed(data, n);
+/// Usage, reading a socket straight into the decoder's buffer:
+///   const auto space = decoder.prepare();
+///   const auto chunk = socket.readSome(space.data(), space.size());
+///   decoder.commit(chunk.bytes);
 ///   std::string_view payload;
 ///   while (decoder.next(&payload)) { handle(payload); }
 ///   if (decoder.failed()) { close connection; }
@@ -118,15 +122,28 @@ FrameWriteResult appendFrameInPlace(std::string& out,
 /// decoder refuses further input; the connection must be closed.
 class FrameDecoder {
  public:
+  /// The buffer grows only when a read fills the space prepare() offered:
+  /// then to at least the read window, which starts at kMinReadWindow and
+  /// doubles, up to kMaxReadWindow, with each filled read.  A connection
+  /// that only ever carries small frames keeps a small buffer.
+  static constexpr std::size_t kMinReadWindow = 4 * 1024;
+  static constexpr std::size_t kMaxReadWindow = 64 * 1024;
+
   explicit FrameDecoder(FrameLimits limits = {}) : limits_(limits) {}
 
-  /// Buffers `n` more wire bytes.  No-op after a decode failure.
-  void feed(const void* data, std::size_t n);
+  /// Writable space after the buffered bytes (never empty), for the caller
+  /// to read wire bytes into; commit() accepts them.  Invalidates every
+  /// view next() returned.
+  [[nodiscard]] std::span<char> prepare();
+
+  /// Accepts the first `n` bytes of the space the last prepare() returned
+  /// (`n` at most its size).  Bytes are dropped after a decode failure.
+  void commit(std::size_t n);
 
   /// Points `payload` at the next complete frame, inside the decoder's own
   /// buffer: no copy is made, and the view stays valid until the next
-  /// feed().  Returns false when more bytes are needed (or after a failure
-  /// — check failed()).
+  /// prepare().  Returns false when more bytes are needed (or after a
+  /// failure — check failed()).
   [[nodiscard]] bool next(std::string_view* payload);
 
   /// True once an oversized declaration has been seen.
@@ -135,14 +152,25 @@ class FrameDecoder {
   [[nodiscard]] const std::string& message() const { return message_; }
 
   /// Bytes buffered but not yet returned (partial frame in progress).
-  [[nodiscard]] std::size_t pendingBytes() const {
-    return buffer_.size() - consumed_;
-  }
+  [[nodiscard]] std::size_t pendingBytes() const { return size_ - consumed_; }
+
+  /// Bytes the buffer holds allocated (diagnostics, tests).
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
+  /// Makes room for `n` more bytes after the buffered ones.  Compacts once
+  /// the consumed prefix dominates the buffer, so a long-lived connection
+  /// does not grow its input buffer without bound; grows geometrically.
+  void reserveTail(std::size_t n);
+
   FrameLimits limits_;
-  std::string buffer_;
-  std::size_t consumed_ = 0;  // prefix of buffer_ already handed out
+  std::unique_ptr<char[]> buffer_;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;      // bytes buffered, the consumed prefix included
+  std::size_t consumed_ = 0;  // prefix of the buffer already handed out
+  std::size_t window_ = kMinReadWindow;
+  std::size_t prepared_ = 0;  // size of the last prepare()'s space
+  bool filled_ = false;       // the last commit filled the prepared space
   bool failed_ = false;
   std::string message_;
 };

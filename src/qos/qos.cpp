@@ -66,7 +66,7 @@ void QoSArbitrator::retireFinished() {
 
 QoSArbitrator::LiveJob& QoSArbitrator::insertLive(std::uint64_t jobId,
                                                   LiveJob job) {
-  const Rungs rungs = rungsAround(job.spec, job.currentQuality);
+  const Rungs rungs = rungsAround(*job.spec, job.currentQuality);
   job.lowestRung = rungs.lowest;
   job.nextRung = rungs.next;
   trackFinish(jobId, job);
@@ -87,7 +87,7 @@ void QoSArbitrator::trackFinish(std::uint64_t jobId, const LiveJob& job) {
 void QoSArbitrator::setQuality(std::uint64_t jobId, LiveJob& job,
                                double quality) {
   job.currentQuality = quality;
-  job.nextRung = rungsAround(job.spec, quality).next;
+  job.nextRung = rungsAround(*job.spec, quality).next;
   if (!job.pinned && quality < job.admittedQuality) {
     demoted_.insert(jobId);
   } else {
@@ -127,7 +127,7 @@ void QoSArbitrator::syncSlots() {
 sched::AdmissionDecision QoSArbitrator::submit(
     std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
     std::vector<QualityMove>* moves) {
-  TPRM_CHECK(gangTrial_ == nullptr,
+  TPRM_CHECK(!gangTrial_.has_value(),
              "submit is forbidden while a gang reserve is open");
   TPRM_CHECK(release >= clock_,
              "negotiations must arrive in non-decreasing release order");
@@ -140,10 +140,7 @@ sched::AdmissionDecision QoSArbitrator::submit(
   // demoted jobs back up the ladder before admitting new work.
   promotePass(moves);
 
-  task::JobInstance job;
-  job.id = jobId;
-  job.release = release;
-  job.spec = spec;
+  const task::JobView job(jobId, release, spec);
   if (metrics_ != nullptr) metrics_->negotiations->add();
   auto decision = heuristic_.admit(job, profile_);
   if (!decision.admitted && policy_ != nullptr) {
@@ -160,20 +157,20 @@ sched::AdmissionDecision QoSArbitrator::submit(
   ++admitted_;
   if (metrics_ != nullptr) metrics_->admitted->add();
   LiveJob admittedJob;
-  admittedJob.spec = spec;
+  admittedJob.spec = std::make_shared<const task::TunableJobSpec>(spec);
   admittedJob.release = release;
   admittedJob.chainIndex = decision.schedule.chainIndex;
   admittedJob.placements = decision.schedule.placements;
   admittedJob.admittedQuality = decision.quality;
   admittedJob.currentQuality = decision.quality;
-  LiveJob& live = insertLive(job.id, std::move(admittedJob));
-  record(job.id, live, live.placements);
+  LiveJob& live = insertLive(jobId, std::move(admittedJob));
+  record(jobId, live, live.placements);
   return decision;
 }
 
 std::int64_t QoSArbitrator::cancel(std::uint64_t jobId,
                                    std::vector<QualityMove>* moves) {
-  TPRM_CHECK(gangTrial_ == nullptr,
+  TPRM_CHECK(!gangTrial_.has_value(),
              "cancel is forbidden while a gang reserve is open");
   const auto it = live_.find(jobId);
   if (it == live_.end()) {
@@ -204,7 +201,7 @@ std::int64_t QoSArbitrator::cancel(std::uint64_t jobId,
 }
 
 RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
-  TPRM_CHECK(gangTrial_ == nullptr,
+  TPRM_CHECK(!gangTrial_.has_value(),
              "resize is forbidden while a gang reserve is open");
   TPRM_CHECK(processors > 0, "machine needs at least one processor");
   TPRM_CHECK(when >= clock_, "resize cannot happen in the past");
@@ -332,22 +329,21 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
     // Full renegotiation.  If nothing has started, every chain of the
     // original spec is still on the table; otherwise only the suffix of the
     // committed chain (outputs of earlier tasks fix the path).
-    task::JobInstance instance;
-    instance.id = jobId;
-    instance.release = earliestStart;
+    const task::TunableJobSpec& spec = *job.spec;
+    task::TunableJobSpec rebased;
     bool feasibleSpec = true;
     // When chains are filtered during rebasing (firstFuture == 0), maps the
-    // instance's chain index back to the original spec's chain index.
+    // rebased spec's chain index back to the original spec's chain index.
     std::vector<std::size_t> originalChain;
     if (firstFuture == 0) {
-      instance.spec.name = job.spec.name;
+      rebased.name = spec.name;
       // Rebase deadlines: relativeDeadline was relative to the original
       // release; make it relative to the new one.  A chain whose rebased
       // deadline can no longer be met is off the table, but the surviving
       // chains are exactly the freedom tunability exists to exploit — the
       // job is infeasible only when no chain survives.
-      for (std::size_t c = 0; c < job.spec.chains.size(); ++c) {
-        task::Chain chain = job.spec.chains[c];
+      for (std::size_t c = 0; c < spec.chains.size(); ++c) {
+        task::Chain chain = spec.chains[c];
         bool chainFeasible = true;
         for (auto& taskSpec : chain.tasks) {
           if (taskSpec.relativeDeadline >= kTimeInfinity) continue;
@@ -360,11 +356,11 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
         }
         if (!chainFeasible) continue;
         originalChain.push_back(c);
-        instance.spec.chains.push_back(std::move(chain));
+        rebased.chains.push_back(std::move(chain));
       }
-      feasibleSpec = !instance.spec.chains.empty();
+      feasibleSpec = !rebased.chains.empty();
     } else {
-      const auto& chain = job.spec.chains[job.chainIndex];
+      const auto& chain = spec.chains[job.chainIndex];
       task::Chain suffix;
       suffix.name = chain.name + "-suffix";
       for (std::size_t k = firstFuture; k < chain.tasks.size(); ++k) {
@@ -378,8 +374,8 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
         }
         suffix.tasks.push_back(std::move(taskSpec));
       }
-      instance.spec.name = job.spec.name;
-      instance.spec.chains = {std::move(suffix)};
+      rebased.name = spec.name;
+      rebased.chains = {std::move(suffix)};
     }
 
     if (!feasibleSpec) {
@@ -389,7 +385,8 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
       continue;
     }
 
-    const auto decision = heuristic_.admit(instance, profile_);
+    const auto decision = heuristic_.admit(
+        task::JobView(jobId, earliestStart, rebased), profile_);
     if (!decision.admitted) {
       report.dropped.push_back(jobId);
       eraseLive(live_.find(jobId));
@@ -471,20 +468,19 @@ std::optional<QualityMove> QoSArbitrator::tryMoveInTrial(
   // their anchor moves to the clock.  job.release is deliberately left alone
   // by applyMove, so repeated moves keep rebasing against the original
   // contract rather than compounding drift.
-  task::JobInstance instance;
-  instance.id = jobId;
-  instance.release = clock_;
-  instance.spec.name = job.spec.name;
-  instance.spec.qualityComposition = job.spec.qualityComposition;
+  const task::TunableJobSpec& spec = *job.spec;
+  task::TunableJobSpec band;
+  band.name = spec.name;
+  band.qualityComposition = spec.qualityComposition;
   std::vector<std::size_t> originalChain;
-  for (std::size_t c = 0; c < job.spec.chains.size(); ++c) {
-    const double q = job.spec.chains[c].quality(job.spec.qualityComposition);
+  for (std::size_t c = 0; c < spec.chains.size(); ++c) {
+    const double q = spec.chains[c].quality(spec.qualityComposition);
     const bool inBand = promote
                             ? q > job.currentQuality &&
                                   q <= job.admittedQuality
                             : q < job.currentQuality;
     if (!inBand) continue;
-    task::Chain chain = job.spec.chains[c];
+    task::Chain chain = spec.chains[c];
     bool chainFeasible = true;
     for (auto& taskSpec : chain.tasks) {
       if (taskSpec.relativeDeadline >= kTimeInfinity) continue;
@@ -497,14 +493,15 @@ std::optional<QualityMove> QoSArbitrator::tryMoveInTrial(
     }
     if (!chainFeasible) continue;
     originalChain.push_back(c);
-    instance.spec.chains.push_back(std::move(chain));
+    band.chains.push_back(std::move(chain));
   }
-  if (instance.spec.chains.empty()) {
+  if (band.chains.empty()) {
     trial.rollbackTo(mark);
     return std::nullopt;
   }
 
-  auto decision = elasticHeuristic_.admitInTrial(instance, profile_, trial);
+  auto decision = elasticHeuristic_.admitInTrial(
+      task::JobView(jobId, clock_, band), profile_, trial);
   if (!decision.admitted) {
     trial.rollbackTo(mark);
     return std::nullopt;
@@ -544,7 +541,7 @@ void QoSArbitrator::applyMove(const QualityMove& move) {
 }
 
 sched::AdmissionDecision QoSArbitrator::reshapeAdmit(
-    const task::JobInstance& newcomer, std::vector<QualityMove>* moves) {
+    task::JobView newcomer, std::vector<QualityMove>* moves) {
   sched::AdmissionDecision rejected;
   rejected.chainsConsidered = static_cast<int>(newcomer.spec.chains.size());
   const auto candidates = elasticCandidates(/*demotedOnly=*/false);
@@ -611,10 +608,9 @@ void QoSArbitrator::promotePass(std::vector<QualityMove>* moves) {
 
 bool QoSArbitrator::gangReserve(
     const std::vector<sched::TaskPlacement>& placements) {
-  TPRM_CHECK(gangTrial_ == nullptr, "gang reserve already open");
+  TPRM_CHECK(!gangTrial_.has_value(), "gang reserve already open");
   TPRM_CHECK(!placements.empty(), "a gang fragment reserves something");
-  gangTrial_ =
-      std::make_unique<resource::AvailabilityProfile::Trial>(profile_);
+  gangTrial_.emplace(profile_);
   for (const auto& p : placements) {
     if (profile_.minAvailable(p.interval) < p.processors) {
       gangTrial_.reset();  // ~Trial rolls the partial reserve back
@@ -626,13 +622,14 @@ bool QoSArbitrator::gangReserve(
 }
 
 void QoSArbitrator::gangCommit(
-    std::uint64_t jobId, const task::TunableJobSpec& spec,
+    std::uint64_t jobId, std::shared_ptr<const task::TunableJobSpec> spec,
     std::size_t chainIndex, double quality, Time release,
     const std::vector<sched::TaskPlacement>& placements,
     const std::vector<std::size_t>& taskIndices) {
-  TPRM_CHECK(gangTrial_ != nullptr, "gangCommit needs an open reserve");
+  TPRM_CHECK(gangTrial_.has_value(), "gangCommit needs an open reserve");
   TPRM_CHECK(placements.size() == taskIndices.size(),
              "every gang placement needs its spec task index");
+  TPRM_CHECK(spec != nullptr, "a gang fragment keeps its job's spec");
   TPRM_CHECK(release >= clock_, "gang release cannot precede the clock");
   gangTrial_->commit();
   gangTrial_.reset();
@@ -642,7 +639,7 @@ void QoSArbitrator::gangCommit(
   TPRM_CHECK(!live(jobId), "job id is already live on this arbitrator");
 
   LiveJob job;
-  job.spec = spec;
+  job.spec = std::move(spec);
   job.release = release;
   job.chainIndex = chainIndex;
   job.placements = placements;
@@ -651,6 +648,7 @@ void QoSArbitrator::gangCommit(
   job.pinned = true;
   job.taskIndices = taskIndices;
   LiveJob& live = insertLive(jobId, std::move(job));
+  live.slots.reserve(placements.size());
   for (std::size_t k = 0; k < placements.size(); ++k) {
     const auto& p = placements[k];
     live.slots.push_back(ledger_.add(resource::Reservation{
@@ -661,7 +659,7 @@ void QoSArbitrator::gangCommit(
 }
 
 void QoSArbitrator::gangAbort() {
-  TPRM_CHECK(gangTrial_ != nullptr, "gangAbort needs an open reserve");
+  TPRM_CHECK(gangTrial_.has_value(), "gangAbort needs an open reserve");
   gangTrial_.reset();  // ~Trial rolls back bit-for-bit
 }
 

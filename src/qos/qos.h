@@ -141,6 +141,10 @@ class QoSArbitrator {
   ///
   /// Numbers the job itself: the id is the next of 0, 1, 2, ... (see
   /// lastJobId()), drawn whether or not the job is admitted.
+  ///
+  /// Planning borrows `spec`: only an admission copies it, once, into the
+  /// shared copy the live job keeps (see liveSpec()).  A rejection copies
+  /// nothing, and the caller may destroy `spec` as soon as the call returns.
   [[nodiscard]] sched::AdmissionDecision submit(
       const task::TunableJobSpec& spec, Time release,
       std::vector<QualityMove>* moves = nullptr) {
@@ -202,6 +206,13 @@ class QoSArbitrator {
     const auto it = live_.find(jobId);
     return it != live_.end() && it->second.pinned;
   }
+  /// The spec a live job keeps (shared by every gang fragment of one job);
+  /// nullptr when the job is not live here.  Diagnostics and tests.
+  [[nodiscard]] const task::TunableJobSpec* liveSpec(
+      std::uint64_t jobId) const {
+    const auto it = live_.find(jobId);
+    return it == live_.end() ? nullptr : it->second.spec.get();
+  }
 
   /// Id the self-numbering submit() gave the most recently submitted job
   /// (admitted or not); nullopt before the first such submission.
@@ -253,7 +264,9 @@ class QoSArbitrator {
   /// here) — never demoted, promoted, or renegotiated; verbatim-or-drop on
   /// resize.  `taskIndices[i]` is the spec task index `placements[i]` is a
   /// fragment of (fragments skip tasks the shard contributes nothing to).
-  void gangCommit(std::uint64_t jobId, const task::TunableJobSpec& spec,
+  /// `spec` is the job's one stored copy, shared by all of its fragments.
+  void gangCommit(std::uint64_t jobId,
+                  std::shared_ptr<const task::TunableJobSpec> spec,
                   std::size_t chainIndex, double quality, Time release,
                   const std::vector<sched::TaskPlacement>& placements,
                   const std::vector<std::size_t>& taskIndices);
@@ -263,12 +276,14 @@ class QoSArbitrator {
   void gangAbort();
 
   /// True while a phase-1 gang reserve is open (diagnostics, tests).
-  [[nodiscard]] bool gangReserveOpen() const { return gangTrial_ != nullptr; }
+  [[nodiscard]] bool gangReserveOpen() const { return gangTrial_.has_value(); }
 
  private:
   /// Everything needed to renegotiate a job after a resource-level change.
   struct LiveJob {
-    task::TunableJobSpec spec;
+    /// The job's one stored copy of its spec, made at admission (planning
+    /// only ever borrows the caller's); a gang's fragments share one.
+    std::shared_ptr<const task::TunableJobSpec> spec;
     Time release = 0;
     std::size_t chainIndex = 0;
     std::vector<sched::TaskPlacement> placements;
@@ -344,7 +359,7 @@ class QoSArbitrator {
   /// Demotion reshape for a rejected newcomer: consults the policy, shrinks
   /// victims greedily inside one trial, commits only if the newcomer fits.
   [[nodiscard]] sched::AdmissionDecision reshapeAdmit(
-      const task::JobInstance& newcomer, std::vector<QualityMove>* moves);
+      task::JobView newcomer, std::vector<QualityMove>* moves);
 
   /// Promotion pass: walks demoted jobs in policy fairness order, restoring
   /// quality where capacity allows (one trial per job, committed per job).
@@ -377,7 +392,7 @@ class QoSArbitrator {
   /// Ledger layout under which the live jobs' slots were taken.
   std::uint64_t slotsLayout_ = 0;
   /// Open phase-1 gang reserve (see gangReserve); destruction rolls back.
-  std::unique_ptr<resource::AvailabilityProfile::Trial> gangTrial_;
+  std::optional<resource::AvailabilityProfile::Trial> gangTrial_;
   obs::NegotiationMetrics* metrics_ = nullptr;  // nullable observation hook
   const ReshapePolicy* policy_ = nullptr;       // nullable elastic hook
 

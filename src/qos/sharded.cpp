@@ -1,9 +1,9 @@
 #include "qos/sharded.h"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <limits>
-#include <set>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -14,6 +14,10 @@ namespace {
 
 /// Free-area window used to pick the spill target, from the job's release.
 constexpr Time kSpillHorizon = 256 * kTicksPerUnit;
+
+/// Spill scores for up to this many other shards live on the stack; only a
+/// larger machine pays for a heap buffer.
+constexpr std::size_t kInlineSpillCandidates = 15;
 
 }  // namespace
 
@@ -29,6 +33,15 @@ ShardedArbitrator::ShardedArbitrator(int processors, ShardedOptions options)
     shards_.push_back(
         std::make_unique<Shard>(base + (k < extra ? 1 : 0), options.greedy));
   }
+  refreshWidestShard();
+}
+
+void ShardedArbitrator::refreshWidestShard() {
+  int widest = 0;
+  for (const auto& shard : shards_) {
+    widest = std::max(widest, shard->arb.processors());
+  }
+  widestShard_.store(widest, std::memory_order_release);
 }
 
 Time ShardedArbitrator::advanceClock(Time t) {
@@ -101,8 +114,15 @@ sched::AdmissionDecision ShardedArbitrator::submit(
       int shard = -1;
       std::int64_t freeTicks = -1;
     };
-    std::vector<Candidate> candidates;
-    candidates.reserve(shards_.size() - 1);
+    const std::size_t others = shards_.size() - 1;
+    std::array<Candidate, kInlineSpillCandidates> inlineCandidates;
+    std::unique_ptr<Candidate[]> heapCandidates;
+    Candidate* candidates = inlineCandidates.data();
+    if (others > inlineCandidates.size()) {
+      heapCandidates = std::make_unique<Candidate[]>(others);
+      candidates = heapCandidates.get();
+    }
+    std::size_t count = 0;
     const int narrowest = minChainWidth(spec);
     for (int k = 0; k < shardCount(); ++k) {
       if (k == home) continue;
@@ -110,22 +130,22 @@ sched::AdmissionDecision ShardedArbitrator::submit(
       std::lock_guard<std::mutex> lock(shard.mu);
       const Time from = std::max(r, shard.arb.clock());
       const TimeInterval window{from, from + kSpillHorizon};
-      candidates.push_back(Candidate{
+      candidates[count++] = Candidate{
           k,
           static_cast<std::int64_t>(shard.arb.processors()) *
                   window.length() -
-              shard.arb.profile().busyProcessorTicks(window)});
+              shard.arb.profile().busyProcessorTicks(window)};
     }
     if (spillRaceSeam_) spillRaceSeam_();  // test-only score->submit gap
     // Argmax by free ticks; ties to the lowest shard index (scan order).
-    const auto bestOf = [&candidates]() {
+    const auto bestOf = [candidates, count]() {
       std::size_t best = 0;
-      for (std::size_t i = 1; i < candidates.size(); ++i) {
+      for (std::size_t i = 1; i < count; ++i) {
         if (candidates[i].freeTicks > candidates[best].freeTicks) best = i;
       }
       return best;
     };
-    for (int pass = 0; pass < shardCount() && !candidates.empty(); ++pass) {
+    for (int pass = 0; pass < shardCount() && count > 0; ++pass) {
       auto& candidate = candidates[bestOf()];
       auto& shard = *shards_[static_cast<std::size_t>(candidate.shard)];
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -207,16 +227,21 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
     Time* effectiveRelease) {
   sched::AdmissionDecision rejection;
   rejection.chainsConsidered = static_cast<int>(spec.chains.size());
-  const auto locks = lockAll();
 
   // Gang eligibility: only jobs the regular per-shard path could never
   // admit — no chain of the spec fits even the widest shard.  Everything
   // narrower already had its shot at the home shard and the spill target.
-  int widestShard = 0;
-  for (const auto& shard : shards_) {
-    widestShard = std::max(widestShard, shard->arb.processors());
+  // Checked once without locks, so a narrow rejection never locks every
+  // shard, and again under them: widestShard_ only changes with every lock
+  // held, so the second read is exact.
+  const int narrowest = minChainWidth(spec);
+  if (narrowest <= widestShard_.load(std::memory_order_acquire)) {
+    return rejection;
   }
-  if (minChainWidth(spec) <= widestShard) return rejection;
+  const auto locks = lockAll();
+  if (narrowest <= widestShard_.load(std::memory_order_relaxed)) {
+    return rejection;
+  }
   if (shardedMetrics_ != nullptr) shardedMetrics_->gangAttempts->add();
 
   // One common release for every fragment: no shard may be asked to commit
@@ -231,11 +256,18 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
   // planner is exact first-fit over the aggregated availability).  The
   // profiles are immutable while every lock is held, so one merged list
   // serves the whole plan.
-  std::set<Time> merged;
+  std::size_t segments = 0;
   for (const auto& shard : shards_) {
-    for (const Time t : shard->arb.profile().breakpoints()) merged.insert(t);
+    segments += shard->arb.profile().segmentCount();
   }
-  const std::vector<Time> breakpoints(merged.begin(), merged.end());
+  std::vector<Time> breakpoints;
+  breakpoints.reserve(segments);
+  for (const auto& shard : shards_) {
+    shard->arb.profile().appendBreakpoints(breakpoints);
+  }
+  std::sort(breakpoints.begin(), breakpoints.end());
+  breakpoints.erase(std::unique(breakpoints.begin(), breakpoints.end()),
+                    breakpoints.end());
 
   // Plan each chain read-only; keep the best by quality, then earliest
   // finish, then chain declaration order (gang admission is the machine's
@@ -327,32 +359,25 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
   // Phase 1: trial-reserve each participating shard's fragments under that
   // shard's undo log, in shard index order.  Any failure aborts every
   // reserve taken so far — the profiles come back bit-for-bit.
-  std::vector<int> reserved;
-  bool ok = true;
-  for (int k = 0; k < shardCount(); ++k) {
-    if (perShard[static_cast<std::size_t>(k)].empty()) continue;
-    if (shards_[static_cast<std::size_t>(k)]->arb.gangReserve(
-            perShard[static_cast<std::size_t>(k)])) {
-      reserved.push_back(k);
-    } else {
-      ok = false;
-      break;
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    if (perShard[k].empty() || shards_[k]->arb.gangReserve(perShard[k])) {
+      continue;
     }
-  }
-  if (!ok) {
-    for (const int k : reserved) {
-      shards_[static_cast<std::size_t>(k)]->arb.gangAbort();
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!perShard[j].empty()) shards_[j]->arb.gangAbort();
     }
     if (shardedMetrics_ != nullptr) shardedMetrics_->gangRollbacks->add();
     return rejection;
   }
 
-  // Phase 2: commit every fragment under the job's own id.
-  for (const int k : reserved) {
-    shards_[static_cast<std::size_t>(k)]->arb.gangCommit(
-        jobId, spec, best->chainIndex, best->quality, rGang,
-        perShard[static_cast<std::size_t>(k)],
-        perShardTasks[static_cast<std::size_t>(k)]);
+  // Phase 2: commit every fragment under the job's own id.  The job's one
+  // stored spec is made here, on admission, and every fragment shares it.
+  const auto stored = std::make_shared<const task::TunableJobSpec>(spec);
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    if (perShard[k].empty()) continue;
+    shards_[k]->arb.gangCommit(jobId, stored, best->chainIndex,
+                               best->quality, rGang, perShard[k],
+                               perShardTasks[k]);
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
   gangAdmitted_.fetch_add(1, std::memory_order_relaxed);
@@ -431,6 +456,7 @@ RenegotiationReport ShardedArbitrator::resize(int processors, Time when) {
     report.dropped.insert(report.dropped.end(), shardReport.dropped.begin(),
                           shardReport.dropped.end());
   }
+  refreshWidestShard();
   // Locks still held.  A gang whose fragment was dropped anywhere has lost
   // its machine-wide guarantee: cancel the surviving sibling fragments and
   // report the gang dropped once, not kept.  A gang kept on every shard is
@@ -510,6 +536,7 @@ ShardRebalanceReport ShardedArbitrator::rebalance(Time when) {
   // The donor only gives up always-idle processors, so the shrink must keep
   // every reservation in place.
   TPRM_CHECK(shrink.dropped.empty(), "rebalance shrink dropped a commitment");
+  refreshWidestShard();
   report.moved = true;
   report.fromShard = donor;
   report.toShard = receiver;

@@ -41,6 +41,12 @@
 // Thread-safe: each shard has its own lock; submit locks one shard at a
 // time, cancel at most two (hand over hand, in index order), and
 // resize/rebalance/verify/gang admission lock all shards in index order.
+// Gang eligibility is checked before any lock is taken, so the narrow jobs
+// that make up nearly every rejection never lock all shards.
+//
+// Spec ownership: planning on every shard borrows the caller's spec.  An
+// admitted job keeps one shared copy, made once on admission; the
+// fragments of a gang all share that one copy.
 #pragma once
 
 #include <atomic>
@@ -253,6 +259,9 @@ class ShardedArbitrator {
   Time advanceClock(Time t);
   /// Locks every shard in index order.
   [[nodiscard]] std::vector<std::unique_lock<std::mutex>> lockAll() const;
+  /// Re-reads the widest shard's size into widestShard_.  Requires every
+  /// shard lock (or, in the constructor, no other thread).
+  void refreshWidestShard();
   /// Narrowest chain of the spec, by widest task.  A shard with fewer
   /// processors than this can never admit the job.
   static int minChainWidth(const task::TunableJobSpec& spec);
@@ -272,6 +281,10 @@ class ShardedArbitrator {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> spills_{0};
   std::atomic<std::uint64_t> gangAdmitted_{0};
+  /// Processors of the widest shard: the gang-eligibility bound, read
+  /// without locks.  Written only with every shard lock held (construction,
+  /// resize, rebalance), so a reader holding every lock sees it exact.
+  std::atomic<int> widestShard_{0};
   std::function<void()> spillRaceSeam_;      // test-only, see setter
   std::function<void()> rebalanceRaceSeam_;  // test-only, see setter
   obs::ShardedMetrics* shardedMetrics_ = nullptr;  // nullable observation hook

@@ -335,8 +335,12 @@ void AvailabilityProfile::discardBefore(Time t) {
 std::vector<Time> AvailabilityProfile::breakpoints() const {
   std::vector<Time> out;
   out.reserve(segments_.size());
-  for (const auto& seg : segments_) out.push_back(seg.start);
+  appendBreakpoints(out);
   return out;
+}
+
+void AvailabilityProfile::appendBreakpoints(std::vector<Time>& out) const {
+  for (const auto& seg : segments_) out.push_back(seg.start);
 }
 
 std::string AvailabilityProfile::dump() const {

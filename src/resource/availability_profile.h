@@ -211,6 +211,8 @@ class AvailabilityProfile {
   /// Times at which availability changes, in increasing order, including the
   /// horizon start.  Mostly for tests and debugging output.
   [[nodiscard]] std::vector<Time> breakpoints() const;
+  /// Appends breakpoints() to `out` (which keeps its capacity across calls).
+  void appendBreakpoints(std::vector<Time>& out) const;
 
   /// Multi-line human-readable dump, e.g. "[0, 25) 12 free".
   [[nodiscard]] std::string dump() const;

@@ -69,7 +69,8 @@ class Arbitrator {
 
   /// Attempts to admit `job` against `profile` (the machine's committed
   /// reservations).  On success, reserves the chosen placements in `profile`.
-  virtual AdmissionDecision admit(const task::JobInstance& job,
+  /// `job` borrows the caller's spec for the call; nothing keeps it after.
+  virtual AdmissionDecision admit(task::JobView job,
                                   resource::AvailabilityProfile& profile) = 0;
 
   /// Short identifier for reports, e.g. "greedy-paper".

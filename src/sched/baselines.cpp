@@ -11,7 +11,7 @@ namespace tprm::sched {
 // ---------------------------------------------------------------------------
 
 AdmissionDecision BestEffortArbitrator::admit(
-    const task::JobInstance& job, resource::AvailabilityProfile& profile) {
+    task::JobView job, resource::AvailabilityProfile& profile) {
   AdmissionDecision decision;
   decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
 
@@ -67,7 +67,7 @@ AdmissionDecision BestEffortArbitrator::admit(
 // read-only minAvailable over its dedicated block, and only the chosen block
 // is reserved, so it needs neither a Trial nor the chain planner.
 AdmissionDecision ConservativeArbitrator::admit(
-    const task::JobInstance& job, resource::AvailabilityProfile& profile) {
+    task::JobView job, resource::AvailabilityProfile& profile) {
   AdmissionDecision decision;
   decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
 

@@ -34,7 +34,7 @@ namespace tprm::sched {
 /// deadlines after the fact.
 class BestEffortArbitrator final : public Arbitrator {
  public:
-  AdmissionDecision admit(const task::JobInstance& job,
+  AdmissionDecision admit(task::JobView job,
                           resource::AvailabilityProfile& profile) override;
   [[nodiscard]] std::string name() const override { return "best-effort"; }
 };
@@ -47,7 +47,7 @@ class BestEffortArbitrator final : public Arbitrator {
 /// demand that fits is chosen.
 class ConservativeArbitrator final : public Arbitrator {
  public:
-  AdmissionDecision admit(const task::JobInstance& job,
+  AdmissionDecision admit(task::JobView job,
                           resource::AvailabilityProfile& profile) override;
   [[nodiscard]] std::string name() const override { return "conservative"; }
 };

@@ -104,8 +104,7 @@ std::optional<TaskPlacement> GreedyArbitrator::placeTask(
   return best;
 }
 
-bool GreedyArbitrator::planChain(const task::JobInstance& job,
-                                 std::size_t chainIndex,
+bool GreedyArbitrator::planChain(task::JobView job, std::size_t chainIndex,
                                  const resource::AvailabilityProfile& profile,
                                  ChainSchedule& out) const {
   const task::Chain& chain = job.spec.chains[chainIndex];
@@ -126,7 +125,7 @@ bool GreedyArbitrator::planChain(const task::JobInstance& job,
 }
 
 std::optional<ChainSchedule> GreedyArbitrator::tryChain(
-    const task::JobInstance& job, std::size_t chainIndex,
+    task::JobView job, std::size_t chainIndex,
     const resource::AvailabilityProfile& profile) const {
   ChainSchedule schedule;
   if (!planChain(job, chainIndex, profile, schedule)) return std::nullopt;
@@ -134,7 +133,7 @@ std::optional<ChainSchedule> GreedyArbitrator::tryChain(
 }
 
 AdmissionDecision GreedyArbitrator::admit(
-    const task::JobInstance& job, resource::AvailabilityProfile& profile) {
+    task::JobView job, resource::AvailabilityProfile& profile) {
   AdmissionDecision decision = choose(job, profile);
   if (decision.admitted) {
     for (const auto& placement : decision.schedule.placements) {
@@ -145,7 +144,7 @@ AdmissionDecision GreedyArbitrator::admit(
 }
 
 AdmissionDecision GreedyArbitrator::admitInTrial(
-    const task::JobInstance& job, resource::AvailabilityProfile& profile,
+    task::JobView job, resource::AvailabilityProfile& profile,
     resource::AvailabilityProfile::Trial& /*trial*/) {
   TPRM_CHECK(profile.inTrial(), "admitInTrial requires an open Trial scope");
   // The winner's reservations land in the open trial's log.
@@ -153,7 +152,7 @@ AdmissionDecision GreedyArbitrator::admitInTrial(
 }
 
 AdmissionDecision GreedyArbitrator::choose(
-    const task::JobInstance& job, const resource::AvailabilityProfile& profile) {
+    task::JobView job, const resource::AvailabilityProfile& profile) {
   AdmissionDecision decision;
   decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
   const auto& chains = job.spec.chains;

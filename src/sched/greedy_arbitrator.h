@@ -22,9 +22,12 @@
 // from end_k onward untouched, so reserving task k could never change the
 // probe for task k+1.  Nothing is reserved until the winner is known, the
 // chain's probes share one FitHint that stays valid across them, and only
-// the winner is reserved.  AvailabilityProfile::Trial remains for composed
-// speculation (elastic shrink-then-admit, resize, gang, and DAG placement,
-// whose sibling tasks overlap in time).
+// the winner is reserved.  The job is read through a task::JobView that
+// borrows the caller's spec, so planning copies nothing (the simulator's
+// owned JobInstance streams convert to the same view: one planner path).
+// AvailabilityProfile::Trial remains for composed speculation (elastic
+// shrink-then-admit, resize, gang, and DAG placement, whose sibling tasks
+// overlap in time).
 #pragma once
 
 #include <optional>
@@ -98,7 +101,7 @@ class GreedyArbitrator final : public Arbitrator {
  public:
   explicit GreedyArbitrator(GreedyOptions options = {});
 
-  AdmissionDecision admit(const task::JobInstance& job,
+  AdmissionDecision admit(task::JobView job,
                           resource::AvailabilityProfile& profile) override;
 
   /// The admission heuristic run inside a caller-owned Trial scope: plans
@@ -108,7 +111,7 @@ class GreedyArbitrator final : public Arbitrator {
   /// elastic renegotiation, which stacks a victim shrink and a newcomer
   /// admission inside one trial; `admit()` is the same walk with the winner
   /// reserved directly.
-  AdmissionDecision admitInTrial(const task::JobInstance& job,
+  AdmissionDecision admitInTrial(task::JobView job,
                                  resource::AvailabilityProfile& profile,
                                  resource::AvailabilityProfile::Trial& trial);
 
@@ -118,7 +121,7 @@ class GreedyArbitrator final : public Arbitrator {
   /// every task fits within its deadline.  Exposed for tests and for the
   /// ablation benches.
   [[nodiscard]] std::optional<ChainSchedule> tryChain(
-      const task::JobInstance& job, std::size_t chainIndex,
+      task::JobView job, std::size_t chainIndex,
       const resource::AvailabilityProfile& profile) const;
 
   /// Attaches (or with nullptr detaches) admission counters: chains
@@ -131,13 +134,12 @@ class GreedyArbitrator final : public Arbitrator {
   /// Picks the winning chain without touching `profile`; on admission the
   /// decision's schedule is the winner's plan, not yet reserved.
   [[nodiscard]] AdmissionDecision choose(
-      const task::JobInstance& job,
-      const resource::AvailabilityProfile& profile);
+      task::JobView job, const resource::AvailabilityProfile& profile);
 
   /// Plans chain `chainIndex` into `out` (placements replaced).  Returns
   /// true iff every task fits within its deadline.  The chain's probes share
   /// one FitHint: the profile does not change between them.
-  bool planChain(const task::JobInstance& job, std::size_t chainIndex,
+  bool planChain(task::JobView job, std::size_t chainIndex,
                  const resource::AvailabilityProfile& profile,
                  ChainSchedule& out) const;
 

@@ -85,9 +85,6 @@ namespace {
 /// has room: keeps the buffer bounded when frames are large.
 constexpr std::size_t kCorkFlushBytes = 128 * 1024;
 
-/// Bytes one read asks the socket for.
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 ClientResult<Response> failed(ClientStatus status, std::string message) {
   ClientResult<Response> out;
   out.error = transportError(status, std::move(message));
@@ -165,7 +162,6 @@ struct PipelinedClient::Connection {
 
   // Owned by the read-role holder, used without mu.
   net::FrameDecoder decoder;
-  std::unique_ptr<char[]> readBuffer{new char[kReadChunk]};
   std::vector<Response> decoded;
 };
 
@@ -212,11 +208,13 @@ void PipelinedClient::Connection::readOnce(std::unique_lock<std::mutex>& lock,
   // wakeup out by its event mask.
   const auto ready =
       wait != nullptr ? socket.waitReadable(*wait) : net::IoResult{};
-  const auto chunk =
-      ready.ok() ? socket.readAvailable(readBuffer.get(), kReadChunk)
-                 : net::IoChunk{ready.status, 0, ready.message};
+  net::IoChunk chunk{ready.status, 0, ready.message};
+  if (ready.ok()) {
+    const auto space = decoder.prepare();
+    chunk = socket.readAvailable(space.data(), space.size());
+  }
   if (chunk.ok()) {
-    decoder.feed(readBuffer.get(), chunk.bytes);
+    decoder.commit(chunk.bytes);
     std::string_view payload;
     while (decoder.next(&payload)) {
       auto response = decodeResponse(payload);

@@ -612,17 +612,18 @@ void NegotiationServer::registerConnection(Loop* loop, net::Socket socket) {
 }
 
 void NegotiationServer::handleReadable(Loop* loop, Connection* conn) {
-  char buffer[65536];
   // Read until WouldBlock, bounded per event so one firehose connection
   // cannot starve the rest of the loop (level-triggered epoll re-fires).
+  // Bytes land straight in the frame decoder's buffer: no staging copy.
   for (int round = 0; round < 8; ++round) {
     if (conn->closed || conn->closing || loop->draining) {
       return;
     }
-    const auto chunk = conn->socket.readSome(buffer, sizeof buffer);
+    const auto space = conn->decoder.prepare();
+    const auto chunk = conn->socket.readSome(space.data(), space.size());
     if (chunk.status == net::IoStatus::WouldBlock) return;
     if (chunk.status == net::IoStatus::Ok) {
-      conn->decoder.feed(buffer, chunk.bytes);
+      conn->decoder.commit(chunk.bytes);
       conn->lastActivity = Clock::now();
       processDecodedFrames(loop, conn);
       continue;

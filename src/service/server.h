@@ -321,7 +321,7 @@ class NegotiationServer {
   void handleReadable(Loop* loop, Connection* conn);
   void processDecodedFrames(Loop* loop, Connection* conn);
   /// Decodes and acts on one frame; `payload` views the connection's
-  /// frame decoder and dies with its next feed().
+  /// frame decoder and dies with its next prepare().
   void handleFrame(Loop* loop, Connection* conn, std::string_view payload);
   /// Encodes `response` as a frame straight into the connection's output
   /// buffer; the caller flushes.

@@ -57,6 +57,11 @@ bool prefixAreasLess(const Chain& a, const Chain& b) {
 
 Time JobInstance::absoluteDeadline(std::size_t chainIndex,
                                    std::size_t taskIndex) const {
+  return JobView(*this).absoluteDeadline(chainIndex, taskIndex);
+}
+
+Time JobView::absoluteDeadline(std::size_t chainIndex,
+                               std::size_t taskIndex) const {
   TPRM_CHECK(chainIndex < spec.chains.size(), "chain index out of range");
   const Chain& chain = spec.chains[chainIndex];
   TPRM_CHECK(taskIndex < chain.tasks.size(), "task index out of range");

@@ -70,11 +70,32 @@ struct TunableJobSpec {
   bool operator==(const TunableJobSpec&) const = default;
 };
 
-/// An arrived instance of a job spec (release time bound).
+/// An arrived instance of a job spec (release time bound) that owns its
+/// spec: the simulator's and the figure harnesses' job streams.
 struct JobInstance {
   std::uint64_t id = 0;
   Time release = 0;
   TunableJobSpec spec;
+
+  /// Absolute deadline of task `taskIndex` on chain `chainIndex`.
+  [[nodiscard]] Time absoluteDeadline(std::size_t chainIndex,
+                                      std::size_t taskIndex) const;
+};
+
+/// An arrived job as the planner reads it: id and release, with the spec
+/// borrowed from the caller.  Planning only reads a job, so admission plans
+/// against the caller's spec instead of copying it.  Non-owning: the spec
+/// must outlive the view, which callers keep to the duration of one call.
+struct JobView {
+  std::uint64_t id = 0;
+  Time release = 0;
+  const TunableJobSpec& spec;
+
+  JobView(std::uint64_t jobId, Time releaseTime, const TunableJobSpec& jobSpec)
+      : id(jobId), release(releaseTime), spec(jobSpec) {}
+  /// Views an owned instance (implicit: owned streams plan through views).
+  JobView(const JobInstance& job)  // NOLINT(runtime/explicit)
+      : id(job.id), release(job.release), spec(job.spec) {}
 
   /// Absolute deadline of task `taskIndex` on chain `chainIndex`.
   [[nodiscard]] Time absoluteDeadline(std::size_t chainIndex,

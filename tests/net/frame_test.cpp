@@ -5,8 +5,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,6 +189,20 @@ std::string corpusWire(const std::vector<std::string>& corpus,
   return wire;
 }
 
+/// Copies `n` bytes of `data` into the decoder the way a socket read does:
+/// through prepare/commit, as many reads as the offered space needs.
+void readInto(FrameDecoder& decoder, const char* data, std::size_t n) {
+  while (n > 0) {
+    const auto space = decoder.prepare();
+    ASSERT_FALSE(space.empty());
+    const std::size_t take = std::min(n, space.size());
+    std::memcpy(space.data(), data, take);
+    decoder.commit(take);
+    data += take;
+    n -= take;
+  }
+}
+
 TEST(FrameDecoder, DecodesCorpusFedByteAtATime) {
   const FrameLimits limits;
   const auto corpus = decoderCorpus();
@@ -195,7 +211,7 @@ TEST(FrameDecoder, DecodesCorpusFedByteAtATime) {
   std::vector<std::string> out;
   std::string_view payload;
   for (const char byte : wire) {
-    decoder.feed(&byte, 1);
+    readInto(decoder, &byte, 1);
     while (decoder.next(&payload)) out.emplace_back(payload);
   }
   ASSERT_FALSE(decoder.failed()) << decoder.message();
@@ -204,22 +220,26 @@ TEST(FrameDecoder, DecodesCorpusFedByteAtATime) {
 }
 
 TEST(FrameDecoder, DecodesCorpusAcrossEverySplitPoint) {
-  // Adversarial reassembly: split the whole stream at every position —
-  // inside length prefixes, across frame boundaries, mid-payload — and
-  // require identical output for each split.
+  // Adversarial reassembly: split the whole stream into two reads at every
+  // position — inside length prefixes, across frame boundaries, mid-payload
+  // — and require identical output for each split.  The first frame is
+  // larger than the first read window, so the buffer grows mid-frame.
   const FrameLimits limits;
-  const auto corpus = decoderCorpus();
+  auto corpus = decoderCorpus();
+  corpus.insert(corpus.begin(),
+                std::string(FrameDecoder::kMinReadWindow + 123, 'w'));
   const auto wire = corpusWire(corpus, limits);
   for (std::size_t split = 0; split <= wire.size(); ++split) {
     FrameDecoder decoder(limits);
-    decoder.feed(wire.data(), split);
+    readInto(decoder, wire.data(), split);
     std::vector<std::string> out;
     std::string_view payload;
     while (decoder.next(&payload)) out.emplace_back(payload);
-    decoder.feed(wire.data() + split, wire.size() - split);
+    readInto(decoder, wire.data() + split, wire.size() - split);
     while (decoder.next(&payload)) out.emplace_back(payload);
     ASSERT_FALSE(decoder.failed()) << "split=" << split;
     ASSERT_EQ(out, corpus) << "split=" << split;
+    ASSERT_EQ(decoder.pendingBytes(), 0u) << "split=" << split;
   }
 }
 
@@ -231,7 +251,7 @@ TEST(FrameDecoder, FailsAtHeaderTimeOnOversizedDeclaration) {
   std::string wire;
   ASSERT_TRUE(appendFrame(wire, "ok", limits).ok());
   wire += bigEndianPrefix(1u << 30);
-  decoder.feed(wire.data(), wire.size());
+  readInto(decoder, wire.data(), wire.size());
   std::string_view payload;
   ASSERT_TRUE(decoder.next(&payload));
   EXPECT_EQ(payload, "ok");
@@ -240,24 +260,91 @@ TEST(FrameDecoder, FailsAtHeaderTimeOnOversizedDeclaration) {
   EXPECT_FALSE(decoder.next(&payload));
   EXPECT_TRUE(decoder.failed());
   EXPECT_FALSE(decoder.message().empty());
-  // A failed decoder stays failed; further bytes are ignored.
+  // A failed decoder stays failed; further bytes are dropped, so nothing
+  // accumulates behind the refused header.
   const std::string more(64, 'z');
-  decoder.feed(more.data(), more.size());
+  readInto(decoder, more.data(), more.size());
   EXPECT_FALSE(decoder.next(&payload));
   EXPECT_TRUE(decoder.failed());
+  EXPECT_EQ(decoder.pendingBytes(), 4u);
 }
 
 TEST(FrameDecoder, ReportsPartialFrameAsPendingBytes) {
   const FrameLimits limits;
   FrameDecoder decoder(limits);
   const auto prefix = bigEndianPrefix(10);
-  decoder.feed(prefix.data(), prefix.size());
-  decoder.feed("abc", 3);
+  readInto(decoder, prefix.data(), prefix.size());
+  readInto(decoder, "abc", 3);
   std::string_view payload;
   EXPECT_FALSE(decoder.next(&payload));
   EXPECT_FALSE(decoder.failed());
   // 4 header + 3 payload bytes buffered: an EOF now is a truncation.
   EXPECT_EQ(decoder.pendingBytes(), 7u);
+}
+
+TEST(FrameDecoder, PreparedSocketReadsDecodeAFrameLargerThanTheWindow) {
+  // A real socket read straight into the decoder: a frame several read
+  // windows long arrives in many reads and decodes whole.
+  Pair pair;
+  const FrameLimits limits;
+  const std::string big(3 * FrameDecoder::kMaxReadWindow + 17, 'b');
+  std::string wire;
+  ASSERT_TRUE(appendFrame(wire, big, limits).ok());
+  ASSERT_TRUE(appendFrame(wire, "after", limits).ok());
+  std::thread writer([&] {
+    EXPECT_TRUE(
+        pair.a.writeAll(wire.data(), wire.size(), Deadline::after(5s)).ok());
+  });
+  FrameDecoder decoder(limits);
+  std::vector<std::string> out;
+  std::string_view payload;
+  std::size_t received = 0;
+  while (received < wire.size()) {
+    const auto space = decoder.prepare();
+    const auto chunk = pair.b.readSome(space.data(), space.size());
+    ASSERT_TRUE(chunk.ok()) << chunk.message;
+    decoder.commit(chunk.bytes);
+    received += chunk.bytes;
+    while (decoder.next(&payload)) out.emplace_back(payload);
+  }
+  writer.join();
+  ASSERT_FALSE(decoder.failed()) << decoder.message();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], big);
+  EXPECT_EQ(out[1], "after");
+}
+
+TEST(FrameDecoder, BufferGrowsOnlyWhenAReadFillsIt) {
+  const FrameLimits limits;
+  FrameDecoder decoder(limits);
+  EXPECT_EQ(decoder.capacity(), 0u);  // nothing pinned before the first read
+  // Many small frames in reads that never fill the offered space: the
+  // buffer stays at the first window, compaction keeps it there.
+  std::string frame;
+  ASSERT_TRUE(appendFrame(frame, std::string(100, 's'), limits).ok());
+  std::string_view payload;
+  for (int i = 0; i < 10000; ++i) {
+    const auto space = decoder.prepare();
+    ASSERT_GT(space.size(), frame.size());
+    std::memcpy(space.data(), frame.data(), frame.size());
+    decoder.commit(frame.size());
+    ASSERT_TRUE(decoder.next(&payload));
+  }
+  EXPECT_EQ(decoder.capacity(), FrameDecoder::kMinReadWindow);
+
+  // A read that fills the space offered grows the buffer for the next one,
+  // and the window doubles up to its cap.
+  std::size_t previous = decoder.prepare().size();
+  for (int i = 0; i < 8; ++i) {
+    const auto space = decoder.prepare();
+    EXPECT_GE(space.size(), previous);
+    std::memset(space.data(), 0, space.size());  // a run of empty frames
+    decoder.commit(space.size());
+    while (decoder.next(&payload)) EXPECT_TRUE(payload.empty());
+    previous = space.size();
+  }
+  EXPECT_GE(decoder.prepare().size(), FrameDecoder::kMaxReadWindow);
+  EXPECT_LE(decoder.capacity(), 2 * FrameDecoder::kMaxReadWindow);
 }
 
 TEST(FrameDecoder, AppendFrameRefusesOversizedPayloadLocally) {

@@ -41,8 +41,8 @@ struct ArbitratorIndexProbe {
       // Rung ladder: equal to a fresh scan of the chain qualities.
       double lowest = 2.0;
       double next = -1.0;
-      for (const auto& chain : job.spec.chains) {
-        const double q = chain.quality(job.spec.qualityComposition);
+      for (const auto& chain : job.spec->chains) {
+        const double q = chain.quality(job.spec->qualityComposition);
         lowest = std::min(lowest, q);
         if (q < job.currentQuality && q > next) next = q;
       }

@@ -215,7 +215,8 @@ TEST(GangFragmentSurface, CommitRegistersAPinnedCancellableJob) {
   std::vector<sched::TaskPlacement> fragments = {
       {TimeInterval{u(0.0), u(20.0)}, 6, u(1000.0)}};
   ASSERT_TRUE(arb.gangReserve(fragments));
-  arb.gangCommit(7, spec, 0, 1.0, 0, fragments, {0});
+  arb.gangCommit(7, std::make_shared<const TunableJobSpec>(spec), 0, 1.0, 0,
+                 fragments, {0});
   EXPECT_FALSE(arb.gangReserveOpen());
   EXPECT_EQ(arb.admittedCount(), 1u);
   // Registered under the caller's id, and pinned: the fragment never shows

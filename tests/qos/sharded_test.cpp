@@ -154,6 +154,28 @@ TEST(ShardedArbitrator, SpillAdmitsOnEmptiestOtherShard) {
   EXPECT_EQ(sharded.rejectedCount(), 1u);
 }
 
+TEST(ShardedArbitrator, SpillScoresEveryShardOfAWideMachine) {
+  // More shards than the spill scorer keeps on the stack: the scores go to
+  // its heap buffer, and the only free shard is the last one scored.
+  constexpr int kShards = 20;
+  ShardedOptions options;
+  options.shards = kShards;
+  ShardedArbitrator sharded(2 * kShards, options);  // 2 processors each
+  for (int k = 0; k + 1 < kShards; ++k) {
+    ASSERT_TRUE(
+        sharded.submit(rigidJob("fill", 2, 100.0, 110.0), 0).admitted);
+  }
+  ASSERT_TRUE(sharded.submit(rigidJob("token", 1, 1.0, 1000.0), 0).admitted);
+
+  // Id 20's home is the full shard 0: the job must spill to shard 19.
+  const auto decision = sharded.submit(rigidJob("spilled", 2, 50.0, 60.0), 0);
+  ASSERT_TRUE(decision.admitted);
+  EXPECT_EQ(sharded.spillCount(), 1u);
+  EXPECT_EQ(sharded.shard(kShards - 1).admittedCount(), 2u);
+  EXPECT_GT(sharded.cancel(kShards), 0);
+  EXPECT_TRUE(sharded.verify().ok);
+}
+
 TEST(ShardedArbitrator, SpillCanBeDisabled) {
   ShardedOptions options;
   options.shards = 2;
