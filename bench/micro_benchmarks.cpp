@@ -371,14 +371,17 @@ void BM_LedgerAnnul(benchmark::State& state) {
 BENCHMARK(BM_LedgerAnnul)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // --- Wire codec: one flash-crowd stream (seed 1), each job as the NEGOTIATE
-// request a client sends and as the admitted response tprmd sends back.
-// Each iteration codes one frame; the stream cycles.
+// request a client sends and as the admitted response tprmd sends back, in
+// both payload encodings.  Each iteration codes one frame; the stream
+// cycles.
 
 struct CodecStream {
   std::vector<service::Request> requests;
   std::vector<service::Response> responses;
   std::vector<std::string> requestFrames;
   std::vector<std::string> responseFrames;
+  std::vector<std::string> binaryRequestFrames;
+  std::vector<std::string> binaryResponseFrames;
 };
 
 const CodecStream& flashCrowdStream() {
@@ -391,6 +394,7 @@ const CodecStream& flashCrowdStream() {
       request.command = service::Command::Negotiate;
       request.payload = service::NegotiateRequest{job.spec, job.release};
       s.requestFrames.push_back(service::encodeRequest(request));
+      s.binaryRequestFrames.push_back(service::encodeRequestBinary(request));
       s.requests.push_back(std::move(request));
 
       const auto& chain = job.spec.chains.front();
@@ -416,6 +420,8 @@ const CodecStream& flashCrowdStream() {
       response.ok = true;
       response.result = std::move(result);
       s.responseFrames.push_back(service::encodeResponse(response));
+      s.binaryResponseFrames.push_back(
+          service::encodeResponseBinary(response));
       s.responses.push_back(std::move(response));
     }
     return s;
@@ -453,6 +459,28 @@ void BM_DecodeResponse(benchmark::State& state) {
   runCodec(state, flashCrowdStream().responseFrames, service::decodeResponse);
 }
 BENCHMARK(BM_DecodeResponse);
+
+void BM_EncodeRequestBinary(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().requests, service::encodeRequestBinary);
+}
+BENCHMARK(BM_EncodeRequestBinary);
+
+void BM_DecodeRequestBinary(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().binaryRequestFrames,
+           service::decodeRequestBinary);
+}
+BENCHMARK(BM_DecodeRequestBinary);
+
+void BM_EncodeResponseBinary(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().responses, service::encodeResponseBinary);
+}
+BENCHMARK(BM_EncodeResponseBinary);
+
+void BM_DecodeResponseBinary(benchmark::State& state) {
+  runCodec(state, flashCrowdStream().binaryResponseFrames,
+           service::decodeResponseBinary);
+}
+BENCHMARK(BM_DecodeResponseBinary);
 
 // The two kernels under the codec.  BM_WriteNumber17: 64 wire tick values
 // (times in paper units with six decimals, none integral) written as one

@@ -79,9 +79,22 @@ void QoSArbitrator::eraseLive(std::map<std::uint64_t, LiveJob>::iterator it) {
 }
 
 void QoSArbitrator::trackFinish(std::uint64_t jobId, const LiveJob& job) {
-  if (!job.placements.empty()) {
-    finishes_.emplace(job.placements.back().interval.end, jobId);
+  if (job.placements.empty()) return;
+  if (finishes_.size() > 2 * live_.size() + kFinishHeapSlack) {
+    // Stale entries (cancelled or moved jobs) dominate, and a clock that
+    // stands still never pops them: rebuild from the live jobs, one entry
+    // each.  Retirement skips stale entries anyway, so nothing changes but
+    // the heap's size; amortized O(1) per tracked finish.
+    std::vector<std::pair<Time, std::uint64_t>> current;
+    current.reserve(live_.size() + 1);
+    for (const auto& [id, live] : live_) {
+      if (!live.placements.empty()) {
+        current.emplace_back(live.placements.back().interval.end, id);
+      }
+    }
+    finishes_ = decltype(finishes_)(std::greater<>{}, std::move(current));
   }
+  finishes_.emplace(job.placements.back().interval.end, jobId);
 }
 
 void QoSArbitrator::setQuality(std::uint64_t jobId, LiveJob& job,
@@ -124,8 +137,9 @@ void QoSArbitrator::syncSlots() {
   slotsLayout_ = ledger_.layout();
 }
 
-sched::AdmissionDecision QoSArbitrator::submit(
-    std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
+sched::AdmissionDecision QoSArbitrator::submitJob(
+    std::uint64_t jobId, const task::TunableJobSpec& spec,
+    const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
     std::vector<QualityMove>* moves) {
   TPRM_CHECK(!gangTrial_.has_value(),
              "submit is forbidden while a gang reserve is open");
@@ -157,7 +171,9 @@ sched::AdmissionDecision QoSArbitrator::submit(
   ++admitted_;
   if (metrics_ != nullptr) metrics_->admitted->add();
   LiveJob admittedJob;
-  admittedJob.spec = std::make_shared<const task::TunableJobSpec>(spec);
+  admittedJob.spec = stored != nullptr
+                        ? *stored
+                        : std::make_shared<const task::TunableJobSpec>(spec);
   admittedJob.release = release;
   admittedJob.chainIndex = decision.schedule.chainIndex;
   admittedJob.placements = decision.schedule.placements;

@@ -156,7 +156,17 @@ class QoSArbitrator {
   /// overload would give.  Does not draw from lastJobId()'s sequence.
   [[nodiscard]] sched::AdmissionDecision submit(
       std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
-      std::vector<QualityMove>* moves = nullptr);
+      std::vector<QualityMove>* moves = nullptr) {
+    return submitJob(jobId, spec, nullptr, release, moves);
+  }
+  /// As above for a spec the caller already holds as a shared copy: an
+  /// admission stores `spec` itself and copies nothing.
+  [[nodiscard]] sched::AdmissionDecision submit(
+      std::uint64_t jobId,
+      const std::shared_ptr<const task::TunableJobSpec>& spec, Time release,
+      std::vector<QualityMove>* moves = nullptr) {
+    return submitJob(jobId, *spec, &spec, release, moves);
+  }
 
   /// Cancels the remaining (not-yet-started) reservations of a job, freeing
   /// the capacity — the renegotiation hook.  Returns freed processor-ticks.
@@ -278,6 +288,9 @@ class QoSArbitrator {
   /// True while a phase-1 gang reserve is open (diagnostics, tests).
   [[nodiscard]] bool gangReserveOpen() const { return gangTrial_.has_value(); }
 
+  /// Entries in the finish heap, stale ones included (diagnostics, tests).
+  [[nodiscard]] std::size_t finishHeapSize() const { return finishes_.size(); }
+
  private:
   /// Everything needed to renegotiate a job after a resource-level change.
   struct LiveJob {
@@ -316,6 +329,12 @@ class QoSArbitrator {
     return job.taskIndices.empty() ? k : job.taskIndices[k];
   }
 
+  /// Both submit overloads: plans against `spec`; an admission stores
+  /// `*stored` when given, else a copy of `spec`.
+  [[nodiscard]] sched::AdmissionDecision submitJob(
+      std::uint64_t jobId, const task::TunableJobSpec& spec,
+      const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
+      std::vector<QualityMove>* moves);
   /// Retires finished jobs from the live map: pops the finish heap up to
   /// the clock, skipping entries a move or cancel made stale.
   void retireFinished();
@@ -384,11 +403,14 @@ class QoSArbitrator {
   /// pass's candidates (ascending, as a walk of `live_` would list them).
   std::set<std::uint64_t> demoted_;
   /// Min-heap of (last placement end, job id).  An entry is stale once its
-  /// job left `live_` or moved to a different end; retireFinished skips it.
+  /// job left `live_` or moved to a different end; retireFinished skips it,
+  /// and trackFinish rebuilds the heap once it holds more than
+  /// 2 * live_.size() + kFinishHeapSlack entries.
   std::priority_queue<std::pair<Time, std::uint64_t>,
                       std::vector<std::pair<Time, std::uint64_t>>,
                       std::greater<>>
       finishes_;
+  static constexpr std::size_t kFinishHeapSlack = 64;
   /// Ledger layout under which the live jobs' slots were taken.
   std::uint64_t slotsLayout_ = 0;
   /// Open phase-1 gang reserve (see gangReserve); destruction rolls back.

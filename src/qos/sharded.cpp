@@ -80,9 +80,16 @@ std::vector<int> ShardedArbitrator::shardProcessors() const {
   return sizes;
 }
 
-sched::AdmissionDecision ShardedArbitrator::submit(
-    std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
+sched::AdmissionDecision ShardedArbitrator::submitJob(
+    std::uint64_t jobId, const task::TunableJobSpec& spec,
+    const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
     Time* effectiveRelease, std::vector<QualityMove>* moves) {
+  // One shard admits at most once, so the caller's shared copy (when there
+  // is one) goes to whichever shard that is.
+  const auto submitOn = [&](QoSArbitrator& arb, Time local) {
+    return stored != nullptr ? arb.submit(jobId, *stored, local, moves)
+                             : arb.submit(jobId, spec, local, moves);
+  };
   const Time r = advanceClock(release);
   const int home = homeShard(jobId);
   sched::AdmissionDecision decision;
@@ -94,7 +101,7 @@ sched::AdmissionDecision ShardedArbitrator::submit(
     // without forcing global serialization.
     const Time local = std::max(r, shard.arb.clock());
     if (effectiveRelease != nullptr) *effectiveRelease = local;
-    decision = shard.arb.submit(jobId, spec, local, moves);
+    decision = submitOn(shard.arb, local);
     if (decision.admitted) {
       admitted_.fetch_add(1, std::memory_order_relaxed);
       return decision;
@@ -172,7 +179,7 @@ sched::AdmissionDecision ShardedArbitrator::submit(
         break;
       }
       if (shardedMetrics_ != nullptr) shardedMetrics_->spillAttempts->add();
-      const auto spilled = shard.arb.submit(jobId, spec, local, moves);
+      const auto spilled = submitOn(shard.arb, local);
       if (spilled.admitted) {
         if (effectiveRelease != nullptr) *effectiveRelease = local;
         admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -185,7 +192,7 @@ sched::AdmissionDecision ShardedArbitrator::submit(
   }
 
   if (options_.gang && shards_.size() > 1) {
-    auto gang = gangSubmit(jobId, spec, r, effectiveRelease);
+    auto gang = gangSubmit(jobId, spec, stored, r, effectiveRelease);
     if (gang.admitted) return gang;
   }
 
@@ -223,7 +230,8 @@ struct GangPlan {
 }  // namespace
 
 sched::AdmissionDecision ShardedArbitrator::gangSubmit(
-    std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
+    std::uint64_t jobId, const task::TunableJobSpec& spec,
+    const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
     Time* effectiveRelease) {
   sched::AdmissionDecision rejection;
   rejection.chainsConsidered = static_cast<int>(spec.chains.size());
@@ -371,11 +379,14 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
   }
 
   // Phase 2: commit every fragment under the job's own id.  The job's one
-  // stored spec is made here, on admission, and every fragment shares it.
-  const auto stored = std::make_shared<const task::TunableJobSpec>(spec);
+  // stored spec (the caller's shared copy, or one made here, on admission)
+  // is shared by every fragment.
+  const auto shared = stored != nullptr
+                          ? *stored
+                          : std::make_shared<const task::TunableJobSpec>(spec);
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     if (perShard[k].empty()) continue;
-    shards_[k]->arb.gangCommit(jobId, stored, best->chainIndex,
+    shards_[k]->arb.gangCommit(jobId, shared, best->chainIndex,
                                best->quality, rGang, perShard[k],
                                perShardTasks[k]);
   }

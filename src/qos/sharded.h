@@ -162,7 +162,19 @@ class ShardedArbitrator {
   [[nodiscard]] sched::AdmissionDecision submit(
       std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
       Time* effectiveRelease = nullptr,
-      std::vector<QualityMove>* moves = nullptr);
+      std::vector<QualityMove>* moves = nullptr) {
+    return submitJob(jobId, spec, nullptr, release, effectiveRelease, moves);
+  }
+  /// As above for a spec the caller already holds as a shared copy: an
+  /// admission (on any shard, or as a gang) stores `spec` itself and copies
+  /// nothing.
+  [[nodiscard]] sched::AdmissionDecision submit(
+      std::uint64_t jobId,
+      const std::shared_ptr<const task::TunableJobSpec>& spec, Time release,
+      Time* effectiveRelease = nullptr,
+      std::vector<QualityMove>* moves = nullptr) {
+    return submitJob(jobId, *spec, &spec, release, effectiveRelease, moves);
+  }
   /// Convenience overload that reserves the id itself (see lastJobId()).
   [[nodiscard]] sched::AdmissionDecision submit(
       const task::TunableJobSpec& spec, Time release) {
@@ -265,12 +277,19 @@ class ShardedArbitrator {
   /// Narrowest chain of the spec, by widest task.  A shard with fewer
   /// processors than this can never admit the job.
   static int minChainWidth(const task::TunableJobSpec& spec);
+  /// Both submit overloads: plans against `spec`; an admission stores
+  /// `*stored` when given, else one copy of `spec`.
+  [[nodiscard]] sched::AdmissionDecision submitJob(
+      std::uint64_t jobId, const task::TunableJobSpec& spec,
+      const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
+      Time* effectiveRelease, std::vector<QualityMove>* moves);
   /// Cross-shard gang admission: plans the best chain as width fragments
   /// over all shards, then two-phase reserves/commits it (all locks taken
   /// in index order for the whole protocol).  Returns a rejection when the
   /// spec is not gang-eligible or no chain fits machine-wide.
   [[nodiscard]] sched::AdmissionDecision gangSubmit(
-      std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
+      std::uint64_t jobId, const task::TunableJobSpec& spec,
+      const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
       Time* effectiveRelease);
 
   ShardedOptions options_;

@@ -108,11 +108,12 @@ struct PipelinedClient::Slot {
 struct PipelinedClient::Connection {
   Connection(net::Socket connected, net::FrameLimits frameLimits,
              std::chrono::milliseconds deadline, std::uint32_t granted,
-             bool corkedWrites)
+             Encoding grantedEncoding, bool corkedWrites)
       : socket(std::move(connected)),
         limits(frameLimits),
         requestDeadline(deadline),
         grantedWindow(granted),
+        encoding(grantedEncoding),
         corked(corkedWrites),
         window(granted),
         decoder(frameLimits) {}
@@ -145,6 +146,8 @@ struct PipelinedClient::Connection {
   const net::FrameLimits limits;
   const std::chrono::milliseconds requestDeadline;
   const std::uint32_t grantedWindow;
+  /// Payload encoding after the HELLO exchange, both ways.
+  const Encoding encoding;
   const bool corked;
 
   std::mutex mu;
@@ -217,7 +220,9 @@ void PipelinedClient::Connection::readOnce(std::unique_lock<std::mutex>& lock,
     decoder.commit(chunk.bytes);
     std::string_view payload;
     while (decoder.next(&payload)) {
-      auto response = decodeResponse(payload);
+      auto response = encoding == Encoding::Binary
+                          ? decodeResponseBinary(payload)
+                          : decodeResponse(payload);
       if (!response.ok()) {
         failure = transportError(ClientStatus::ProtocolError, response.error);
         break;
@@ -383,11 +388,13 @@ std::optional<ClientError> PipelinedClient::handshake() {
   }
 
   // HELLO handshake, synchronous: nothing may be sent before the grant.
+  // Binary frames are asked for; a server that does not echo the request
+  // in its grant keeps the connection on JSON.
   Request hello;
   hello.version = kProtocolVersionV2;
   hello.command = Command::Hello;
   hello.id = 1;
-  hello.payload = HelloRequest{requestedWindow_};
+  hello.payload = HelloRequest{requestedWindow_, Encoding::Binary};
   const auto deadline = net::Deadline::after(config_.requestDeadline);
   const auto written =
       net::writeFrame(socket, encodeRequest(hello), frameLimits_, deadline);
@@ -420,8 +427,12 @@ std::optional<ClientError> PipelinedClient::handshake() {
   grantedWindow_ = granted->window;
   connection_ = std::make_shared<Connection>(
       std::move(socket), frameLimits_, config_.requestDeadline,
-      granted->window, corked_);
+      granted->window, granted->encoding, corked_);
   return std::nullopt;
+}
+
+Encoding PipelinedClient::encoding() const {
+  return connection_ != nullptr ? connection_->encoding : Encoding::Json;
 }
 
 std::uint32_t PipelinedClient::currentWindow() {
@@ -469,7 +480,8 @@ PipelinedClient::ResponseFuture PipelinedClient::submit(Encode&& encode) {
   // several threads must not interleave frame bytes.  The frame reaches the
   // wire right away (uncorked) or on the next batch flush.
   const auto appended = net::appendFrameInPlace(
-      c.outbuf, c.limits, [&](std::string& out) { encode(out, id); });
+      c.outbuf, c.limits,
+      [&](std::string& out) { encode(out, id, c.encoding); });
   if (!appended.ok()) {
     // Local refusal (oversized payload): the frame was rolled back and
     // nothing touched the wire, so only this request fails and the
@@ -493,11 +505,16 @@ PipelinedClient::ResponseFuture PipelinedClient::submit(Encode&& encode) {
 }
 
 PipelinedClient::ResponseFuture PipelinedClient::submit(Request request) {
-  return submit([&request](std::string& out, std::uint64_t id) {
-    request.version = kProtocolVersionV2;
-    request.id = id;
-    appendRequest(out, request);
-  });
+  return submit(
+      [&request](std::string& out, std::uint64_t id, Encoding encoding) {
+        request.version = kProtocolVersionV2;
+        request.id = id;
+        if (encoding == Encoding::Binary) {
+          appendRequestBinary(out, request);
+        } else {
+          appendRequest(out, request);
+        }
+      });
 }
 
 std::optional<ClientError> PipelinedClient::flush() {
@@ -511,8 +528,12 @@ std::optional<ClientError> PipelinedClient::flush() {
 
 PipelinedClient::ResponseFuture PipelinedClient::negotiateAsync(
     const task::TunableJobSpec& spec, Time release) {
-  return submit([&](std::string& out, std::uint64_t id) {
-    appendNegotiateRequest(out, id, kProtocolVersionV2, spec, release);
+  return submit([&](std::string& out, std::uint64_t id, Encoding encoding) {
+    if (encoding == Encoding::Binary) {
+      appendNegotiateRequestBinary(out, id, kProtocolVersionV2, spec, release);
+    } else {
+      appendNegotiateRequest(out, id, kProtocolVersionV2, spec, release);
+    }
   });
 }
 

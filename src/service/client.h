@@ -195,6 +195,10 @@ class PipelinedClient {
   [[nodiscard]] bool connected() const;
   /// Window granted by the server's HELLO response (0 before connect()).
   [[nodiscard]] std::uint32_t grantedWindow() const { return grantedWindow_; }
+  /// Payload encoding the HELLO grant put the connection on: binary when
+  /// the server echoed the client's request for it, JSON otherwise (and
+  /// before connect()).
+  [[nodiscard]] Encoding encoding() const;
   /// Window currently honoured: the HELLO grant shrunk by the server's
   /// latest adaptive re-advertisement (== grantedWindow() when the server
   /// is unpressured).
@@ -227,8 +231,8 @@ class PipelinedClient {
   [[nodiscard]] std::optional<ClientError> flush();
 
  private:
-  /// Appends `encode(out, requestId)`'s frame to the send buffer once the
-  /// window has room.
+  /// Appends the frame `encode(out, requestId, encoding)` writes in the
+  /// connection's encoding to the send buffer once the window has room.
   template <typename Encode>
   ResponseFuture submit(Encode&& encode);
   /// connect()'s body: socket with retries, then the HELLO round trip.

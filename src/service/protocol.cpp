@@ -360,19 +360,20 @@ void EventsField::read(JsonReader& reader) {
 /// count in a STATS one; a JsonField holds either), so the result object
 /// can be read before its kind, the sibling "cmd", is known.
 struct ResultFields {
-  static constexpr std::array<std::string_view, 21> kNames = {
+  static constexpr std::array<std::string_view, 22> kNames = {
       "admitted",         "arrivalSeq",       "jobId",
       "release",          "chainsConsidered", "chainsSchedulable",
       "chainIndex",       "quality",          "freed",
       "processorsBefore", "processorsAfter",  "processors",
       "clock",            "rejected",         "commandsExecuted",
       "shards",           "ok",               "violations",
-      "firstViolation",   "version",          "window"};
+      "firstViolation",   "version",          "window",
+      "encoding"};
   enum Scalar {
     kAdmitted, kArrivalSeq, kJobId, kRelease, kChainsConsidered,
     kChainsSchedulable, kChainIndex, kQuality, kFreed, kProcessorsBefore,
     kProcessorsAfter, kProcessors, kClock, kRejected, kCommandsExecuted,
-    kShards, kOk, kViolations, kFirstViolation, kVersion, kWindow
+    kShards, kOk, kViolations, kFirstViolation, kVersion, kWindow, kEncoding
   };
 
   std::array<JsonField, kNames.size()> scalars;
@@ -404,6 +405,18 @@ struct ResultFields {
   }
   JsonField& operator[](Scalar s) { return scalars[s]; }
 };
+
+/// Name of an encoding in a HELLO's "encoding" member.
+constexpr std::string_view kBinaryName = "binary";
+
+/// The encoding a captured "encoding" member names: absent or a name this
+/// codec does not know is JSON, so a client asking for a future encoding
+/// falls back to JSON instead of failing its handshake.
+Encoding encodingOf(Checker& r, JsonField& f) {
+  if (!f.present) return Encoding::Json;
+  return r.string(f, "encoding") == kBinaryName ? Encoding::Binary
+                                                : Encoding::Json;
+}
 
 std::string jsonError(const JsonReader& reader) {
   return "JSON error at byte " + std::to_string(reader.errorOffset()) + ": " +
@@ -448,6 +461,10 @@ void appendRequest(std::string& out, const Request& request) {
   JsonWriter w(out);
   w.beginObject();
   w.key("cmd").string(toString(request.command));
+  if (request.command == Command::Hello &&
+      std::get<HelloRequest>(request.payload).encoding == Encoding::Binary) {
+    w.key("encoding").string(kBinaryName);
+  }
   w.key("id").integer(static_cast<std::int64_t>(request.id));
   switch (request.command) {
     case Command::Cancel:
@@ -483,13 +500,14 @@ std::string encodeRequest(const Request& request) {
 }
 
 RequestParseResult decodeRequest(std::string_view text) {
-  static constexpr std::array<std::string_view, 8> kNames = {
-      "v",     "id",         "cmd",  "release",
-      "jobId", "processors", "when", "window"};
+  static constexpr std::array<std::string_view, 9> kNames = {
+      "v",          "id",   "cmd",    "release", "jobId",
+      "processors", "when", "window", "encoding"};
   RequestParseResult result;
   JsonReader reader(text);
   std::array<JsonField, kNames.size()> f;
-  auto& [v, id, cmdField, release, jobId, processors, when, window] = f;
+  auto& [v, id, cmdField, release, jobId, processors, when, window,
+         encoding] = f;
   bool specPresent = false;
   task::SpecParseResult spec;
   const bool isObject = reader.nextIs(JsonReader::Kind::Object);
@@ -567,6 +585,7 @@ RequestParseResult decodeRequest(std::string_view text) {
     HelloRequest payload;
     const auto granted = r.u32(window, "window", false);
     payload.window = granted == 0 ? 1 : granted;
+    payload.encoding = encodingOf(r, encoding);
     request.payload = payload;
   } else {
     result.error = "unknown command '" + cmd + "'";
@@ -639,6 +658,9 @@ void writeResult(JsonWriter& w, const VerifyResult& verify) {
 }
 
 void writeResult(JsonWriter& w, const HelloResult& hello) {
+  if (hello.encoding == Encoding::Binary) {
+    w.key("encoding").string(kBinaryName);
+  }
   w.key("version").integer(hello.version);
   w.key("window").integer(hello.window);
 }
@@ -917,6 +939,7 @@ ResponseParseResult decodeResponse(std::string_view text) {
     HelloResult hello;
     hello.version = rr.u32(res[F::kVersion], "version");
     hello.window = rr.u32(res[F::kWindow], "window");
+    hello.encoding = encodingOf(rr, res[F::kEncoding]);
     if (rr.failed()) {
       out.error = rr.error();
       return out;

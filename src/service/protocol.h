@@ -23,6 +23,11 @@
 //   -> {"id": 1, "ok": true, "cmd": "HELLO",
 //       "result": {"version": 2, "window": 32}}
 //
+// A client may add "encoding": "binary" to its HELLO.  A server that echoes
+// it in the grant switches the connection to the compact binary payloads
+// of docs/wire_protocol.md section 6 for every later frame, both ways; the
+// HELLO exchange itself is always JSON.
+//
 // After HELLO the connection may carry many in-flight requests (up to the
 // negotiated window), each tagged with a client-chosen `id` (requestId);
 // responses may arrive in any order and are correlated by that id.  A
@@ -63,6 +68,9 @@ inline constexpr std::uint32_t kProtocolVersionV2 = 2;
 
 enum class Command { Negotiate, Cancel, Resize, Stats, Verify, Hello };
 
+/// Payload encoding of a connection's frames after the HELLO exchange.
+enum class Encoding : std::uint8_t { Json, Binary };
+
 [[nodiscard]] const char* toString(Command command);
 
 struct NegotiateRequest {
@@ -87,6 +95,9 @@ struct ResizeRequest {
 /// per-connection cap) in HelloResult.
 struct HelloRequest {
   std::uint32_t window = 1;
+  /// Encoding asked for (JSON member "encoding"; absent, or a name this
+  /// codec does not know, asks for JSON).
+  Encoding encoding = Encoding::Json;
 
   bool operator==(const HelloRequest&) const = default;
 };
@@ -170,6 +181,8 @@ struct VerifyResult {
 struct HelloResult {
   std::uint32_t version = kProtocolVersionV2;
   std::uint32_t window = 1;
+  /// Encoding granted: the request's, when the server speaks it.
+  Encoding encoding = Encoding::Json;
 
   bool operator==(const HelloResult&) const = default;
 };
@@ -257,6 +270,27 @@ struct ResponseParseResult {
   [[nodiscard]] bool ok() const { return response.has_value(); }
 };
 [[nodiscard]] ResponseParseResult decodeResponse(std::string_view text);
+
+// --- Binary codec (docs/wire_protocol.md section 6).  Fixed-width
+// little-endian fields: times as int64 ticks, qualities as IEEE-754 bits,
+// strings and arrays behind a uint32 length.  The decoders accept exactly
+// the values the JSON codec carries (so a decoded frame round-trips through
+// encodeRequest/decodeRequest unchanged) and refuse truncated frames,
+// trailing bytes, counts larger than the bytes left and non-finite numbers
+// with a descriptive error.  A spec is validated as the JSON decoder
+// validates it.
+
+void appendRequestBinary(std::string& out, const Request& request);
+/// appendNegotiateRequest's binary twin.
+void appendNegotiateRequestBinary(std::string& out, std::uint64_t id,
+                                  std::uint32_t version,
+                                  const task::TunableJobSpec& spec,
+                                  Time release);
+[[nodiscard]] std::string encodeRequestBinary(const Request& request);
+[[nodiscard]] RequestParseResult decodeRequestBinary(std::string_view frame);
+void appendResponseBinary(std::string& out, const Response& response);
+[[nodiscard]] std::string encodeResponseBinary(const Response& response);
+[[nodiscard]] ResponseParseResult decodeResponseBinary(std::string_view frame);
 
 /// Builds an error response (helper shared by server paths).
 [[nodiscard]] Response makeError(std::uint64_t id, std::string code,

@@ -58,9 +58,10 @@ struct NegotiationServer::PendingCommand {
   /// Stamped at enqueue when observability is on (0 otherwise).
   std::int64_t enqueuedNs = 0;
   /// Where the response goes: the loop that owns the connection, and the
-  /// connection itself.
+  /// connection itself, and the encoding that connection speaks.
   int loopIndex = 0;
   std::uint64_t connId = 0;
+  Encoding encoding = Encoding::Json;
 };
 
 /// A finished command's encoded response — or a batch of reshape push
@@ -70,7 +71,7 @@ struct NegotiationServer::ResponseMsg {
   /// originByJob_ rather than the command.
   int loopIndex = 0;
   std::uint64_t connId = 0;
-  std::string payload;  // encoded response JSON (empty for push batches)
+  std::string payload;  // encoded response (empty for push batches)
   /// Unsolicited reshape notification: does not consume an in-flight slot;
   /// the loop encodes it as a RESHAPED push frame.
   bool push = false;
@@ -93,6 +94,8 @@ struct NegotiationServer::Connection {
   bool closing = false;    // close once every pending response has flushed
   bool closed = false;     // socket gone; awaiting reap
   bool helloDone = false;  // HELLO handshake completed
+  /// Payload encoding of every frame after the HELLO exchange, both ways.
+  Encoding encoding = Encoding::Json;
   std::uint32_t window = 1;    // negotiated in-flight cap
   std::uint32_t inFlight = 0;  // commands enqueued, response not delivered
   Clock::time_point lastActivity{};
@@ -337,6 +340,10 @@ ServerCounters NegotiationServer::counters() const {
   counters.helloHandshakes = helloHandshakes_.load();
   counters.reshapeEventsDispatched = reshapeEventsDispatched_.load();
   counters.reshapeEventsDropped = reshapeEventsDropped_.load();
+  {
+    std::lock_guard<std::mutex> lock(originMu_);
+    counters.reshapeOrigins = originByJob_.size();
+  }
   return counters;
 }
 
@@ -560,7 +567,7 @@ void NegotiationServer::finishBatch(Loop* loop) {
 }
 
 void NegotiationServer::executeInline(Loop* loop, Connection* conn, int shard,
-                                      const PendingCommand& command) {
+                                      PendingCommand& command) {
   // Whatever the workers have already handed this loop goes out first, so
   // an earlier command's response and RESHAPED pushes always precede this
   // later response (the claim just taken orders this shard's earlier
@@ -666,7 +673,9 @@ void NegotiationServer::processDecodedFrames(Loop* loop, Connection* conn) {
 
 void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
                                     std::string_view payload) {
-  auto decoded = decodeRequest(payload);
+  auto decoded = conn->encoding == Encoding::Binary
+                     ? decodeRequestBinary(payload)
+                     : decodeRequest(payload);
   if (!decoded.ok()) {
     // The stream itself is intact (whole frame consumed): report and keep
     // the connection.  Correlation id 0 marks an undecodable request.
@@ -697,8 +706,12 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
     Response response;
     response.id = request.id;
     response.ok = true;
-    response.result = HelloResult{kProtocolVersionV2, conn->window};
+    // Binary is granted by echoing it; the grant itself still goes out in
+    // JSON, and every frame after it in the granted encoding.
+    response.result =
+        HelloResult{kProtocolVersionV2, conn->window, hello.encoding};
     deliverResponse(loop, conn, response);
+    conn->encoding = hello.encoding;
     return;
   }
   if (request.command == Command::Hello) {
@@ -736,6 +749,7 @@ void NegotiationServer::handleFrame(Loop* loop, Connection* conn,
   command.request = std::move(request);
   command.loopIndex = loop->index;
   command.connId = conn->id;
+  command.encoding = conn->encoding;
   int shard = 0;
   switch (enqueue(loop, command, &shard)) {
     case EnqueueStatus::Inline:
@@ -767,8 +781,13 @@ void NegotiationServer::deliverResponse(Loop* loop, Connection* conn,
                                         const Response& response) {
   if (conn->closed) return;
   const auto wrote = net::appendFrameInPlace(
-      conn->out, frameLimits_,
-      [&response](std::string& out) { appendResponse(out, response); });
+      conn->out, frameLimits_, [conn, &response](std::string& out) {
+        if (conn->encoding == Encoding::Binary) {
+          appendResponseBinary(out, response);
+        } else {
+          appendResponse(out, response);
+        }
+      });
   if (!wrote.ok()) frameRefused(loop, conn);
   // No flush here: callers batch — appends accumulate and the caller
   // flushes each touched connection once per event/inbox batch.
@@ -935,8 +954,9 @@ void NegotiationServer::stampCommand(PendingCommand* command) {
   if (isNegotiate) command->presetJobId = arbitrator_.reserveJobId();
   if (isNegotiate && config_.reshapePolicy != nullptr) {
     // Remember who negotiated this job so later reshape moves can be
-    // routed back to its connection.  Entries die on CANCEL or when a
-    // dispatch finds the connection gone.
+    // routed back to its connection.  Entries die on CANCEL, when the
+    // negotiation is rejected, or when a dispatch finds the connection
+    // gone.
     std::lock_guard<std::mutex> originLock(originMu_);
     originByJob_[*command->presetJobId] = {command->loopIndex,
                                            command->connId};
@@ -1017,7 +1037,10 @@ bool NegotiationServer::drainAndExecute(
     pushes.clear();
     ResponseMsg msg;
     msg.connId = command->connId;
-    msg.payload = encodeResponse(runCommand(queue->index, *command, &pushes));
+    const Response response = runCommand(queue->index, *command, &pushes);
+    msg.payload = command->encoding == Encoding::Binary
+                      ? encodeResponseBinary(response)
+                      : encodeResponse(response);
     perLoop[static_cast<std::size_t>(command->loopIndex)].push_back(
         std::move(msg));
     for (auto& push : pushes) {
@@ -1046,14 +1069,22 @@ bool NegotiationServer::drainAndExecute(
   return true;
 }
 
-Response NegotiationServer::runCommand(int shard,
-                                       const PendingCommand& command,
+Response NegotiationServer::runCommand(int shard, PendingCommand& command,
                                        std::vector<ResponseMsg>* pushes) {
   if (config_.executeSeamForTest) config_.executeSeamForTest(shard);
   const std::int64_t startNs = trace_ != nullptr ? obs::monotonicNanos() : 0;
   std::vector<qos::QualityMove> moves;
   Response response = execute(command.request, command.arrivalSeq,
                               command.presetJobId, &moves);
+  if (config_.reshapePolicy != nullptr) {
+    // A rejected job is never live, so no move will ever name it: forget
+    // its connection now rather than keep the entry forever.
+    const auto* negotiated = std::get_if<NegotiateResult>(&response.result);
+    if (negotiated != nullptr && !negotiated->admitted) {
+      std::lock_guard<std::mutex> originLock(originMu_);
+      originByJob_.erase(negotiated->jobId);
+    }
+  }
   response.id = command.request.id;
   stampWindow(&response);
   commandsExecuted_.fetch_add(1);
@@ -1156,21 +1187,25 @@ void NegotiationServer::stampWindow(Response* response) const {
 }
 
 Response NegotiationServer::execute(
-    const Request& request, std::uint64_t arrivalSeq,
+    Request& request, std::uint64_t arrivalSeq,
     const std::optional<std::uint64_t>& presetJobId,
     std::vector<qos::QualityMove>* moves) {
   Response response;
   response.ok = true;
   switch (request.command) {
     case Command::Negotiate: {
-      const auto& payload = std::get<NegotiateRequest>(request.payload);
+      auto& payload = std::get<NegotiateRequest>(request.payload);
       const std::uint64_t jobId = presetJobId.value();
       // Wire clients are not clock-synchronized with the arbitrator; a
       // release behind the (monotone) negotiation clock means "now".
       Time effectiveRelease = payload.release;
-      const auto decision = arbitrator_.submit(jobId, payload.spec,
-                                               payload.release,
-                                               &effectiveRelease, moves);
+      // The request ends with this command (the wire trace encoded it at
+      // stamp time), so its decoded spec becomes the one copy an admission
+      // stores: moved, not copied.
+      const auto spec =
+          std::make_shared<const task::TunableJobSpec>(std::move(payload.spec));
+      auto decision = arbitrator_.submit(jobId, spec, payload.release,
+                                         &effectiveRelease, moves);
       NegotiateResult result;
       result.admitted = decision.admitted;
       result.jobId = jobId;
@@ -1181,9 +1216,9 @@ Response NegotiationServer::execute(
       if (decision.admitted) {
         result.chainIndex = decision.schedule.chainIndex;
         result.quality = decision.quality;
-        result.placements = decision.schedule.placements;
-        result.bindings =
-            payload.spec.chains[decision.schedule.chainIndex].bindings;
+        result.placements = std::move(decision.schedule.placements);
+        // Copied: the arbitrator keeps the spec, bindings included.
+        result.bindings = spec->chains[decision.schedule.chainIndex].bindings;
       }
       response.result = std::move(result);
       return response;

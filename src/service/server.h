@@ -2,7 +2,8 @@
 //
 // Architecture (mirrors the paper's Section 3 split, across a real process
 // boundary): per-application QoS agents connect over a Unix-domain or TCP
-// loopback socket and exchange length-prefixed JSON frames; the system-wide
+// loopback socket and exchange length-prefixed frames (JSON, or binary
+// payloads when the connection's HELLO negotiated them); the system-wide
 // arbitrator state is partitioned into K shards, each behind a command
 // queue whose consumer claim serialises execution on that shard.
 //
@@ -208,6 +209,9 @@ struct ServerCounters {
   std::uint64_t reshapeEventsDispatched = 0;
   /// Reshape events with no reachable owner (connection gone).
   std::uint64_t reshapeEventsDropped = 0;
+  /// Jobs whose negotiating connection is remembered for push routing (a
+  /// gauge; elastic servers only).
+  std::uint64_t reshapeOrigins = 0;
 };
 
 class NegotiationServer {
@@ -296,7 +300,7 @@ class NegotiationServer {
   /// the moved job (appended to `pushes`, one push message per move).
   /// Returns the response; the inline path encodes it straight into the
   /// connection's output, a worker into the message it posts.
-  Response runCommand(int shard, const PendingCommand& command,
+  Response runCommand(int shard, PendingCommand& command,
                       std::vector<ResponseMsg>* pushes);
   void rebalanceLoop();
 
@@ -313,7 +317,7 @@ class NegotiationServer {
   /// and same-loop pushes straight into the connections' output; pushes for
   /// other loops go through their inboxes.
   void executeInline(Loop* loop, Connection* conn, int shard,
-                     const PendingCommand& command);
+                     PendingCommand& command);
   /// Releases the claims the loop took for inline execution, then flushes
   /// every connection the batch wrote to.
   void finishBatch(Loop* loop);
@@ -352,7 +356,9 @@ class NegotiationServer {
   /// --record-out record, and stamps enqueuedNs when tracing.
   void stampCommand(PendingCommand* command);
 
-  Response execute(const Request& request, std::uint64_t arrivalSeq,
+  /// Runs one command.  A NEGOTIATE's spec is moved out of `request`
+  /// into the arbitrator, so the request is spent afterwards.
+  Response execute(Request& request, std::uint64_t arrivalSeq,
                    const std::optional<std::uint64_t>& presetJobId,
                    std::vector<qos::QualityMove>* moves);
 
@@ -411,9 +417,9 @@ class NegotiationServer {
 
   /// jobId -> (loopIndex, connId) of the connection that negotiated it;
   /// reshape events for a job are routed to its negotiating connection.
-  /// Written at enqueue, read by workers, pruned on CANCEL and when a
-  /// dispatch finds the connection gone.
-  std::mutex originMu_;
+  /// Written at enqueue, read by workers, pruned on CANCEL, on a rejected
+  /// NEGOTIATE and when a dispatch finds the connection gone.
+  mutable std::mutex originMu_;
   std::unordered_map<std::uint64_t, std::pair<int, std::uint64_t>>
       originByJob_;
 

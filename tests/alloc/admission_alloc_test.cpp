@@ -6,7 +6,9 @@
 //    one shard and with four (home shard, spill scoring, spill submit, the
 //    gang eligibility check);
 //  * a home admission allocates one spec copy plus fixed bookkeeping;
-//  * a gang admission stores one spec for all of its fragments.
+//  * a gang admission stores one spec for all of its fragments;
+//  * an admission of a spec the caller already shares (the server's
+//    decoded spec) stores that very pointer and copies nothing.
 //
 // Sanitizer builds replace the allocator, so there the counting operator
 // new is left out and every test skips.
@@ -14,6 +16,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -207,6 +210,30 @@ TEST_P(AdmissionAllocations, HomeAdmissionCopiesTheSpecOnce) {
   }
 }
 
+TEST_P(AdmissionAllocations, SharedSpecIsStoredWithoutACopy) {
+  SKIP_WITHOUT_COUNTING();
+  const int shards = GetParam();
+  ShardedArbitrator arb(8 * shards, options(shards, /*gang=*/true));
+  const auto plain = tunableJob(4, 1, 10000.0);
+  ASSERT_GE(specCopyAllocations(plain), 10u);
+  for (int i = 0; i < 2 * shards; ++i) {
+    ASSERT_TRUE(arb.submit(arb.reserveJobId(), plain, 0).admitted);
+  }
+  for (int i = 0; i < 2 * shards; ++i) {
+    const auto spec = std::make_shared<const TunableJobSpec>(plain);
+    const std::uint64_t id = arb.reserveJobId();
+    bool admitted = false;
+    const auto allocations = allocationsOf(
+        [&] { admitted = arb.submit(id, spec, 0).admitted; });
+    ASSERT_TRUE(admitted);
+    EXPECT_LE(allocations,
+              kDecisionSchedule + kLiveRecord + kAmortizedGrowth)
+        << "admission " << i;
+    EXPECT_EQ(arb.shard(arb.homeShard(id)).liveSpec(id), spec.get());
+    EXPECT_EQ(spec.use_count(), 2);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Shards, AdmissionAllocations,
                          ::testing::Values(1, 4));
 
@@ -260,6 +287,38 @@ TEST(GangAdmissionAllocations, StoresOneSpecForAllFragments) {
   ASSERT_EQ(id, twinId);
   EXPECT_EQ(allocations - twinAllocations, copy - twinCopy)
       << "one spec copy is " << copy << ", its twin's " << twinCopy;
+}
+
+TEST(GangAdmissionAllocations, StoresTheSharedSpecInEveryFragment) {
+  SKIP_WITHOUT_COUNTING();
+  constexpr int kShards = 4;
+  const auto plain = tunableJob(24, 12, 10000.0);
+  // With the caller's shared copy stored, the spec's size no longer shows
+  // in the admission's allocations: the job and its short-named twin
+  // allocate the same.
+  const auto admit = [](const TunableJobSpec& job) {
+    ShardedArbitrator arb(8 * kShards, options(kShards, /*gang=*/true));
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_TRUE(arb.submit(arb.reserveJobId(), job, 0).admitted);
+    }
+    const auto spec = std::make_shared<const TunableJobSpec>(job);
+    const std::uint64_t id = arb.reserveJobId();
+    bool admitted = false;
+    const auto allocations =
+        allocationsOf([&] { admitted = arb.submit(id, spec, 0).admitted; });
+    EXPECT_TRUE(admitted);
+    EXPECT_EQ(arb.gangAdmittedCount(), 3u);
+    int fragments = 0;
+    for (int k = 0; k < kShards; ++k) {
+      const auto* fragmentSpec = arb.shard(k).liveSpec(id);
+      if (fragmentSpec == nullptr) continue;
+      ++fragments;
+      EXPECT_EQ(fragmentSpec, spec.get()) << "shard " << k;
+    }
+    EXPECT_GE(fragments, 2);
+    return allocations;
+  };
+  EXPECT_EQ(admit(plain), admit(withShortNames(plain)));
 }
 
 }  // namespace

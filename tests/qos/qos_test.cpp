@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace tprm::qos {
 namespace {
 
@@ -47,6 +49,44 @@ TEST(QoSArbitrator, AdmitsAndRecords) {
   EXPECT_EQ(arbitrator.rejectedCount(), 0u);
   EXPECT_TRUE(arbitrator.verify().ok);
   EXPECT_EQ(arbitrator.ledger().reservations().size(), 1u);
+}
+
+/// One rigid single-chain job.
+task::TunableJobSpec rigidJob(int processors, double duration) {
+  task::TunableJobSpec spec;
+  spec.name = "rigid";
+  task::Chain chain;
+  chain.name = "only";
+  chain.tasks = {task::TaskSpec::rigid("t", processors,
+                                       ticksFromUnits(duration),
+                                       kTimeInfinity)};
+  spec.chains = {chain};
+  return spec;
+}
+
+// Cancelled jobs leave stale finish-heap entries behind, and a clock that
+// never passes them never pops them: the heap must still stay bounded by
+// the live jobs.
+TEST(QoSArbitrator, FinishHeapStaysBoundedUnderSubmitCancelAtAStandingClock) {
+  QoSArbitrator arbitrator(8);
+  const auto job = rigidJob(4, 10.0);
+  const auto kept = arbitrator.submit(job, 0);
+  ASSERT_TRUE(kept.admitted);
+  const std::uint64_t keptId = *arbitrator.lastJobId();
+  std::size_t peak = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_TRUE(arbitrator.submit(job, 0).admitted);
+    ASSERT_GT(arbitrator.cancel(*arbitrator.lastJobId()), 0);
+    peak = std::max(peak, arbitrator.finishHeapSize());
+  }
+  EXPECT_LE(peak, 2u * 2u + 64u + 1u);
+  EXPECT_EQ(arbitrator.clock(), 0);
+  // The rebuilt heap still retires the job that stayed: once the clock
+  // passes its end it leaves the live set.
+  EXPECT_TRUE(arbitrator.live(keptId));
+  ASSERT_TRUE(arbitrator.submit(job, ticksFromUnits(10.0)).admitted);
+  EXPECT_FALSE(arbitrator.live(keptId));
+  EXPECT_TRUE(arbitrator.verify().ok);
 }
 
 TEST(QoSArbitrator, LastJobIdIsEmptyBeforeFirstSubmission) {

@@ -17,11 +17,13 @@
 namespace tprm::service::testutil {
 
 /// Connects to `server`'s Unix socket, sends HELLO asking for `window`
-/// in-flight requests and reads the grant.  On success `*socket` holds the
-/// connection and, when `granted` is set, `*granted` the granted window.
+/// in-flight requests and `encoding`, and reads the grant, which must grant
+/// that encoding.  On success `*socket` holds the connection and, when
+/// `granted` is set, `*granted` the granted window.
 inline ::testing::AssertionResult helloConnection(
     const NegotiationServer& server, net::Socket* socket,
-    std::uint32_t window = 8, std::uint32_t* granted = nullptr) {
+    std::uint32_t window = 8, std::uint32_t* granted = nullptr,
+    Encoding encoding = Encoding::Json) {
   using namespace std::chrono_literals;
   auto connected =
       net::connectUnix(server.unixPath(), net::Deadline::after(1s));
@@ -32,7 +34,7 @@ inline ::testing::AssertionResult helloConnection(
   hello.version = kProtocolVersionV2;
   hello.command = Command::Hello;
   hello.id = 1;
-  hello.payload = HelloRequest{window};
+  hello.payload = HelloRequest{window, encoding};
   const net::FrameLimits limits;
   if (!net::writeFrame(connected.socket, encodeRequest(hello), limits,
                        net::Deadline::after(1s))
@@ -50,7 +52,8 @@ inline ::testing::AssertionResult helloConnection(
     return ::testing::AssertionFailure() << "HELLO refused: " << frame.payload;
   }
   const auto* grant = std::get_if<HelloResult>(&decoded.response->result);
-  if (grant == nullptr || grant->version != kProtocolVersionV2) {
+  if (grant == nullptr || grant->version != kProtocolVersionV2 ||
+      grant->encoding != encoding) {
     return ::testing::AssertionFailure() << "not a HELLO grant: "
                                          << frame.payload;
   }
