@@ -8,7 +8,12 @@
 // stream with spill and cross-shard gang admission, an elastic flash crowd
 // whose Reshaper moves (victim shrink, then newcomer admission inside one
 // trial) are hashed too, and a malleable Figure-4 stream under both
-// malleable policies.
+// malleable policies.  Two more families pin the paths that re-plan a job
+// against a rebased or filtered view of it: machine resizes in the middle of
+// an admitted stream (a shrink, then a grow; both the all-chains rebase of
+// a job that has not started and the committed-suffix rebase of one that
+// has), and the non-default chain choices (QualityFirst, WindowUtilization,
+// Random).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +23,7 @@
 
 #include "common/rng.h"
 #include "elastic/reshaper.h"
+#include "qos/qos.h"
 #include "qos/sharded.h"
 #include "workload/fig4.h"
 #include "workload/scenario.h"
@@ -202,6 +208,119 @@ StreamResult runMalleable(sched::MalleablePolicy policy) {
   return result;
 }
 
+/// Hashes a resize report and every current-era ledger entry (the placements
+/// the resize kept, re-placed or pinned).
+void addResize(Fingerprint& fp, const RenegotiationReport& report,
+               const QoSArbitrator& arbitrator) {
+  fp.add(report.kept.size());
+  fp.add(report.reconfigured.size());
+  for (const auto id : report.reconfigured) fp.add(id);
+  fp.add(report.dropped.size());
+  for (const auto id : report.dropped) fp.add(id);
+  for (const auto& r : arbitrator.ledger().reservations()) {
+    fp.add(r.jobId);
+    fp.add(static_cast<std::uint64_t>(r.taskIndex));
+    fp.add(static_cast<std::uint64_t>(r.chainIndex));
+    fp.add(static_cast<std::uint64_t>(r.interval.begin));
+    fp.add(static_cast<std::uint64_t>(r.interval.end));
+    fp.add(static_cast<std::uint64_t>(r.processors));
+  }
+}
+
+struct ResizeResult {
+  StreamResult stream;
+  std::uint64_t reconfigured = 0;
+  std::uint64_t dropped = 0;
+  /// Reconfigured jobs that had started before the resize (re-planned on
+  /// their committed chain's suffix) and that had not (re-planned over
+  /// every chain whose rebased deadlines still hold).
+  std::uint64_t suffixRebased = 0;
+  std::uint64_t allChainsRebased = 0;
+};
+
+/// A tunable Figure-4 stream with loose deadlines on one arbitrator whose
+/// machine alternates between 32 and 16 processors every eighth of the
+/// stream (the sixth resize grows it to 40 instead); every decision, resize
+/// report and post-resize placement is hashed.
+ResizeResult runWithResizes(sched::ChainChoice choice) {
+  workload::Fig4Params fig4;
+  fig4.laxity = 0.8;
+  const auto jobs = workload::makeFig4PoissonStream(
+      fig4, workload::Fig4Shape::Tunable, /*meanInterarrivalUnits=*/6.0,
+      /*count=*/1200, /*seed=*/5);
+  sched::GreedyOptions options;
+  options.chainChoice = choice;
+  options.seed = 9;
+  QoSArbitrator arbitrator(32, options);
+
+  ResizeResult result;
+  Fingerprint fp;
+  const auto resizeTo = [&](int processors, Time when) {
+    // Jobs with a placement begun strictly before the resize have started.
+    std::vector<std::uint64_t> started;
+    for (const auto& r : arbitrator.ledger().reservations()) {
+      if (r.interval.begin < when) started.push_back(r.jobId);
+    }
+    std::sort(started.begin(), started.end());
+    const auto report = arbitrator.resize(processors, when);
+    addResize(fp, report, arbitrator);
+    result.reconfigured += report.reconfigured.size();
+    result.dropped += report.dropped.size();
+    for (const auto id : report.reconfigured) {
+      if (std::binary_search(started.begin(), started.end(), id)) {
+        ++result.suffixRebased;
+      } else {
+        ++result.allChainsRebased;
+      }
+    }
+  };
+  const std::size_t eighth = jobs.size() / 8;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto& job = jobs[i];
+    if (i > 0 && i % eighth == 0 && i / eighth < 8) {
+      const std::size_t k = i / eighth;
+      resizeTo(k % 2 == 1 ? 16 : (k == 6 ? 40 : 32),
+               std::max(job.release, arbitrator.clock()));
+    }
+    const std::uint64_t jobId = i;
+    const auto decision = arbitrator.submit(jobId, job.spec, job.release);
+    fp.addDecision(jobId, decision);
+    if (decision.admitted) {
+      result.stream.placements += decision.schedule.placements.size();
+    }
+  }
+  EXPECT_TRUE(arbitrator.verify().ok);
+  result.stream.fingerprint = fp.value();
+  result.stream.admitted = arbitrator.admittedCount();
+  return result;
+}
+
+/// A tunable heavy-tailed stream through one arbitrator under `choice`.
+StreamResult runChainChoice(sched::ChainChoice choice) {
+  const auto params = workload::scenarioByName("heavy-tailed", 3, 1500);
+  const auto scenario = workload::ScenarioGenerator(*params).generate();
+  ShardedOptions options;
+  options.shards = 1;
+  options.greedy.chainChoice = choice;
+  options.greedy.seed = 13;
+  ShardedArbitrator arbitrator(32, options);
+
+  StreamResult result;
+  Fingerprint fp;
+  for (const auto& job : scenario.jobs) {
+    const std::uint64_t jobId = arbitrator.reserveJobId();
+    const auto decision = arbitrator.submit(jobId, job.spec, job.release);
+    fp.addDecision(jobId, decision);
+    if (decision.admitted) {
+      result.placements += decision.schedule.placements.size();
+    }
+  }
+  EXPECT_TRUE(arbitrator.verify().ok);
+  result.fingerprint = fp.value();
+  result.admitted = arbitrator.admittedCount();
+  return result;
+}
+
 // The pinned constants were taken from the reserve-and-roll-back evaluator
 // that preceded the read-only chain planner; both produce them.
 TEST(PlacementGolden, ShardedSpillGangHeavyTailed) {
@@ -234,6 +353,52 @@ TEST(PlacementGolden, MalleableEarliestFinish) {
   EXPECT_EQ(run.fingerprint, 0x5340c5cbe21e826bULL);
   EXPECT_EQ(run.admitted, 572u);
   EXPECT_EQ(run.placements, 1144u);
+}
+
+// Taken from the arbitrator that still stored and rebased deep copies of
+// each job's spec.
+TEST(PlacementGolden, ResizeShrinkAndGrowMidStream) {
+  const ResizeResult run = runWithResizes(sched::ChainChoice::Paper);
+  EXPECT_EQ(run.stream.fingerprint, 0x1283ef0ee666a523ULL);
+  EXPECT_EQ(run.stream.admitted, 272u);
+  EXPECT_EQ(run.stream.placements, 544u);
+  EXPECT_EQ(run.reconfigured, 28u);
+  EXPECT_EQ(run.dropped, 47u);
+  EXPECT_EQ(run.suffixRebased, 4u);
+  EXPECT_EQ(run.allChainsRebased, 24u);
+}
+
+TEST(PlacementGolden, RandomChainChoiceWithResizes) {
+  const ResizeResult run = runWithResizes(sched::ChainChoice::Random);
+  EXPECT_EQ(run.stream.fingerprint, 0x4318252ea49b5b7cULL);
+  EXPECT_EQ(run.stream.admitted, 270u);
+  EXPECT_EQ(run.stream.placements, 540u);
+  EXPECT_EQ(run.reconfigured, 27u);
+  EXPECT_EQ(run.dropped, 46u);
+  EXPECT_EQ(run.suffixRebased, 2u);
+  EXPECT_EQ(run.allChainsRebased, 25u);
+}
+
+TEST(PlacementGolden, QualityFirstChainChoice) {
+  const StreamResult run = runChainChoice(sched::ChainChoice::QualityFirst);
+  EXPECT_EQ(run.fingerprint, 0xc91d92128e9b760bULL);
+  EXPECT_EQ(run.admitted, 1399u);
+  EXPECT_EQ(run.placements, 2798u);
+}
+
+TEST(PlacementGolden, WindowUtilizationChainChoice) {
+  const StreamResult run =
+      runChainChoice(sched::ChainChoice::WindowUtilization);
+  EXPECT_EQ(run.fingerprint, 0x6b1761d45084b58bULL);
+  EXPECT_EQ(run.admitted, 1399u);
+  EXPECT_EQ(run.placements, 2798u);
+}
+
+TEST(PlacementGolden, RandomChainChoice) {
+  const StreamResult run = runChainChoice(sched::ChainChoice::Random);
+  EXPECT_EQ(run.fingerprint, 0x4846112098165f48ULL);
+  EXPECT_EQ(run.admitted, 1464u);
+  EXPECT_EQ(run.placements, 2928u);
 }
 
 }  // namespace
