@@ -14,6 +14,7 @@
 #include "calypso/runtime.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "elastic/reshaper.h"
 #include "qos/sharded.h"
 #include "resource/availability_profile.h"
 #include "resource/reference_profile.h"
@@ -188,6 +189,7 @@ BENCHMARK(BM_MaximalHoles)->Arg(16)->Arg(64)->Arg(256);
 void BM_AdmitTunableJob(benchmark::State& state) {
   const auto spec =
       workload::makeFig4Job(workload::Fig4Params{}, workload::Fig4Shape::Tunable);
+  const task::JobShape shape(spec);
   sched::GreedyArbitrator arbitrator;
   resource::AvailabilityProfile profile(16);
   Time release = 0;
@@ -196,10 +198,30 @@ void BM_AdmitTunableJob(benchmark::State& state) {
     release += ticksFromUnits(30.0);
     profile.discardBefore(release);
     benchmark::DoNotOptimize(
-        arbitrator.admit(task::JobView(id++, release, spec), profile));
+        arbitrator.admit(task::JobView(id++, release, shape), profile));
   }
 }
 BENCHMARK(BM_AdmitTunableJob);
+
+// Building the planner's form of a flash-crowd spec: Arg(0) rebuilds the
+// thread's scratch shape in place (what every submit pays), Arg(1) adds
+// the shared copy an admission stores.
+void BM_BuildJobShape(benchmark::State& state) {
+  const auto params = workload::scenarioByName("flash-crowd", 7, 64);
+  const auto scenario = workload::ScenarioGenerator(*params).generate();
+  const bool store = state.range(0) != 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& spec = scenario.jobs[next++ % scenario.jobs.size()].spec;
+    const task::ScratchShape shape(spec);
+    if (store) {
+      benchmark::DoNotOptimize(std::make_shared<const task::JobShape>(*shape));
+    } else {
+      benchmark::DoNotOptimize(shape->chainCount());
+    }
+  }
+}
+BENCHMARK(BM_BuildJobShape)->Arg(0)->Arg(1);
 
 // One greedy admission of a 6-chain x 4-task tunable job (the shapes of
 // BM_AdmissionLoopFlat, no deadlines, so every chain is schedulable) against
@@ -295,6 +317,48 @@ void BM_ShardedSubmitStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardedSubmitStream);
+
+// The wire-elastic mix in process: a 6 000-job flash crowd into one
+// 32-processor shard with the min-quality-loss Reshaper, cancelling the
+// previous job after every tenth submit so promotions run too.  One
+// iteration is one submit (and its cancel, if any); the arbitrator starts
+// afresh, untimed, whenever the stream runs out.
+void BM_ElasticSubmitStream(benchmark::State& state) {
+  static const workload::Scenario scenario = [] {
+    const auto params = workload::scenarioByName("flash-crowd", 1, 6000);
+    return workload::ScenarioGenerator(*params).generate();
+  }();
+  const elastic::Reshaper reshaper(elastic::VictimPolicy::MinQualityLoss);
+  const auto fresh = [&reshaper] {
+    qos::ShardedOptions options;
+    options.shards = 1;
+    auto arbitrator = std::make_unique<qos::ShardedArbitrator>(32, options);
+    arbitrator->attachReshapePolicy(&reshaper);
+    return arbitrator;
+  };
+  auto arbitrator = fresh();
+  std::vector<qos::QualityMove> moves;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == scenario.jobs.size()) {
+      state.PauseTiming();
+      arbitrator = fresh();
+      next = 0;
+      state.ResumeTiming();
+    }
+    const auto& job = scenario.jobs[next];
+    const std::uint64_t jobId = arbitrator->reserveJobId();
+    moves.clear();
+    benchmark::DoNotOptimize(arbitrator->submit(jobId, job.spec, job.release,
+                                                nullptr, &moves));
+    if (next % 10 == 9 && jobId > 0) {
+      benchmark::DoNotOptimize(arbitrator->cancel(jobId - 1, &moves));
+    }
+    ++next;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ElasticSubmitStream);
 
 // One gang admission — merged breakpoints, planning every chain over the
 // aggregate availability, the two-phase reserve and commit — plus the

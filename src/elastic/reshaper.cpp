@@ -31,8 +31,7 @@ Reshaper::Reshaper(VictimPolicy policy) : policy_(policy) {}
 // reaches demotionOrder/promotionOrder the pinning filter already ran.
 std::vector<std::uint64_t> Reshaper::demotionOrder(
     const std::vector<qos::ElasticCandidate>& candidates,
-    const task::TunableJobSpec& spec, Time release) const {
-  (void)spec;
+    Time release) const {
   (void)release;
   std::vector<qos::ElasticCandidate> order = candidates;
   switch (policy_) {

@@ -65,7 +65,7 @@ class Reshaper final : public qos::ReshapePolicy {
 
   [[nodiscard]] std::vector<std::uint64_t> demotionOrder(
       const std::vector<qos::ElasticCandidate>& candidates,
-      const task::TunableJobSpec& spec, Time release) const override;
+      Time release) const override;
 
   /// Fairness order shared by every victim policy: the furthest-demoted job
   /// (largest admitted-minus-current quality deficit) promotes first, ties

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <chrono>
+#include <cstdio>
 #include <utility>
 
 #include "common/check.h"
@@ -11,6 +12,14 @@ std::int64_t monotonicNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+std::string TraceSpan::detailText() const {
+  if (!granted) return detail;
+  char text[64];
+  std::snprintf(text, sizeof(text), "chain=%zu quality=%.3f", chainIndex,
+                quality);
+  return text;
 }
 
 TraceRing::TraceRing(std::size_t capacity) : capacity_(capacity) {
@@ -67,7 +76,7 @@ JsonValue TraceRing::snapshot() const {
     s["ok"] = span.ok;
     s["queue_wait_us"] = span.queueWaitUs();
     s["execute_us"] = span.executeUs();
-    s["detail"] = span.detail;
+    s["detail"] = span.detailText();
     spans.emplace_back(std::move(s));
   }
   return JsonValue(std::move(spans));

@@ -36,8 +36,17 @@ struct TraceSpan {
   std::uint64_t jobId = 0;
   /// Negotiations: admitted.  Other commands: executed without error.
   bool ok = false;
-  /// Free-form decision detail, e.g. "chain=1 quality=0.700".
+  /// Free-form decision detail, e.g. "rejected".
   std::string detail;
+  /// Admitted negotiations: the granted chain and its quality, kept as
+  /// values so recording formats nothing; detailText() renders them.
+  bool granted = false;
+  std::size_t chainIndex = 0;
+  double quality = 0.0;
+
+  /// `detail`, or for a granted negotiation "chain=<i> quality=<q>" with
+  /// q to three decimals, e.g. "chain=1 quality=0.700".
+  [[nodiscard]] std::string detailText() const;
 
   [[nodiscard]] double queueWaitUs() const {
     return static_cast<double>(startNs - queuedNs) / 1'000.0;
@@ -68,7 +77,7 @@ class TraceRing {
 
   /// JSON array of retained spans, oldest first; each element carries
   /// {"seq","name","request_id","arrival_seq","job_id","ok",
-  ///  "queue_wait_us","execute_us","detail"}.
+  ///  "queue_wait_us","execute_us","detail"}, "detail" from detailText().
   [[nodiscard]] JsonValue snapshot() const;
 
  private:

@@ -29,10 +29,10 @@ struct Rungs {
   double lowest = std::numeric_limits<double>::infinity();
   double next = -1.0;
 };
-Rungs rungsAround(const task::TunableJobSpec& spec, double quality) {
+Rungs rungsAround(const task::JobShape& shape, double quality) {
   Rungs rungs;
-  for (const auto& chain : spec.chains) {
-    const double q = chain.quality(spec.qualityComposition);
+  for (std::size_t c = 0; c < shape.chainCount(); ++c) {
+    const double q = shape.chain(c).quality;
     rungs.lowest = std::min(rungs.lowest, q);
     if (q < quality && q > rungs.next) rungs.next = q;
   }
@@ -66,7 +66,7 @@ void QoSArbitrator::retireFinished() {
 
 QoSArbitrator::LiveJob& QoSArbitrator::insertLive(std::uint64_t jobId,
                                                   LiveJob job) {
-  const Rungs rungs = rungsAround(*job.spec, job.currentQuality);
+  const Rungs rungs = rungsAround(*job.shape, job.currentQuality);
   job.lowestRung = rungs.lowest;
   job.nextRung = rungs.next;
   trackFinish(jobId, job);
@@ -100,7 +100,7 @@ void QoSArbitrator::trackFinish(std::uint64_t jobId, const LiveJob& job) {
 void QoSArbitrator::setQuality(std::uint64_t jobId, LiveJob& job,
                                double quality) {
   job.currentQuality = quality;
-  job.nextRung = rungsAround(*job.spec, quality).next;
+  job.nextRung = rungsAround(*job.shape, quality).next;
   if (!job.pinned && quality < job.admittedQuality) {
     demoted_.insert(jobId);
   } else {
@@ -137,9 +137,8 @@ void QoSArbitrator::syncSlots() {
   slotsLayout_ = ledger_.layout();
 }
 
-sched::AdmissionDecision QoSArbitrator::submitJob(
-    std::uint64_t jobId, const task::TunableJobSpec& spec,
-    const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
+sched::AdmissionDecision QoSArbitrator::submit(
+    std::uint64_t jobId, const task::JobShape& shape, Time release,
     std::vector<QualityMove>* moves) {
   TPRM_CHECK(!gangTrial_.has_value(),
              "submit is forbidden while a gang reserve is open");
@@ -154,7 +153,7 @@ sched::AdmissionDecision QoSArbitrator::submitJob(
   // demoted jobs back up the ladder before admitting new work.
   promotePass(moves);
 
-  const task::JobView job(jobId, release, spec);
+  const task::JobView job(jobId, release, shape);
   if (metrics_ != nullptr) metrics_->negotiations->add();
   auto decision = heuristic_.admit(job, profile_);
   if (!decision.admitted && policy_ != nullptr) {
@@ -171,9 +170,7 @@ sched::AdmissionDecision QoSArbitrator::submitJob(
   ++admitted_;
   if (metrics_ != nullptr) metrics_->admitted->add();
   LiveJob admittedJob;
-  admittedJob.spec = stored != nullptr
-                        ? *stored
-                        : std::make_shared<const task::TunableJobSpec>(spec);
+  admittedJob.shape = std::make_shared<const task::JobShape>(shape);
   admittedJob.release = release;
   admittedJob.chainIndex = decision.schedule.chainIndex;
   admittedJob.placements = decision.schedule.placements;
@@ -342,67 +339,29 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
       continue;
     }
 
-    // Full renegotiation.  If nothing has started, every chain of the
-    // original spec is still on the table; otherwise only the suffix of the
-    // committed chain (outputs of earlier tasks fix the path).
-    const task::TunableJobSpec& spec = *job.spec;
-    task::TunableJobSpec rebased;
-    bool feasibleSpec = true;
-    // When chains are filtered during rebasing (firstFuture == 0), maps the
-    // rebased spec's chain index back to the original spec's chain index.
-    std::vector<std::size_t> originalChain;
-    if (firstFuture == 0) {
-      rebased.name = spec.name;
-      // Rebase deadlines: relativeDeadline was relative to the original
-      // release; make it relative to the new one.  A chain whose rebased
-      // deadline can no longer be met is off the table, but the surviving
-      // chains are exactly the freedom tunability exists to exploit — the
-      // job is infeasible only when no chain survives.
-      for (std::size_t c = 0; c < spec.chains.size(); ++c) {
-        task::Chain chain = spec.chains[c];
-        bool chainFeasible = true;
-        for (auto& taskSpec : chain.tasks) {
-          if (taskSpec.relativeDeadline >= kTimeInfinity) continue;
-          const Time absolute = job.release + taskSpec.relativeDeadline;
-          if (absolute <= earliestStart + taskSpec.request.duration) {
-            chainFeasible = false;
-            break;
-          }
-          taskSpec.relativeDeadline = absolute - earliestStart;
-        }
-        if (!chainFeasible) continue;
-        originalChain.push_back(c);
-        rebased.chains.push_back(std::move(chain));
-      }
-      feasibleSpec = !rebased.chains.empty();
-    } else {
-      const auto& chain = spec.chains[job.chainIndex];
-      task::Chain suffix;
-      suffix.name = chain.name + "-suffix";
-      for (std::size_t k = firstFuture; k < chain.tasks.size(); ++k) {
-        task::TaskSpec taskSpec = chain.tasks[k];
-        if (taskSpec.relativeDeadline < kTimeInfinity) {
-          const Time absolute = job.release + taskSpec.relativeDeadline;
-          if (absolute <= earliestStart + taskSpec.request.duration) {
-            feasibleSpec = false;
-          }
-          taskSpec.relativeDeadline = absolute - earliestStart;
-        }
-        suffix.tasks.push_back(std::move(taskSpec));
-      }
-      rebased.name = spec.name;
-      rebased.chains = {std::move(suffix)};
+    // Full renegotiation, through a view of the stored shape released at
+    // the earliest start with its deadlines still anchored at the job's
+    // release, so every absolute deadline is the integer it was.  If
+    // nothing has started, every chain is still on the table; otherwise
+    // only the suffix of the committed chain (outputs of earlier tasks fix
+    // the path).  A chain whose deadline can no longer be met is off the
+    // table, but the surviving chains are exactly the freedom tunability
+    // exists to exploit: the job is infeasible only when no chain survives.
+    task::ChainFilter rebase;
+    if (firstFuture > 0) {
+      rebase.only = job.chainIndex;
+      rebase.firstTask = firstFuture;
     }
-
-    if (!feasibleSpec) {
+    const task::JobView view(jobId, earliestStart, job.release, *job.shape,
+                             &rebase);
+    if (view.offeredCount() == 0) {
       report.dropped.push_back(jobId);
       eraseLive(live_.find(jobId));
       if (metrics_ != nullptr) metrics_->droppedInfeasible->add();
       continue;
     }
 
-    const auto decision = heuristic_.admit(
-        task::JobView(jobId, earliestStart, rebased), profile_);
+    const auto decision = heuristic_.admit(view, profile_);
     if (!decision.admitted) {
       report.dropped.push_back(jobId);
       eraseLive(live_.find(jobId));
@@ -413,7 +372,7 @@ RenegotiationReport QoSArbitrator::resize(int processors, Time when) {
     if (metrics_ != nullptr) metrics_->resizeReconfigured->add();
     // Splice the new placements (and possibly new chain) into the live job.
     if (firstFuture == 0) {
-      job.chainIndex = originalChain[decision.schedule.chainIndex];
+      job.chainIndex = decision.schedule.chainIndex;
       job.release = earliestStart;
       job.placements = decision.schedule.placements;
       setQuality(jobId, job, decision.quality);
@@ -479,45 +438,25 @@ std::optional<QualityMove> QoSArbitrator::tryMoveInTrial(
     profile_.release(p.interval, p.processors);
   }
 
-  // Restrict the job to the target rung band, rebasing deadlines exactly as
-  // resize() does for unstarted jobs: absolute deadlines are preserved, only
-  // their anchor moves to the clock.  job.release is deliberately left alone
-  // by applyMove, so repeated moves keep rebasing against the original
-  // contract rather than compounding drift.
-  const task::TunableJobSpec& spec = *job.spec;
-  task::TunableJobSpec band;
-  band.name = spec.name;
-  band.qualityComposition = spec.qualityComposition;
-  std::vector<std::size_t> originalChain;
-  for (std::size_t c = 0; c < spec.chains.size(); ++c) {
-    const double q = spec.chains[c].quality(spec.qualityComposition);
-    const bool inBand = promote
-                            ? q > job.currentQuality &&
-                                  q <= job.admittedQuality
-                            : q < job.currentQuality;
-    if (!inBand) continue;
-    task::Chain chain = spec.chains[c];
-    bool chainFeasible = true;
-    for (auto& taskSpec : chain.tasks) {
-      if (taskSpec.relativeDeadline >= kTimeInfinity) continue;
-      const Time absolute = job.release + taskSpec.relativeDeadline;
-      if (absolute <= clock_ + taskSpec.request.duration) {
-        chainFeasible = false;
-        break;
-      }
-      taskSpec.relativeDeadline = absolute - clock_;
-    }
-    if (!chainFeasible) continue;
-    originalChain.push_back(c);
-    band.chains.push_back(std::move(chain));
+  // Restrict the job to the target rung band, rebased exactly as resize()
+  // rebases unstarted jobs: planning starts at the clock and absolute
+  // deadlines stay anchored at the job's release.  job.release is
+  // deliberately left alone by applyMove, so repeated moves keep rebasing
+  // against the original contract rather than compounding drift.
+  task::ChainFilter band;
+  if (promote) {
+    band.above = job.currentQuality;
+    band.atMost = job.admittedQuality;
+  } else {
+    band.below = job.currentQuality;
   }
-  if (band.chains.empty()) {
+  const task::JobView view(jobId, clock_, job.release, *job.shape, &band);
+  if (view.offeredCount() == 0) {
     trial.rollbackTo(mark);
     return std::nullopt;
   }
 
-  auto decision = elasticHeuristic_.admitInTrial(
-      task::JobView(jobId, clock_, band), profile_, trial);
+  auto decision = elasticHeuristic_.admitInTrial(view, profile_, trial);
   if (!decision.admitted) {
     trial.rollbackTo(mark);
     return std::nullopt;
@@ -526,11 +465,10 @@ std::optional<QualityMove> QoSArbitrator::tryMoveInTrial(
   move.jobId = jobId;
   move.promotion = promote;
   move.fromChain = job.chainIndex;
-  move.toChain = originalChain[decision.schedule.chainIndex];
+  move.toChain = decision.schedule.chainIndex;
   move.fromQuality = job.currentQuality;
   move.toQuality = decision.quality;
   move.schedule = std::move(decision.schedule);
-  move.schedule.chainIndex = move.toChain;
   return move;
 }
 
@@ -559,11 +497,10 @@ void QoSArbitrator::applyMove(const QualityMove& move) {
 sched::AdmissionDecision QoSArbitrator::reshapeAdmit(
     task::JobView newcomer, std::vector<QualityMove>* moves) {
   sched::AdmissionDecision rejected;
-  rejected.chainsConsidered = static_cast<int>(newcomer.spec.chains.size());
+  rejected.chainsConsidered = static_cast<int>(newcomer.shape.chainCount());
   const auto candidates = elasticCandidates(/*demotedOnly=*/false);
   if (candidates.empty()) return rejected;
-  const auto order =
-      policy_->demotionOrder(candidates, newcomer.spec, newcomer.release);
+  const auto order = policy_->demotionOrder(candidates, newcomer.release);
   if (order.empty()) return rejected;
   if (metrics_ != nullptr) metrics_->elastic.reshapeAttempts->add();
 
@@ -638,14 +575,14 @@ bool QoSArbitrator::gangReserve(
 }
 
 void QoSArbitrator::gangCommit(
-    std::uint64_t jobId, std::shared_ptr<const task::TunableJobSpec> spec,
+    std::uint64_t jobId, std::shared_ptr<const task::JobShape> shape,
     std::size_t chainIndex, double quality, Time release,
     const std::vector<sched::TaskPlacement>& placements,
     const std::vector<std::size_t>& taskIndices) {
   TPRM_CHECK(gangTrial_.has_value(), "gangCommit needs an open reserve");
   TPRM_CHECK(placements.size() == taskIndices.size(),
              "every gang placement needs its spec task index");
-  TPRM_CHECK(spec != nullptr, "a gang fragment keeps its job's spec");
+  TPRM_CHECK(shape != nullptr, "a gang fragment keeps its job's shape");
   TPRM_CHECK(release >= clock_, "gang release cannot precede the clock");
   gangTrial_->commit();
   gangTrial_.reset();
@@ -655,7 +592,7 @@ void QoSArbitrator::gangCommit(
   TPRM_CHECK(!live(jobId), "job id is already live on this arbitrator");
 
   LiveJob job;
-  job.spec = std::move(spec);
+  job.shape = std::move(shape);
   job.release = release;
   job.chainIndex = chainIndex;
   job.placements = placements;

@@ -105,12 +105,12 @@ class ReshapePolicy {
  public:
   virtual ~ReshapePolicy() = default;
 
-  /// Orders demotion victims for a rejected newcomer: the arbitrator demotes
-  /// greedily in this order, retrying the newcomer after each shrink, and
-  /// commits at the first fit.  Return an empty vector to decline.
+  /// Orders demotion victims for a rejected newcomer released at `release`:
+  /// the arbitrator demotes greedily in this order, retrying the newcomer
+  /// after each shrink, and commits at the first fit.  Return an empty
+  /// vector to decline.
   [[nodiscard]] virtual std::vector<std::uint64_t> demotionOrder(
-      const std::vector<ElasticCandidate>& candidates,
-      const task::TunableJobSpec& spec, Time release) const = 0;
+      const std::vector<ElasticCandidate>& candidates, Time release) const = 0;
 
   /// Fairness order for the promotion pass over currently-demoted jobs.
   [[nodiscard]] virtual std::vector<std::uint64_t> promotionOrder(
@@ -142,9 +142,10 @@ class QoSArbitrator {
   /// Numbers the job itself: the id is the next of 0, 1, 2, ... (see
   /// lastJobId()), drawn whether or not the job is admitted.
   ///
-  /// Planning borrows `spec`: only an admission copies it, once, into the
-  /// shared copy the live job keeps (see liveSpec()).  A rejection copies
-  /// nothing, and the caller may destroy `spec` as soon as the call returns.
+  /// Planning reads `spec` through this thread's scratch shape; only an
+  /// admission stores anything of it: one compact task::JobShape (see
+  /// liveShape()).  A rejection stores nothing, and the caller may destroy
+  /// `spec` as soon as the call returns.
   [[nodiscard]] sched::AdmissionDecision submit(
       const task::TunableJobSpec& spec, Time release,
       std::vector<QualityMove>* moves = nullptr) {
@@ -157,16 +158,14 @@ class QoSArbitrator {
   [[nodiscard]] sched::AdmissionDecision submit(
       std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
       std::vector<QualityMove>* moves = nullptr) {
-    return submitJob(jobId, spec, nullptr, release, moves);
+    const task::ScratchShape shape(spec);
+    return submit(jobId, *shape, release, moves);
   }
-  /// As above for a spec the caller already holds as a shared copy: an
-  /// admission stores `spec` itself and copies nothing.
+  /// As above for a job the caller already holds as a shape: an admission
+  /// stores one copy of it.
   [[nodiscard]] sched::AdmissionDecision submit(
-      std::uint64_t jobId,
-      const std::shared_ptr<const task::TunableJobSpec>& spec, Time release,
-      std::vector<QualityMove>* moves = nullptr) {
-    return submitJob(jobId, *spec, &spec, release, moves);
-  }
+      std::uint64_t jobId, const task::JobShape& shape, Time release,
+      std::vector<QualityMove>* moves = nullptr);
 
   /// Cancels the remaining (not-yet-started) reservations of a job, freeing
   /// the capacity — the renegotiation hook.  Returns freed processor-ticks.
@@ -216,12 +215,11 @@ class QoSArbitrator {
     const auto it = live_.find(jobId);
     return it != live_.end() && it->second.pinned;
   }
-  /// The spec a live job keeps (shared by every gang fragment of one job);
-  /// nullptr when the job is not live here.  Diagnostics and tests.
-  [[nodiscard]] const task::TunableJobSpec* liveSpec(
-      std::uint64_t jobId) const {
+  /// The shape a live job keeps (shared by every gang fragment of one
+  /// job); nullptr when the job is not live here.  Diagnostics and tests.
+  [[nodiscard]] const task::JobShape* liveShape(std::uint64_t jobId) const {
     const auto it = live_.find(jobId);
-    return it == live_.end() ? nullptr : it->second.spec.get();
+    return it == live_.end() ? nullptr : it->second.shape.get();
   }
 
   /// Id the self-numbering submit() gave the most recently submitted job
@@ -274,9 +272,9 @@ class QoSArbitrator {
   /// here) — never demoted, promoted, or renegotiated; verbatim-or-drop on
   /// resize.  `taskIndices[i]` is the spec task index `placements[i]` is a
   /// fragment of (fragments skip tasks the shard contributes nothing to).
-  /// `spec` is the job's one stored copy, shared by all of its fragments.
+  /// `shape` is the job's one stored copy, shared by all of its fragments.
   void gangCommit(std::uint64_t jobId,
-                  std::shared_ptr<const task::TunableJobSpec> spec,
+                  std::shared_ptr<const task::JobShape> shape,
                   std::size_t chainIndex, double quality, Time release,
                   const std::vector<sched::TaskPlacement>& placements,
                   const std::vector<std::size_t>& taskIndices);
@@ -294,9 +292,9 @@ class QoSArbitrator {
  private:
   /// Everything needed to renegotiate a job after a resource-level change.
   struct LiveJob {
-    /// The job's one stored copy of its spec, made at admission (planning
-    /// only ever borrows the caller's); a gang's fragments share one.
-    std::shared_ptr<const task::TunableJobSpec> spec;
+    /// The job's one stored shape, copied at admission (planning only ever
+    /// reads the caller's); a gang's fragments share one.
+    std::shared_ptr<const task::JobShape> shape;
     Time release = 0;
     std::size_t chainIndex = 0;
     std::vector<sched::TaskPlacement> placements;
@@ -329,12 +327,6 @@ class QoSArbitrator {
     return job.taskIndices.empty() ? k : job.taskIndices[k];
   }
 
-  /// Both submit overloads: plans against `spec`; an admission stores
-  /// `*stored` when given, else a copy of `spec`.
-  [[nodiscard]] sched::AdmissionDecision submitJob(
-      std::uint64_t jobId, const task::TunableJobSpec& spec,
-      const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
-      std::vector<QualityMove>* moves);
   /// Retires finished jobs from the live map: pops the finish heap up to
   /// the clock, skipping entries a move or cancel made stale.
   void retireFinished();
@@ -362,9 +354,10 @@ class QoSArbitrator {
   [[nodiscard]] bool notStarted(const LiveJob& job) const;
 
   /// Inside an open trial: releases the job's placements and re-admits it
-  /// restricted to offered chains with quality in (demote: below current;
-  /// promote: above current, at most admittedQuality), deadlines rebased to
-  /// the clock.  On success the new reservations are left pending in the
+  /// through a view of its shape restricted to offered chains with quality
+  /// in (demote: below current; promote: above current, at most
+  /// admittedQuality), released at the clock with deadlines still anchored
+  /// at the job's release.  On success the new reservations are left pending in the
   /// trial and the move is returned; otherwise the trial is rolled back to
   /// the entry savepoint and the job is untouched.
   [[nodiscard]] std::optional<QualityMove> tryMoveInTrial(

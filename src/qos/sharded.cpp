@@ -81,14 +81,10 @@ std::vector<int> ShardedArbitrator::shardProcessors() const {
 }
 
 sched::AdmissionDecision ShardedArbitrator::submitJob(
-    std::uint64_t jobId, const task::TunableJobSpec& spec,
-    const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
+    std::uint64_t jobId, const task::JobShape& shape, Time release,
     Time* effectiveRelease, std::vector<QualityMove>* moves) {
-  // One shard admits at most once, so the caller's shared copy (when there
-  // is one) goes to whichever shard that is.
   const auto submitOn = [&](QoSArbitrator& arb, Time local) {
-    return stored != nullptr ? arb.submit(jobId, *stored, local, moves)
-                             : arb.submit(jobId, spec, local, moves);
+    return arb.submit(jobId, shape, local, moves);
   };
   const Time r = advanceClock(release);
   const int home = homeShard(jobId);
@@ -130,7 +126,7 @@ sched::AdmissionDecision ShardedArbitrator::submitJob(
       candidates = heapCandidates.get();
     }
     std::size_t count = 0;
-    const int narrowest = minChainWidth(spec);
+    const int narrowest = shape.minChainWidth();
     for (int k = 0; k < shardCount(); ++k) {
       if (k == home) continue;
       auto& shard = *shards_[static_cast<std::size_t>(k)];
@@ -192,20 +188,12 @@ sched::AdmissionDecision ShardedArbitrator::submitJob(
   }
 
   if (options_.gang && shards_.size() > 1) {
-    auto gang = gangSubmit(jobId, spec, stored, r, effectiveRelease);
+    auto gang = gangSubmit(jobId, shape, r, effectiveRelease);
     if (gang.admitted) return gang;
   }
 
   rejected_.fetch_add(1, std::memory_order_relaxed);
   return decision;
-}
-
-int ShardedArbitrator::minChainWidth(const task::TunableJobSpec& spec) {
-  int narrowest = std::numeric_limits<int>::max();
-  for (const auto& chain : spec.chains) {
-    narrowest = std::min(narrowest, chain.maxProcessors());
-  }
-  return narrowest;
 }
 
 namespace {
@@ -230,11 +218,10 @@ struct GangPlan {
 }  // namespace
 
 sched::AdmissionDecision ShardedArbitrator::gangSubmit(
-    std::uint64_t jobId, const task::TunableJobSpec& spec,
-    const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
+    std::uint64_t jobId, const task::JobShape& shape, Time release,
     Time* effectiveRelease) {
   sched::AdmissionDecision rejection;
-  rejection.chainsConsidered = static_cast<int>(spec.chains.size());
+  rejection.chainsConsidered = static_cast<int>(shape.chainCount());
 
   // Gang eligibility: only jobs the regular per-shard path could never
   // admit — no chain of the spec fits even the widest shard.  Everything
@@ -242,7 +229,7 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
   // Checked once without locks, so a narrow rejection never locks every
   // shard, and again under them: widestShard_ only changes with every lock
   // held, so the second read is exact.
-  const int narrowest = minChainWidth(spec);
+  const int narrowest = shape.minChainWidth();
   if (narrowest <= widestShard_.load(std::memory_order_acquire)) {
     return rejection;
   }
@@ -283,15 +270,15 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
   // ChainChoice::QualityFirst).
   std::optional<GangPlan> best;
   int schedulable = 0;
-  for (std::size_t c = 0; c < spec.chains.size(); ++c) {
-    const auto& chain = spec.chains[c];
+  for (std::size_t c = 0; c < shape.chainCount(); ++c) {
+    const auto tasks = shape.tasks(c);
     GangPlan plan;
     plan.chainIndex = c;
-    plan.quality = chain.quality(spec.qualityComposition);
+    plan.quality = shape.chain(c).quality;
     Time prevEnd = rGang;
     bool feasible = true;
-    for (std::size_t t = 0; t < chain.tasks.size(); ++t) {
-      const auto& taskSpec = chain.tasks[t];
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      const auto& taskSpec = tasks[t];
       const int width = taskSpec.request.processors;
       const Time duration = taskSpec.request.duration;
       const Time deadline = taskSpec.relativeDeadline >= kTimeInfinity
@@ -379,11 +366,8 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
   }
 
   // Phase 2: commit every fragment under the job's own id.  The job's one
-  // stored spec (the caller's shared copy, or one made here, on admission)
-  // is shared by every fragment.
-  const auto shared = stored != nullptr
-                          ? *stored
-                          : std::make_shared<const task::TunableJobSpec>(spec);
+  // stored shape, copied here on admission, is shared by every fragment.
+  const auto shared = std::make_shared<const task::JobShape>(shape);
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     if (perShard[k].empty()) continue;
     shards_[k]->arb.gangCommit(jobId, shared, best->chainIndex,
@@ -402,7 +386,7 @@ sched::AdmissionDecision ShardedArbitrator::gangSubmit(
   sched::AdmissionDecision decision;
   decision.admitted = true;
   decision.quality = best->quality;
-  decision.chainsConsidered = static_cast<int>(spec.chains.size());
+  decision.chainsConsidered = static_cast<int>(shape.chainCount());
   decision.chainsSchedulable = schedulable;
   decision.schedule.chainIndex = best->chainIndex;
   decision.schedule.placements = std::move(best->fullWidth);

@@ -44,9 +44,10 @@
 // Gang eligibility is checked before any lock is taken, so the narrow jobs
 // that make up nearly every rejection never lock all shards.
 //
-// Spec ownership: planning on every shard borrows the caller's spec.  An
-// admitted job keeps one shared copy, made once on admission; the
-// fragments of a gang all share that one copy.
+// Job storage: the caller's spec is turned into a task::JobShape once per
+// submit, in the submitting thread's scratch, and every shard plans against
+// that one shape.  An admitted job keeps one shared copy of the shape, made
+// once on admission; the fragments of a gang all share that one copy.
 #pragma once
 
 #include <atomic>
@@ -159,21 +160,16 @@ class ShardedArbitrator {
   /// the spill scan ever runs, and the spill shard does the same before the
   /// final rejection.  Committed moves are appended to `moves` when
   /// non-null.
+  ///
+  /// `spec` is planned through this thread's scratch shape, built once for
+  /// every shard the job visits; an admission stores one compact copy of
+  /// the shape (shared by every fragment of a gang), a rejection nothing.
   [[nodiscard]] sched::AdmissionDecision submit(
       std::uint64_t jobId, const task::TunableJobSpec& spec, Time release,
       Time* effectiveRelease = nullptr,
       std::vector<QualityMove>* moves = nullptr) {
-    return submitJob(jobId, spec, nullptr, release, effectiveRelease, moves);
-  }
-  /// As above for a spec the caller already holds as a shared copy: an
-  /// admission (on any shard, or as a gang) stores `spec` itself and copies
-  /// nothing.
-  [[nodiscard]] sched::AdmissionDecision submit(
-      std::uint64_t jobId,
-      const std::shared_ptr<const task::TunableJobSpec>& spec, Time release,
-      Time* effectiveRelease = nullptr,
-      std::vector<QualityMove>* moves = nullptr) {
-    return submitJob(jobId, *spec, &spec, release, effectiveRelease, moves);
+    const task::ScratchShape shape(spec);
+    return submitJob(jobId, *shape, release, effectiveRelease, moves);
   }
   /// Convenience overload that reserves the id itself (see lastJobId()).
   [[nodiscard]] sched::AdmissionDecision submit(
@@ -274,22 +270,16 @@ class ShardedArbitrator {
   /// Re-reads the widest shard's size into widestShard_.  Requires every
   /// shard lock (or, in the constructor, no other thread).
   void refreshWidestShard();
-  /// Narrowest chain of the spec, by widest task.  A shard with fewer
-  /// processors than this can never admit the job.
-  static int minChainWidth(const task::TunableJobSpec& spec);
-  /// Both submit overloads: plans against `spec`; an admission stores
-  /// `*stored` when given, else one copy of `spec`.
+  /// The submit path over the job's shape.
   [[nodiscard]] sched::AdmissionDecision submitJob(
-      std::uint64_t jobId, const task::TunableJobSpec& spec,
-      const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
+      std::uint64_t jobId, const task::JobShape& shape, Time release,
       Time* effectiveRelease, std::vector<QualityMove>* moves);
   /// Cross-shard gang admission: plans the best chain as width fragments
   /// over all shards, then two-phase reserves/commits it (all locks taken
   /// in index order for the whole protocol).  Returns a rejection when the
-  /// spec is not gang-eligible or no chain fits machine-wide.
+  /// job is not gang-eligible or no chain fits machine-wide.
   [[nodiscard]] sched::AdmissionDecision gangSubmit(
-      std::uint64_t jobId, const task::TunableJobSpec& spec,
-      const std::shared_ptr<const task::TunableJobSpec>* stored, Time release,
+      std::uint64_t jobId, const task::JobShape& shape, Time release,
       Time* effectiveRelease);
 
   ShardedOptions options_;

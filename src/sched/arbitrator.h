@@ -14,6 +14,7 @@
 #include "common/time.h"
 #include "resource/availability_profile.h"
 #include "taskmodel/chain.h"
+#include "taskmodel/shape.h"
 
 namespace tprm::sched {
 
@@ -69,9 +70,17 @@ class Arbitrator {
 
   /// Attempts to admit `job` against `profile` (the machine's committed
   /// reservations).  On success, reserves the chosen placements in `profile`.
-  /// `job` borrows the caller's spec for the call; nothing keeps it after.
+  /// `job` views the caller's shape for the call; nothing keeps it after.
   virtual AdmissionDecision admit(task::JobView job,
                                   resource::AvailabilityProfile& profile) = 0;
+
+  /// The same for an owned instance (the simulator's and the figure
+  /// harnesses' streams), planned through this thread's scratch shape.
+  AdmissionDecision admit(const task::JobInstance& job,
+                          resource::AvailabilityProfile& profile) {
+    const task::ScratchShape shape(job.spec);
+    return admit(task::JobView(job.id, job.release, *shape), profile);
+  }
 
   /// Short identifier for reports, e.g. "greedy-paper".
   [[nodiscard]] virtual std::string name() const = 0;

@@ -13,21 +13,24 @@ namespace tprm::sched {
 AdmissionDecision BestEffortArbitrator::admit(
     task::JobView job, resource::AvailabilityProfile& profile) {
   AdmissionDecision decision;
-  decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
+  decision.chainsConsidered = static_cast<int>(job.offeredCount());
+  const task::JobShape& shape = job.shape;
 
   // Earliest-finishing chain, ignoring all deadlines.  Each chain is planned
   // read-only: its tasks run back to back, so a reservation for task k
   // (which ends where task k+1's probe begins) could never change that
   // probe.  Only the winner is reserved.
   std::optional<ChainSchedule> best;
-  for (std::size_t c = 0; c < job.spec.chains.size(); ++c) {
-    const task::Chain& chain = job.spec.chains[c];
+  for (std::size_t c = 0; c < shape.chainCount(); ++c) {
+    if (!job.offers(c)) continue;
+    const auto tasks = shape.tasks(c);
     ChainSchedule schedule;
     schedule.chainIndex = c;
     Time earliest = job.release;
     bool ok = true;
     resource::FitHint hint;
-    for (const auto& taskSpec : chain.tasks) {
+    for (std::size_t k = job.firstTask(); k < tasks.size(); ++k) {
+      const auto& taskSpec = tasks[k];
       const auto start = profile.findEarliestFit(
           earliest, taskSpec.request.duration, taskSpec.request.processors,
           kTimeInfinity, &hint);
@@ -53,8 +56,7 @@ AdmissionDecision BestEffortArbitrator::admit(
     profile.reserve(p.interval, p.processors);
   }
   decision.admitted = true;
-  decision.quality = job.spec.chains[best->chainIndex].quality(
-      job.spec.qualityComposition);
+  decision.quality = shape.chain(best->chainIndex).quality;
   decision.schedule = std::move(*best);
   return decision;
 }
@@ -69,27 +71,31 @@ AdmissionDecision BestEffortArbitrator::admit(
 AdmissionDecision ConservativeArbitrator::admit(
     task::JobView job, resource::AvailabilityProfile& profile) {
   AdmissionDecision decision;
-  decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
+  decision.chainsConsidered = static_cast<int>(job.offeredCount());
+  const task::JobShape& shape = job.shape;
 
   // Order chains by peak demand: the conservative scheduler wants the
   // cheapest block that still guarantees the job.
-  std::vector<std::size_t> order(job.spec.chains.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::vector<std::size_t> order;
+  order.reserve(shape.chainCount());
+  for (std::size_t i = 0; i < shape.chainCount(); ++i) {
+    if (job.offers(i)) order.push_back(i);
+  }
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return job.spec.chains[a].maxProcessors() <
-           job.spec.chains[b].maxProcessors();
+    return shape.chain(a).maxProcessors < shape.chain(b).maxProcessors;
   });
 
   for (const std::size_t c : order) {
-    const task::Chain& chain = job.spec.chains[c];
-    const int peak = chain.maxProcessors();
-    const Time lastRelDeadline = chain.tasks.back().relativeDeadline;
+    const auto tasks = shape.tasks(c).subspan(job.firstTask());
+    const int peak = shape.chain(c).maxProcessors;
+    const Time lastRelDeadline = tasks.back().relativeDeadline;
     // Without a finite deadline there is no lifetime to dedicate; fall back
     // to the critical path.
-    const Time blockEnd =
-        lastRelDeadline >= kTimeInfinity
-            ? job.release + chain.criticalPathLength()
-            : job.release + lastRelDeadline;
+    Time criticalPath = 0;
+    for (const auto& taskSpec : tasks) criticalPath += taskSpec.request.duration;
+    const Time blockEnd = lastRelDeadline >= kTimeInfinity
+                              ? job.release + criticalPath
+                              : job.absoluteDeadline(lastRelDeadline);
     const TimeInterval block{job.release, blockEnd};
     if (block.empty()) continue;
     if (profile.minAvailable(block) < peak) continue;
@@ -100,11 +106,8 @@ AdmissionDecision ConservativeArbitrator::admit(
     ChainSchedule schedule;
     schedule.chainIndex = c;
     Time clock = job.release;
-    for (const auto& taskSpec : chain.tasks) {
-      const Time deadline =
-          taskSpec.relativeDeadline >= kTimeInfinity
-              ? kTimeInfinity
-              : job.release + taskSpec.relativeDeadline;
+    for (const auto& taskSpec : tasks) {
+      const Time deadline = job.absoluteDeadline(taskSpec.relativeDeadline);
       schedule.placements.push_back(TaskPlacement{
           TimeInterval{clock, clock + taskSpec.request.duration},
           taskSpec.request.processors, deadline});
@@ -119,7 +122,7 @@ AdmissionDecision ConservativeArbitrator::admit(
     // profile, and by `admittedArea` via the block, below).
     TPRM_CHECK(clock <= blockEnd, "conservative block too small");
     decision.admitted = true;
-    decision.quality = chain.quality(job.spec.qualityComposition);
+    decision.quality = shape.chain(c).quality;
     decision.schedule = std::move(schedule);
     return decision;
   }

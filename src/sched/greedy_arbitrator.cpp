@@ -63,7 +63,7 @@ std::string GreedyArbitrator::name() const {
 }
 
 std::optional<TaskPlacement> GreedyArbitrator::placeTask(
-    const task::TaskSpec& taskSpec, Time earliest, Time deadline,
+    const task::ShapeTask& task, Time earliest, Time deadline,
     const resource::AvailabilityProfile& profile,
     resource::FitHint* hint) const {
   auto placeRigid = [&](int processors,
@@ -79,15 +79,15 @@ std::optional<TaskPlacement> GreedyArbitrator::placeTask(
                          deadline};
   };
 
-  if (!options_.malleable || !taskSpec.malleable) {
-    return placeRigid(taskSpec.request.processors, taskSpec.request.duration);
+  if (!options_.malleable || !task.malleable) {
+    return placeRigid(task.request.processors, task.request.duration);
   }
 
   // Malleable placement (Section 5.4): try processor counts from the degree
   // of concurrency downward.  The probes share `hint`: the profile does not
   // change between them, so each q after the first resumes the step-function
   // scan at `earliest` without a fresh binary search.
-  const auto& spec = *taskSpec.malleable;
+  const auto& spec = task.malleableSpec;
   std::optional<TaskPlacement> best;
   for (int q = spec.maxConcurrency; q >= 1; --q) {
     const Time duration = spec.durationOn(q);
@@ -107,16 +107,16 @@ std::optional<TaskPlacement> GreedyArbitrator::placeTask(
 bool GreedyArbitrator::planChain(task::JobView job, std::size_t chainIndex,
                                  const resource::AvailabilityProfile& profile,
                                  ChainSchedule& out) const {
-  const task::Chain& chain = job.spec.chains[chainIndex];
+  const auto tasks = job.shape.tasks(chainIndex);
   out.chainIndex = chainIndex;
   out.placements.clear();
 
   Time earliest = job.release;
   resource::FitHint hint;
-  for (std::size_t k = 0; k < chain.tasks.size(); ++k) {
-    const Time deadline = job.absoluteDeadline(chainIndex, k);
+  for (std::size_t k = job.firstTask(); k < tasks.size(); ++k) {
+    const Time deadline = job.absoluteDeadline(tasks[k].relativeDeadline);
     const auto placement =
-        placeTask(chain.tasks[k], earliest, deadline, profile, &hint);
+        placeTask(tasks[k], earliest, deadline, profile, &hint);
     if (!placement) return false;
     earliest = placement->interval.end;
     out.placements.push_back(*placement);
@@ -154,9 +154,8 @@ AdmissionDecision GreedyArbitrator::admitInTrial(
 AdmissionDecision GreedyArbitrator::choose(
     task::JobView job, const resource::AvailabilityProfile& profile) {
   AdmissionDecision decision;
-  decision.chainsConsidered = static_cast<int>(job.spec.chains.size());
-  const auto& chains = job.spec.chains;
-  const auto composition = job.spec.qualityComposition;
+  decision.chainsConsidered = static_cast<int>(job.offeredCount());
+  const task::JobShape& shape = job.shape;
 
   // Per-candidate scalars; the placements live in plan_ / best_.
   struct Candidate {
@@ -170,10 +169,10 @@ AdmissionDecision GreedyArbitrator::choose(
   // means an identical window [release, finish], whose committed busy ticks
   // are the same for both candidates, so the denser window is the one with
   // the larger area.
-  auto paperBetter = [&chains](const Candidate& a, const Candidate& b) {
+  auto paperBetter = [&shape](const Candidate& a, const Candidate& b) {
     if (a.finish != b.finish) return a.finish < b.finish;
     if (a.area != b.area) return a.area > b.area;
-    return task::prefixAreasLess(chains[a.chain], chains[b.chain]);
+    return shape.prefixAreasLess(a.chain, b.chain);
   };
   // Busy ticks over [release, finish]: committed + this chain.
   auto utilization = [&](const Candidate& c) {
@@ -189,8 +188,8 @@ AdmissionDecision GreedyArbitrator::choose(
       case ChainChoice::Paper:
         return paperBetter(a, b);
       case ChainChoice::QualityFirst: {
-        const double qa = chains[a.chain].quality(composition);
-        const double qb = chains[b.chain].quality(composition);
+        const double qa = shape.chain(a.chain).quality;
+        const double qb = shape.chain(b.chain).quality;
         if (qa != qb) return qa > qb;
         return paperBetter(a, b);
       }
@@ -199,7 +198,7 @@ AdmissionDecision GreedyArbitrator::choose(
         const double ub = utilization(b);
         if (ua != ub) return ua > ub;
         if (a.finish != b.finish) return a.finish < b.finish;
-        return task::prefixAreasLess(chains[a.chain], chains[b.chain]);
+        return shape.prefixAreasLess(a.chain, b.chain);
       }
       case ChainChoice::FirstSchedulable:
       case ChainChoice::Random:
@@ -212,7 +211,8 @@ AdmissionDecision GreedyArbitrator::choose(
   // its pick (planning is deterministic).
   std::vector<std::size_t> schedulable;
   std::optional<Candidate> best;
-  for (std::size_t c = 0; c < chains.size(); ++c) {
+  for (std::size_t c = 0; c < shape.chainCount(); ++c) {
+    if (!job.offers(c)) continue;
     if (metrics_ != nullptr) metrics_->chainsEvaluated->add();
     if (!planChain(job, c, profile, plan_)) continue;
     ++decision.chainsSchedulable;
@@ -246,7 +246,7 @@ AdmissionDecision GreedyArbitrator::choose(
 
   if (metrics_ != nullptr) metrics_->jobsAdmitted->add();
   decision.admitted = true;
-  decision.quality = chains[best_.chainIndex].quality(composition);
+  decision.quality = shape.chain(best_.chainIndex).quality;
   decision.schedule = best_;
   return decision;
 }

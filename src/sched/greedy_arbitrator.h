@@ -22,9 +22,11 @@
 // from end_k onward untouched, so reserving task k could never change the
 // probe for task k+1.  Nothing is reserved until the winner is known, the
 // chain's probes share one FitHint that stays valid across them, and only
-// the winner is reserved.  The job is read through a task::JobView that
-// borrows the caller's spec, so planning copies nothing (the simulator's
-// owned JobInstance streams convert to the same view: one planner path).
+// the winner is reserved.  The job is read through a task::JobView of a
+// task::JobShape, the planner's one input form: per-chain quality, area and
+// prefix areas are computed once per shape, not per probe, and a view's
+// filter and deadline anchor express renegotiation's rebased and
+// quality-banded re-plans without building a new spec.
 // AvailabilityProfile::Trial remains for composed speculation (elastic
 // shrink-then-admit, resize, gang, and DAG placement, whose sibling tasks
 // overlap in time).
@@ -101,6 +103,7 @@ class GreedyArbitrator final : public Arbitrator {
  public:
   explicit GreedyArbitrator(GreedyOptions options = {});
 
+  using Arbitrator::admit;
   AdmissionDecision admit(task::JobView job,
                           resource::AvailabilityProfile& profile) override;
 
@@ -136,9 +139,10 @@ class GreedyArbitrator final : public Arbitrator {
   [[nodiscard]] AdmissionDecision choose(
       task::JobView job, const resource::AvailabilityProfile& profile);
 
-  /// Plans chain `chainIndex` into `out` (placements replaced).  Returns
-  /// true iff every task fits within its deadline.  The chain's probes share
-  /// one FitHint: the profile does not change between them.
+  /// Plans chain `chainIndex` into `out` (placements replaced), from the
+  /// view's first task.  Returns true iff every task fits within its
+  /// deadline.  The chain's probes share one FitHint: the profile does not
+  /// change between them.
   bool planChain(task::JobView job, std::size_t chainIndex,
                  const resource::AvailabilityProfile& profile,
                  ChainSchedule& out) const;
@@ -147,7 +151,7 @@ class GreedyArbitrator final : public Arbitrator {
   /// `hint` is the chain's shared FitHint (the malleable q-downward search
   /// probes the same `earliest` up to degreeOfConcurrency times).
   [[nodiscard]] std::optional<TaskPlacement> placeTask(
-      const task::TaskSpec& taskSpec, Time earliest, Time deadline,
+      const task::ShapeTask& task, Time earliest, Time deadline,
       const resource::AvailabilityProfile& profile,
       resource::FitHint* hint) const;
 

@@ -1,7 +1,6 @@
 #include "service/server.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "common/check.h"
@@ -1149,10 +1148,10 @@ void NegotiationServer::recordSpan(const PendingCommand& command,
     span.jobId = result->jobId;
     span.ok = result->admitted;
     if (result->admitted) {
-      char detail[64];
-      std::snprintf(detail, sizeof(detail), "chain=%zu quality=%.3f",
-                    result->chainIndex, result->quality);
-      span.detail = detail;
+      // Formatted only when the span is read (TraceSpan::detailText).
+      span.granted = true;
+      span.chainIndex = result->chainIndex;
+      span.quality = result->quality;
     } else {
       span.detail = "rejected";
     }
@@ -1186,6 +1185,33 @@ void NegotiationServer::stampWindow(Response* response) const {
   if (dynamic < fullWindow()) response->advertisedWindow = dynamic;
 }
 
+NegotiateResult executeNegotiate(qos::ShardedArbitrator& arbitrator,
+                                 NegotiateRequest& payload,
+                                 std::uint64_t jobId,
+                                 std::uint64_t arrivalSeq,
+                                 std::vector<qos::QualityMove>* moves) {
+  // Wire clients are not clock-synchronized with the arbitrator; a release
+  // behind the (monotone) negotiation clock means "now".
+  Time effectiveRelease = payload.release;
+  auto decision = arbitrator.submit(jobId, payload.spec, payload.release,
+                                    &effectiveRelease, moves);
+  NegotiateResult result;
+  result.admitted = decision.admitted;
+  result.jobId = jobId;
+  result.arrivalSeq = arrivalSeq;
+  result.release = effectiveRelease;
+  result.chainsConsidered = decision.chainsConsidered;
+  result.chainsSchedulable = decision.chainsSchedulable;
+  if (decision.admitted) {
+    result.chainIndex = decision.schedule.chainIndex;
+    result.quality = decision.quality;
+    result.placements = std::move(decision.schedule.placements);
+    result.bindings =
+        std::move(payload.spec.chains[decision.schedule.chainIndex].bindings);
+  }
+  return result;
+}
+
 Response NegotiationServer::execute(
     Request& request, std::uint64_t arrivalSeq,
     const std::optional<std::uint64_t>& presetJobId,
@@ -1195,32 +1221,11 @@ Response NegotiationServer::execute(
   switch (request.command) {
     case Command::Negotiate: {
       auto& payload = std::get<NegotiateRequest>(request.payload);
-      const std::uint64_t jobId = presetJobId.value();
-      // Wire clients are not clock-synchronized with the arbitrator; a
-      // release behind the (monotone) negotiation clock means "now".
-      Time effectiveRelease = payload.release;
       // The request ends with this command (the wire trace encoded it at
-      // stamp time), so its decoded spec becomes the one copy an admission
-      // stores: moved, not copied.
-      const auto spec =
-          std::make_shared<const task::TunableJobSpec>(std::move(payload.spec));
-      auto decision = arbitrator_.submit(jobId, spec, payload.release,
-                                         &effectiveRelease, moves);
-      NegotiateResult result;
-      result.admitted = decision.admitted;
-      result.jobId = jobId;
-      result.arrivalSeq = arrivalSeq;
-      result.release = effectiveRelease;
-      result.chainsConsidered = decision.chainsConsidered;
-      result.chainsSchedulable = decision.chainsSchedulable;
-      if (decision.admitted) {
-        result.chainIndex = decision.schedule.chainIndex;
-        result.quality = decision.quality;
-        result.placements = std::move(decision.schedule.placements);
-        // Copied: the arbitrator keeps the spec, bindings included.
-        result.bindings = spec->chains[decision.schedule.chainIndex].bindings;
-      }
-      response.result = std::move(result);
+      // stamp time), so its decoded bindings may be moved out.
+      response.result = executeNegotiate(arbitrator_, payload,
+                                         presetJobId.value(), arrivalSeq,
+                                         moves);
       return response;
     }
     case Command::Cancel: {

@@ -102,6 +102,15 @@
 
 namespace tprm::service {
 
+/// Runs one NEGOTIATE against `arbitrator` under the stamped `jobId`.  The
+/// arbitrator keeps only the job's shape, so on admission the granted
+/// chain's bindings are moved out of `payload.spec` into the result, not
+/// copied.  The server's execute path for NEGOTIATE.
+[[nodiscard]] NegotiateResult executeNegotiate(
+    qos::ShardedArbitrator& arbitrator, NegotiateRequest& payload,
+    std::uint64_t jobId, std::uint64_t arrivalSeq,
+    std::vector<qos::QualityMove>* moves);
+
 struct ServerConfig {
   /// Machine size the arbitrator manages.
   int processors = 32;

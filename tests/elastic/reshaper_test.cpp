@@ -218,16 +218,15 @@ TEST(Elastic, VictimPolicyOrdersAreDeterministic) {
   candidates[2].release = 9;
   candidates[2].futureArea = 200;
 
-  TunableJobSpec spec;
   EXPECT_EQ(Reshaper(VictimPolicy::MinQualityLoss)
-                .demotionOrder(candidates, spec, 0),
+                .demotionOrder(candidates, 0),
             (std::vector<std::uint64_t>{10, 12, 11}));
   // Same release 9 for jobs 11 and 12: higher id first.
   EXPECT_EQ(Reshaper(VictimPolicy::MostRecentFirst)
-                .demotionOrder(candidates, spec, 0),
+                .demotionOrder(candidates, 0),
             (std::vector<std::uint64_t>{12, 11, 10}));
   EXPECT_EQ(Reshaper(VictimPolicy::ProportionalShare)
-                .demotionOrder(candidates, spec, 0),
+                .demotionOrder(candidates, 0),
             (std::vector<std::uint64_t>{11, 12, 10}));
 
   std::vector<ElasticCandidate> demoted(2);

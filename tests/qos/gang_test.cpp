@@ -215,7 +215,7 @@ TEST(GangFragmentSurface, CommitRegistersAPinnedCancellableJob) {
   std::vector<sched::TaskPlacement> fragments = {
       {TimeInterval{u(0.0), u(20.0)}, 6, u(1000.0)}};
   ASSERT_TRUE(arb.gangReserve(fragments));
-  arb.gangCommit(7, std::make_shared<const TunableJobSpec>(spec), 0, 1.0, 0,
+  arb.gangCommit(7, std::make_shared<const task::JobShape>(spec), 0, 1.0, 0,
                  fragments, {0});
   EXPECT_FALSE(arb.gangReserveOpen());
   EXPECT_EQ(arb.admittedCount(), 1u);
@@ -325,7 +325,7 @@ class RecordingPolicy : public ReshapePolicy {
  public:
   std::vector<std::uint64_t> demotionOrder(
       const std::vector<ElasticCandidate>& candidates,
-      const task::TunableJobSpec&, Time) const override {
+      Time) const override {
     return record(candidates);
   }
   std::vector<std::uint64_t> promotionOrder(

@@ -184,14 +184,13 @@ class RenegotiationScript {
         taskSpec.relativeDeadline = absolute - clock_;
       }
       if (!feasible) continue;
-      task::JobInstance probe;
-      probe.id = 0;
-      probe.release = clock_;
-      probe.spec.name = job.spec.name;
-      probe.spec.chains = {chain};
+      task::TunableJobSpec probe;
+      probe.chains = {chain};
+      const task::JobShape shape(probe);
       auto profileCopy = arbitrator_.profile();
       sched::GreedyArbitrator greedy;
-      const auto schedule = greedy.tryChain(probe, 0, profileCopy);
+      const auto schedule =
+          greedy.tryChain(task::JobView(0, clock_, shape), 0, profileCopy);
       EXPECT_FALSE(schedule.has_value())
           << "step " << step << ": dropped job " << job.spec.name
           << " still had feasible chain " << c;

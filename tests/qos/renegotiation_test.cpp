@@ -338,5 +338,49 @@ TEST(RenegotiationDeath, InvalidArguments) {
   EXPECT_DEATH((void)arbitrator.resize(8, 0), "past");
 }
 
+// A job re-placed over all of its chains keeps its spec's quality
+// composition: reconfigured onto the chain it was admitted on, it is at its
+// admitted quality (the chain's minimum task quality), not at the product
+// of its task qualities, so it is not demoted.
+TEST(Renegotiation, ReconfiguredJobKeepsItsQualityComposition) {
+  sched::GreedyOptions options;
+  options.chainChoice = sched::ChainChoice::QualityFirst;
+  QoSArbitrator arbitrator(8, options);
+  ASSERT_TRUE(arbitrator.submit(rigidJob(4, 100.0, 1000.0), 0).admitted);
+
+  TunableJobSpec spec;
+  spec.name = "weakest-link";
+  spec.qualityComposition = task::QualityComposition::Minimum;
+  Chain staged;
+  staged.name = "staged";
+  staged.tasks = {
+      TaskSpec::rigid("a", 4, ticksFromUnits(10.0), ticksFromUnits(1000.0),
+                      0.9),
+      TaskSpec::rigid("b", 4, ticksFromUnits(10.0), ticksFromUnits(1000.0),
+                      0.8)};
+  Chain lean;
+  lean.name = "lean";
+  lean.tasks = {TaskSpec::rigid("c", 2, ticksFromUnits(50.0),
+                                ticksFromUnits(1000.0), 0.5)};
+  spec.chains = {staged, lean};
+  const auto admitted = arbitrator.submit(spec, 0);
+  ASSERT_TRUE(admitted.admitted);
+  ASSERT_EQ(admitted.schedule.chainIndex, 0u);
+  ASSERT_EQ(admitted.quality, 0.8);
+  const std::uint64_t id = *arbitrator.lastJobId();
+
+  // Six processors: the staged chain no longer fits beside the first job
+  // where it was, so the job is re-placed, on the staged chain again.
+  const auto report = arbitrator.resize(6, 0);
+  ASSERT_EQ(report.reconfigured, std::vector<std::uint64_t>{id});
+  EXPECT_TRUE(arbitrator.elasticCandidates(/*demotedOnly=*/true).empty());
+  const auto candidates = arbitrator.elasticCandidates(false);
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(candidates[0].jobId, id);
+  EXPECT_EQ(candidates[0].chainIndex, 0u);
+  EXPECT_EQ(candidates[0].quality, 0.8);
+  EXPECT_TRUE(arbitrator.verify().ok);
+}
+
 }  // namespace
 }  // namespace tprm::qos

@@ -182,8 +182,10 @@ TEST(GreedyArbitrator, UtilizationTieBreakPrefersDenserWindow) {
   GreedyArbitrator arb;
   resource::AvailabilityProfile profile(8);
   const auto job = fig4StyleJob(0, 1000, 1000);
-  const auto s0 = arb.tryChain(job, 0, profile);
-  const auto s1 = arb.tryChain(job, 1, profile);
+  const task::JobShape shape(job.spec);
+  const task::JobView view(job.id, job.release, shape);
+  const auto s0 = arb.tryChain(view, 0, profile);
+  const auto s1 = arb.tryChain(view, 1, profile);
   ASSERT_TRUE(s0 && s1);
   EXPECT_EQ(s0->finishTime(), s1->finishTime());
   EXPECT_EQ(s0->area(), s1->area());

@@ -443,7 +443,9 @@ TEST_P(PlanEquivalence, AdmitInTrialAfterVictimShrinkMatchesOracle) {
         }
         const std::string afterShrink = planned.dump();
         const auto versionBefore = planned.version();
-        const auto got = planner.admitInTrial(job, planned, plannedTrial);
+        const task::JobShape shape(job.spec);
+        const auto got = planner.admitInTrial(
+            task::JobView(job.id, job.release, shape), planned, plannedTrial);
         const auto want = oracle.admitInTrial(job, expected, expectedTrial);
         expectSameDecision(got, want, where);
         ASSERT_EQ(planned.dump(), expected.dump()) << where;

@@ -1579,6 +1579,11 @@ TEST(Observability, ServerSnapshotCoversNegotiationLifecycle) {
   ASSERT_EQ(spans->asArray().size(), executed);
   EXPECT_EQ(spans->asArray()[0].find("name")->asString(), "NEGOTIATE");
   EXPECT_TRUE(spans->asArray()[0].find("ok")->asBool());
+  // The span keeps the grant as values; the snapshot renders the detail.
+  ASSERT_EQ(decision->chainIndex, 0u);
+  ASSERT_EQ(decision->quality, 1.0);
+  EXPECT_EQ(spans->asArray()[0].find("detail")->asString(),
+            "chain=0 quality=1.000");
   const auto* waits = snapshot.find("histograms")->find("server.queue_wait_us");
   ASSERT_NE(waits, nullptr);
   EXPECT_EQ(waits->find("count")->asNumber(), static_cast<double>(executed));
