@@ -105,7 +105,10 @@ namespace tprm::service {
 /// Runs one NEGOTIATE against `arbitrator` under the stamped `jobId`.  The
 /// arbitrator keeps only the job's shape, so on admission the granted
 /// chain's bindings are moved out of `payload.spec` into the result, not
-/// copied.  The server's execute path for NEGOTIATE.
+/// copied.  The server's execute path for NEGOTIATE; public only as a
+/// test seam, so the allocation tests can count one wire admission without
+/// the server's sockets and worker threads.  Everything else negotiates
+/// through NegotiationServer.
 [[nodiscard]] NegotiateResult executeNegotiate(
     qos::ShardedArbitrator& arbitrator, NegotiateRequest& payload,
     std::uint64_t jobId, std::uint64_t arrivalSeq,

@@ -76,7 +76,6 @@ void JobShape::assign(const TunableJobSpec& spec) {
       ShapeTask task;
       task.request = t.request;
       task.relativeDeadline = t.relativeDeadline;
-      task.quality = t.quality;
       if (t.malleable) {
         task.malleable = true;
         task.malleableSpec = *t.malleable;
@@ -88,7 +87,6 @@ void JobShape::assign(const TunableJobSpec& spec) {
       ::new (base + next * sizeof(ShapeTask)) ShapeTask(task);
       ++next;
     }
-    record.area = prefix;
     minChainWidth_ = std::min(minChainWidth_, record.maxProcessors);
     ::new (chainBase + c * sizeof(ShapeChain)) ShapeChain(record);
   }

@@ -6,7 +6,7 @@
 // parameter bindings belong to the QoS agent.  A JobShape keeps exactly
 // what planning reads: every chain's tasks in one contiguous array, plus
 // per-chain values computed once (quality under the spec's composition,
-// area, widest task, prefix areas for the tie-break).  One shape owns one
+// widest task, prefix areas for the tie-break).  One shape owns one
 // heap block, so a shared copy costs two allocations with its control
 // block.
 //
@@ -25,6 +25,7 @@
 #include <optional>
 #include <span>
 
+#include "common/check.h"
 #include "taskmodel/chain.h"
 
 namespace tprm::task {
@@ -33,7 +34,6 @@ namespace tprm::task {
 struct ShapeTask {
   ResourceRequest request;
   Time relativeDeadline = kTimeInfinity;
-  double quality = 1.0;
   /// Meaningful iff `malleable`.
   MalleableSpec malleableSpec;
   bool malleable = false;
@@ -47,8 +47,6 @@ struct ShapeChain {
   std::uint32_t taskCount = 0;
   /// Path quality under the spec's composition (Chain::quality).
   double quality = 0.0;
-  /// Total processor-ticks (Chain::totalArea).
-  std::int64_t area = 0;
   /// Widest task (Chain::maxProcessors).
   int maxProcessors = 0;
 };
@@ -171,7 +169,12 @@ struct JobView {
   JobView(std::uint64_t jobId, Time releaseTime, Time anchor,
           const JobShape& jobShape, const ChainFilter* chainFilter)
       : id(jobId), release(releaseTime), deadlineAnchor(anchor),
-        shape(jobShape), filter(chainFilter) {}
+        shape(jobShape), filter(chainFilter) {
+    // Every planner applies firstTask() to each offered chain.
+    TPRM_CHECK(filter == nullptr || filter->firstTask == 0 ||
+                   filter->only != ChainFilter::kAllChains,
+               "a committed suffix needs a single offered chain");
+  }
 
   /// True iff the planner may consider chain `c`.
   [[nodiscard]] bool offers(std::size_t c) const {

@@ -151,7 +151,6 @@ bool sameShape(const JobShape& shape, const TunableJobSpec& spec) {
     const auto tasks = shape.tasks(c);
     if (tasks.size() != chain.tasks.size() ||
         shape.chain(c).quality != chain.quality(spec.qualityComposition) ||
-        shape.chain(c).area != chain.totalArea() ||
         shape.chain(c).maxProcessors != chain.maxProcessors()) {
       return false;
     }
@@ -159,7 +158,6 @@ bool sameShape(const JobShape& shape, const TunableJobSpec& spec) {
       const auto& t = chain.tasks[k];
       if (tasks[k].request != t.request ||
           tasks[k].relativeDeadline != t.relativeDeadline ||
-          tasks[k].quality != t.quality ||
           tasks[k].malleable != t.malleable.has_value()) {
         return false;
       }

@@ -36,7 +36,6 @@ TEST(JobShape, HoldsWhatPlanningReads) {
   for (std::size_t c = 0; c < spec.chains.size(); ++c) {
     const Chain& chain = spec.chains[c];
     EXPECT_EQ(shape.chain(c).quality, chain.quality());
-    EXPECT_EQ(shape.chain(c).area, chain.totalArea());
     EXPECT_EQ(shape.chain(c).maxProcessors, chain.maxProcessors());
     const auto tasks = shape.tasks(c);
     ASSERT_EQ(tasks.size(), chain.tasks.size());
@@ -46,13 +45,13 @@ TEST(JobShape, HoldsWhatPlanningReads) {
       prefix += t.request.area();
       EXPECT_EQ(tasks[k].request, t.request);
       EXPECT_EQ(tasks[k].relativeDeadline, t.relativeDeadline);
-      EXPECT_EQ(tasks[k].quality, t.quality);
       EXPECT_EQ(tasks[k].malleable, t.malleable.has_value());
       if (t.malleable) {
         EXPECT_EQ(tasks[k].malleableSpec, *t.malleable);
       }
       EXPECT_EQ(tasks[k].prefixArea, prefix);
     }
+    EXPECT_EQ(tasks.back().prefixArea, chain.totalArea());
   }
 }
 
@@ -80,16 +79,16 @@ TEST(JobShape, AssignRebuildsAndCopiesAreIndependent) {
   spec.chains[0].tasks.pop_back();
   shape.assign(spec);
   ASSERT_EQ(shape.chainCount(), 1u);
-  EXPECT_EQ(shape.tasks(0).size(), 1u);
-  EXPECT_EQ(shape.chain(0).area, 400);
+  ASSERT_EQ(shape.tasks(0).size(), 1u);
+  EXPECT_EQ(shape.tasks(0)[0].prefixArea, 400);
   EXPECT_EQ(shape.minChainWidth(), 16);
   ASSERT_EQ(copy.chainCount(), 2u);
-  EXPECT_EQ(copy.chain(0).area, 800);
+  EXPECT_EQ(copy.tasks(0)[1].prefixArea, 800);
   EXPECT_EQ(copy.tasks(1)[0].request.processors, 6);
   // And a larger one grows it.
   shape.assign(twoChainJob());
   EXPECT_EQ(shape.chainCount(), 2u);
-  EXPECT_EQ(shape.chain(1).area, 300);
+  EXPECT_EQ(shape.tasks(1)[0].prefixArea, 300);
 }
 
 TEST(JobShape, MovedFromShapeStaysUsable) {
@@ -101,7 +100,7 @@ TEST(JobShape, MovedFromShapeStaysUsable) {
   small.chains.pop_back();
   shape.assign(small);
   EXPECT_EQ(shape.chainCount(), 1u);
-  EXPECT_EQ(shape.chain(0).area, 800);
+  EXPECT_EQ(shape.tasks(0)[1].prefixArea, 800);
   shape = moved;
   EXPECT_EQ(shape.chainCount(), 2u);
   EXPECT_EQ(moved.chainCount(), 2u);
@@ -200,6 +199,13 @@ TEST(JobView, FilterDropsChainsWhoseDeadlineCameTooClose) {
   EXPECT_EQ(suffix.offeredCount(), 1u);
   EXPECT_EQ(suffix.firstTask(), 1u);
   EXPECT_EQ(JobView(3, 1200, 1000, shape, &filter).offeredCount(), 0u);
+}
+
+TEST(JobView, CommittedSuffixNeedsASingleChain) {
+  const JobShape shape(twoChainJob());
+  ChainFilter filter;
+  filter.firstTask = 1;  // but every chain offered
+  EXPECT_DEATH(JobView(3, 0, 0, shape, &filter), "single offered chain");
 }
 
 TEST(JobView, QualityBandOffersOnlyChainsInside) {
